@@ -1,9 +1,10 @@
 """Command line surface: solve theories, replay traces, run reference-oracle
 checks, normalize general input, and emit graphs and stats.
 
-Exit codes follow the DIMACS convention for `solve` (10 satisfiable, 20
-unsatisfiable) and use 2 for parse/usage errors everywhere; `replay` exits 1
-on expectation or oracle mismatches and 3 when an oracle guard refuses.
+Exit codes follow the SAT competition convention for `solve` (10
+satisfiable, 20 unsatisfiable, 0 unknown because the conflict or time budget
+ran out) and use 2 for parse/usage errors everywhere; `replay` exits 1 on
+expectation or oracle mismatches and 3 when an oracle guard refuses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import oracle
 from .core import DefnfTheory, PartialInterpretation, build_dependency_graph
-from .engine import BudgetExhausted, Solver, SolverConfig
+from .engine import BudgetExhausted, Solver, SolverConfig, SolveStats
 from .formats import (FormatError, parse_cid, parse_pcid, parse_trace, to_dot,
                       write_cid)
 from .normalize import normalize_to_defnf
@@ -23,6 +24,7 @@ from .replay import ReplayOrderError, TraceReplayer
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
+EXIT_UNKNOWN = 0
 EXIT_PARSE = 2
 EXIT_MISMATCH = 1
 EXIT_GUARD = 3
@@ -30,19 +32,22 @@ EXIT_GUARD = 3
 STATS_SCHEMA = {
     "type": "object",
     "properties": {
-        "result": {"enum": ["sat", "unsat"]},
+        "result": {"enum": ["sat", "unsat", "unknown"]},
         "decisions": {"type": "integer", "minimum": 0},
         "conflicts": {"type": "integer", "minimum": 0},
         "propagations": {"type": "integer", "minimum": 0},
         "unfounded_sets": {"type": "integer", "minimum": 0},
+        "learned_clauses": {"type": "integer", "minimum": 0},
+        "restarts": {"type": "integer", "minimum": 0},
         "relevance_queries": {"type": "integer", "minimum": 0},
         "stopped_early": {"type": "boolean"},
         "models_represented": {"type": ["integer", "null"]},
         "wall_ms": {"type": "integer", "minimum": 0},
     },
     "required": ["result", "decisions", "conflicts", "propagations",
-                 "unfounded_sets", "relevance_queries", "stopped_early",
-                 "models_represented", "wall_ms"],
+                 "unfounded_sets", "learned_clauses", "restarts",
+                 "relevance_queries", "stopped_early", "models_represented",
+                 "wall_ms"],
     "additionalProperties": False,
 }
 
@@ -78,7 +83,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="on|off", help="stop once the theory atom is justified")
     parser.add_argument("--on-empty-relevant", choices=("backtrack", "fallback"),
                         default="backtrack", help="policy when nothing is relevant")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-conflicts", type=int, default=None, metavar="N")
     parser.add_argument("--time-limit", type=float, default=None, metavar="S")
 
@@ -87,24 +91,31 @@ def _config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(relevance_filter=args.relevance,
                         stop_on_justified=args.stop_on_justified,
                         empty_relevant_policy=args.on_empty_relevant,
-                        seed=args.seed,
                         max_conflicts=args.max_conflicts,
                         time_limit=args.time_limit)
 
 
-def _stats_payload(result) -> dict:
-    stats = result.stats
+def _stats_payload(status: str, stats: SolveStats) -> dict:
     return {
-        "result": result.status,
+        "result": status,
         "decisions": stats.decisions,
         "conflicts": stats.conflicts,
         "propagations": stats.propagations,
         "unfounded_sets": stats.unfounded_sets,
+        "learned_clauses": stats.learned_clauses,
+        "restarts": stats.restarts,
         "relevance_queries": stats.relevance_queries,
         "stopped_early": stats.stopped_early,
         "models_represented": stats.models_represented,
         "wall_ms": stats.wall_ms,
     }
+
+
+def _write_stats(args: argparse.Namespace, status: str, stats: SolveStats) -> None:
+    if args.stats_json:
+        Path(args.stats_json).write_text(
+            json.dumps(_stats_payload(status, stats), indent=2) + "\n",
+            encoding="utf-8")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -113,14 +124,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         result = solver.solve()
     except BudgetExhausted as exc:
+        _write_stats(args, "unknown", exc.stats)
         print(f"UNKNOWN ({exc})")
-        return EXIT_MISMATCH
+        return EXIT_UNKNOWN
     if args.dot:
         graph = build_dependency_graph(theory.definition)
         Path(args.dot).write_text(to_dot(graph, theory.name_of), encoding="utf-8")
-    if args.stats_json:
-        Path(args.stats_json).write_text(
-            json.dumps(_stats_payload(result), indent=2) + "\n", encoding="utf-8")
+    _write_stats(args, result.status, result.stats)
     if result.status == "sat":
         print("SATISFIABLE")
         witness = result.witness_restricted(theory)

@@ -9,6 +9,18 @@ by propagation alone and track justified status exactly.  With the relevance
 filter on, decisions are restricted to atoms that are relevant in at least
 one polarity, and search can stop as soon as the theory atom's justification
 atom becomes true.
+
+Unfounded-set propagation only ever looks at the loop part of the
+definition: the defined atoms that lie on a positive loop or depend
+positively on one, and their justification copies, found once at
+construction by peeling the loop-free atoms off the positive dependency
+graph.  That is exact at a unit-propagation fixpoint.  Suppose the
+unfounded set held peeled atoms, and take the one peeled first.  None of its
+positive defined body atoms is in the set (they were all peeled before it),
+so its body lacks support only if the body is false.  The completion clause
+for that body would then have made the atom false, and false atoms are never
+in the set.  A definition without positive loops therefore never runs the
+pass.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (DefnfTheory, PartialInterpretation, TruthValue,
+from .core import (Definition, DefnfTheory, PartialInterpretation, TruthValue,
                    completion_clauses)
 from .justifier import JustifiedTheory, build_justification_maps
 from .relevance import RelevanceTracker
@@ -31,7 +43,6 @@ class SolverConfig:
     relevance_filter: bool = True
     stop_on_justified: bool = True
     empty_relevant_policy: str = "backtrack"  # "backtrack" | "fallback"
-    seed: int = 0
     max_conflicts: int | None = None
     time_limit: float | None = None
     decision_listener: Callable[[int, PartialInterpretation], None] | None = None
@@ -53,6 +64,7 @@ class SolveStats:
     propagations: int = 0
     unfounded_sets: int = 0
     restarts: int = 0
+    learned_clauses: int = 0
     relevance_queries: int = 0
     stopped_early: bool = False
     models_represented: int | None = None
@@ -109,8 +121,7 @@ class Solver:
         self._plain_atoms = [a for a in range(1, self.n_atoms + 1)
                              if a not in self._just_atoms]
         self._open_atoms = sorted(theory.opens)
-        self._rules_by_head = {rule.head: rule for rule in extended.definition}
-        self._defined_ext = frozenset(extended.definition.defined_atoms)
+        self._init_loop_part()
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
                                                     debug=self.cfg.debug)
                         if self.cfg.relevance_filter else None)
@@ -188,6 +199,7 @@ class Solver:
     def _add_learned_clause(self, clause: list[int]) -> int:
         index = len(self.clauses)
         self.clauses.append(clause)
+        self.stats.learned_clauses += 1
         if len(clause) >= 2:
             self.watches.setdefault(clause[0], []).append(index)
             self.watches.setdefault(clause[1], []).append(index)
@@ -230,6 +242,43 @@ class Solver:
             self.watches[falsified] = kept
         return None
 
+    def _init_loop_part(self) -> None:
+        """Index the rules that unfounded-set propagation has to look at.
+
+        `_loop_rules` holds one entry per defined atom of the combined
+        definition that is loop-dependent in the original definition or
+        copies such an atom: (head, conjunctive, body, count of positive loop
+        atoms in the body, the other body literals).  They come in the
+        iteration order of the combined definition's defined-atom set, which
+        fixes the order in which unfounded atoms are falsified and their
+        reason clauses added.
+        `_loop_parents` maps each such atom to the heads of these rules with
+        it in their body, once per occurrence.
+        """
+        self._loop_rules: list[tuple[int, bool, tuple[int, ...], int, list[int]]] = []
+        self._loop_parents: dict[int, list[int]] = {}
+        loop = _loop_dependent_atoms(self.theory.definition)
+        if not loop:
+            return
+        to_just = self.setup.maps.to_just
+        loop.update([to_just[atom] for atom in loop])
+        combined = self.setup.extended.definition
+        rule_for = combined.rule_for
+        parents = self._loop_parents = {atom: [] for atom in loop}
+        for head in combined.defined_atoms:
+            if head in loop:
+                rule = rule_for(head)
+                n_internal = 0
+                external = []
+                for lit in rule.body:
+                    if lit in loop:
+                        n_internal += 1
+                        parents[lit].append(head)
+                    else:
+                        external.append(lit)
+                self._loop_rules.append(
+                    (head, rule.conjunctive, rule.body, n_internal, external))
+
     def propagate_unfounded(self) -> list[int] | None:
         """Falsify one maximal unfounded set, with external-bodies reasons.
 
@@ -237,47 +286,63 @@ class Solver:
         it from outside the unfounded candidates: a conjunctive body with no
         false literal and every positive defined atom itself founded, or some
         such disjunct.  Everything left over is propagated false together.
+
+        Only the loop part of the definition is checked (see the module
+        docstring): at a unit-propagation fixpoint every other non-false
+        defined atom is founded, so its body literals count as support
+        whenever they are not false.  The founded set grows from a worklist
+        with one counter per rule, so finding it takes time linear in the
+        loop part.
         """
-        defined = self._defined_ext
-        candidates = [a for a in defined if self.values[a] != -1]
-        founded: set[int] = set()
-
-        def supported(rule) -> bool:
-            if rule.conjunctive:
-                return all(self.lit_value(lit) != -1
-                           and (lit < 0 or lit not in defined or lit in founded)
-                           for lit in rule.body)
-            return any(self.lit_value(lit) != -1
-                       and (lit < 0 or lit not in defined or lit in founded)
-                       for lit in rule.body)
-
-        changed = True
-        while changed:
-            changed = False
-            for atom in candidates:
-                if atom not in founded and supported(self._rules_by_head[atom]):
-                    founded.add(atom)
-                    changed = True
-        unfounded = [a for a in candidates if a not in founded]
-        if not unfounded:
+        values = self.values
+        # candidate head -> founded body atoms it still needs; 0 marks a
+        # conjunctive head with a false body literal, which never gets founded
+        need: dict[int, int] = {}
+        founded: list[int] = []
+        for head, conjunctive, body, n_internal, external in self._loop_rules:
+            if values[head] == -1:
+                continue
+            if conjunctive:
+                for lit in body:
+                    if (values[lit] if lit > 0 else -values[-lit]) == -1:
+                        need[head] = 0
+                        break
+                else:
+                    if n_internal:
+                        need[head] = n_internal
+                    else:
+                        founded.append(head)
+            else:
+                for lit in external:
+                    if (values[lit] if lit > 0 else -values[-lit]) != -1:
+                        founded.append(head)
+                        break
+                else:
+                    need[head] = 1
+        parents = self._loop_parents
+        for atom in founded:  # grows while it is walked: the worklist
+            for head in parents[atom]:
+                missing = need.get(head)
+                if missing == 1:
+                    del need[head]
+                    founded.append(head)
+                elif missing:
+                    need[head] = missing - 1
+        if not need:
             return None
         self.stats.unfounded_sets += 1
+        unfounded = list(need)  # in `_loop_rules` order
 
-        unfounded_set = set(unfounded)
+        rule_for = self.setup.extended.definition.rule_for
         blockers: list[int] = []
         for atom in unfounded:
-            rule = self._rules_by_head[atom]
-            if rule.conjunctive:
-                for lit in rule.body:
-                    if self.lit_value(lit) == -1:
-                        if lit not in blockers:
-                            blockers.append(lit)
+            rule = rule_for(atom)
+            for lit in rule.body:
+                if self.lit_value(lit) == -1:
+                    if lit not in blockers:
+                        blockers.append(lit)
+                    if rule.conjunctive:
                         break
-            else:
-                for lit in rule.body:
-                    if self.lit_value(lit) == -1:
-                        if lit not in blockers:
-                            blockers.append(lit)
 
         for atom in unfounded:
             clause = [-atom] + [b for b in blockers if b != -atom]
@@ -290,7 +355,7 @@ class Solver:
         """Interleave unit and unfounded-set propagation to a joint fixpoint."""
         while True:
             conflict = self.propagate_unit()
-            if conflict is not None:
+            if conflict is not None or not self._loop_rules:
                 return conflict
             before = len(self.trail)
             conflict = self.propagate_unfounded()
@@ -483,6 +548,37 @@ class Solver:
                 continue
             if not self._flip_most_recent_decision():
                 return "unsat", None
+
+
+def _loop_dependent_atoms(definition: Definition) -> set[int]:
+    """Defined atoms on a positive loop or depending positively on one.
+
+    A Kahn-style peel over the positive edges from each head to the defined
+    atoms in its body: an atom is peeled once all those atoms are, and the
+    atoms never peeled are returned.
+    """
+    defined = definition.defined_atoms
+    missing: dict[int, int] = {}  # unpeeled head -> its unpeeled edges
+    parents: dict[int, list[int]] = {}
+    ready: list[int] = []
+    for rule in definition:
+        head = rule.head
+        n_deps = 0
+        for lit in rule.body:
+            if lit in defined:
+                n_deps += 1
+                parents.setdefault(lit, []).append(head)
+        if n_deps:
+            missing[head] = n_deps
+        else:
+            ready.append(head)
+    while ready:
+        for head in parents.get(ready.pop(), ()):
+            missing[head] -= 1
+            if not missing[head]:
+                del missing[head]
+                ready.append(head)
+    return set(missing)
 
 
 def _luby(i: int) -> int:

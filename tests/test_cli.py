@@ -4,10 +4,15 @@ import jsonschema
 import pytest
 
 from satid import build_justification_maps, parse_cid
-from satid.cli import STATS_SCHEMA, main
+from satid.cli import (EXIT_GUARD, EXIT_MISMATCH, EXIT_PARSE, EXIT_SAT,
+                       EXIT_UNKNOWN, EXIT_UNSAT, STATS_SCHEMA, main)
 
 LOOP_CID = "p cid 4\nt 1\nr 1 d 2 3 0\nr 3 d 4 0\nr 4 d 3 0\n"
 UNSAT_CID = "p cid 2\nt 1\nr 1 c 2 -2 0\n"
+# p_T <- c1 & c2 & c3 & c4 over the four sign pairs of a and b: the first
+# conflict needs a decision, so it comes above decision level 0
+QUAD_CID = ("p cid 7\nt 1\nr 1 c 2 3 4 5 0\nr 2 d 6 7 0\nr 3 d 6 -7 0\n"
+            "r 4 d -6 7 0\nr 5 d -6 -7 0\n")
 
 
 @pytest.fixture
@@ -51,11 +56,40 @@ def test_stats_json_schema(loop_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stats_json_counts_learned_clauses_and_restarts(tmp_path, capsys):
+    source = tmp_path / "quad.cid"
+    source.write_text(QUAD_CID)
+    stats_path = tmp_path / "stats.json"
+    assert main(["solve", str(source), "--stats-json", str(stats_path)]) == 20
+    payload = json.loads(stats_path.read_text())
+    jsonschema.validate(payload, STATS_SCHEMA)
+    assert payload["conflicts"] >= 2
+    assert payload["learned_clauses"] >= 1
+    assert payload["restarts"] == 0
+    capsys.readouterr()
+
+
+def test_budget_exhausted_exit_code_and_stats(tmp_path, capsys):
+    source = tmp_path / "quad.cid"
+    source.write_text(QUAD_CID)
+    stats_path = tmp_path / "stats.json"
+    assert main(["solve", str(source), "--max-conflicts=0",
+                 "--stats-json", str(stats_path)]) == EXIT_UNKNOWN
+    assert "UNKNOWN" in capsys.readouterr().out
+    payload = json.loads(stats_path.read_text())
+    jsonschema.validate(payload, STATS_SCHEMA)
+    assert payload["result"] == "unknown"
+    assert payload["conflicts"] == 1
+    assert payload["models_represented"] is None
+    assert EXIT_UNKNOWN not in (EXIT_SAT, EXIT_UNSAT, EXIT_PARSE, EXIT_MISMATCH,
+                                EXIT_GUARD)
+
+
 def test_stats_deterministic_across_runs(loop_path, tmp_path, capsys):
     payloads = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
-        main(["solve", loop_path, "--seed", "7", "--stats-json", str(path)])
+        main(["solve", loop_path, "--stats-json", str(path)])
         payload = json.loads(path.read_text())
         payload.pop("wall_ms")
         payloads.append(payload)

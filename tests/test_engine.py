@@ -67,6 +67,131 @@ def test_no_unfounded_set_without_positive_loops(intro):
     assert solver.stats.unfounded_sets == 0
 
 
+def reference_unfounded(solver):
+    """The all-atoms founded-set sweep over the whole combined definition,
+    repeated until nothing changes: the unfounded atoms in the iteration
+    order of the defined-atom set."""
+    definition = solver.setup.extended.definition
+    defined = definition.defined_atoms
+    candidates = [a for a in defined if solver.values[a] != -1]
+    founded = set()
+
+    def support(lit):
+        return solver.lit_value(lit) != -1 and (
+            lit < 0 or lit not in defined or lit in founded)
+
+    changed = True
+    while changed:
+        changed = False
+        for atom in candidates:
+            rule = definition.rule_for(atom)
+            test = all if rule.conjunctive else any
+            if atom not in founded and test(support(l) for l in rule.body):
+                founded.add(atom)
+                changed = True
+    return [a for a in candidates if a not in founded]
+
+
+def reference_reasons(solver, unfounded):
+    """External-bodies reason clauses for the unfounded atoms, and the
+    literals they put on the trail, up to the first atom that is true."""
+    blockers = []
+    for atom in unfounded:
+        rule = solver.setup.extended.definition.rule_for(atom)
+        for lit in rule.body:
+            if solver.lit_value(lit) == -1:
+                if lit not in blockers:
+                    blockers.append(lit)
+                if rule.conjunctive:
+                    break
+    clauses, trail = [], []
+    for atom in unfounded:
+        clauses.append([-atom] + [b for b in blockers if b != -atom])
+        if solver.values[atom] == 1:
+            break
+        trail.append(-atom)
+    return clauses, trail
+
+
+LOOP_SHAPES = [
+    # self-loop
+    theory_gen.build_theory("p_T p a", "p_T",
+                            [("p_T", "d", ["a", "p"]), ("p", "d", ["p"])]),
+    # positive loop p-q with negation on the cycle through r
+    theory_gen.build_theory("p_T p q r a", "p_T",
+                            [("p_T", "d", ["p", "a"]), ("p", "d", ["q", "~r"]),
+                             ("q", "c", ["p", "a"]), ("r", "d", ["~q"])]),
+    # s and p_T above the loop p-q, not on it
+    theory_gen.build_theory("p_T s p q a b", "p_T",
+                            [("p_T", "c", ["s", "a"]), ("s", "d", ["p", "b"]),
+                             ("p", "d", ["q"]), ("q", "d", ["p", "~a"])]),
+]
+
+
+def test_unfounded_pass_matches_all_atoms_sweep():
+    # at random unit-propagation fixpoints the loop-scoped pass falsifies the
+    # same atoms in the same order with the same reasons as the full sweep
+    rng = random.Random(36)
+    theories = LOOP_SHAPES * 20 + [theory_gen.random_theory(rng)
+                                   for _ in range(400)]
+    nonempty = conflicts = 0
+    for theory in theories:
+        solver = Solver(theory, SolverConfig(relevance_filter=False),
+                        assert_constraint=rng.random() < 0.5)
+        if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
+            continue
+        while solver.propagate_unit() is None:
+            expected = reference_unfounded(solver)
+            clauses, trail = reference_reasons(solver, expected)
+            n_clauses, n_trail = len(solver.clauses), len(solver.trail)
+            conflict = solver.propagate_unfounded()
+            assert solver.clauses[n_clauses:] == clauses
+            assert solver.trail[n_trail:] == trail
+            if conflict is not None:
+                assert conflict is solver.clauses[-1]
+                conflicts += 1
+                break
+            if expected:
+                nonempty += 1
+                continue
+            unassigned = [a for a in solver._plain_atoms if solver.values[a] == 0]
+            if not unassigned:
+                break
+            atom = rng.choice(unassigned)
+            solver._decide(rng.choice((atom, -atom)))
+    assert nonempty > 100 and conflicts > 10, (nonempty, conflicts)
+
+
+def chain_theory(n):
+    """x1 <- x2 <- ... <- xn with xn open and x1 the theory atom."""
+    rules = [Rule(atom, False, (atom + 1,)) for atom in range(1, n)]
+    return DefnfTheory(AtomTable([None] * n), 1, Definition(rules))
+
+
+def count_unfounded_calls(solver):
+    calls = []
+    original = solver.propagate_unfounded
+    solver.propagate_unfounded = lambda: calls.append(1) or original()
+    return calls
+
+
+def test_loop_free_chain_skips_unfounded_pass():
+    solver = Solver(chain_theory(4000))
+    calls = count_unfounded_calls(solver)
+    result = solver.solve()
+    assert result.status == "sat"
+    assert result.stats.stopped_early
+    assert result.stats.decisions == 0
+    assert calls == []
+
+
+def test_positive_loop_runs_unfounded_pass(loop):
+    solver = Solver(loop)
+    calls = count_unfounded_calls(solver)
+    assert solver.solve().status == "sat"
+    assert calls
+
+
 # -- solve: named examples -------------------------------------------------------------
 
 def test_solve_loop_theory(loop):

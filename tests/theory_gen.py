@@ -94,6 +94,27 @@ def random_total_theory(rng: random.Random, max_atoms: int = 8,
     return DefnfTheory(AtomTable([None] * n), 1, Definition(rules))
 
 
+def random_theory(rng: random.Random, max_atoms: int = 8,
+                  max_rules: int = 8) -> DefnfTheory:
+    """A random normal-form theory without the rank discipline: positive
+    loops, self-loops `p <- p`, negation on cycles and atoms above a loop
+    all occur, and the definition need not be total."""
+    n = rng.randint(2, max_atoms)
+    n_defined = rng.randint(1, min(max_rules, n))
+    defined = [1] + (rng.sample(range(2, n + 1), n_defined - 1)
+                     if n_defined > 1 else [])
+    rules = []
+    for head in defined:
+        body: list[int] = []
+        for _ in range(rng.randint(1, min(4, n))):
+            atom = rng.randint(1, n)
+            lit = -atom if rng.random() < 0.3 else atom
+            if lit not in body and -lit not in body:
+                body.append(lit)
+        rules.append(Rule(head, rng.random() < 0.5, tuple(body)))
+    return DefnfTheory(AtomTable([None] * n), 1, Definition(rules))
+
+
 def random_verified_total_theory(rng: random.Random, max_atoms: int = 8,
                                  max_rules: int = 8) -> DefnfTheory:
     theory = random_total_theory(rng, max_atoms, max_rules)
