@@ -10,6 +10,17 @@ filter on, decisions are restricted to atoms that are relevant in at least
 one polarity, and search can stop as soon as the theory atom's justification
 atom becomes true.
 
+The relevance tracker hears about assignments only right before a filtered
+decision.  `_enqueue` and `_backtrack` just note which tracked atoms changed
+value since the last sync, and the value the tracker last heard; tracked
+atoms are the justification atoms and the open atoms, whose assignments
+carry justification information.  `_sync_tracker` then sends each net
+change: the old literal becomes unknown, then the new one true.  An
+assignment undone and redone between two decisions, by a backjump, a restart
+or a chronological flip, is never sent, and neither is anything assigned
+after the last decision.  At each filtered decision the tracker's justified
+set is exactly the one the current assignment implies.
+
 Unfounded-set propagation only ever looks at the loop part of the
 definition: the defined atoms that lie on a positive loop or depend
 positively on one, and their justification copies, found once at
@@ -27,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (Definition, DefnfTheory, PartialInterpretation, TruthValue,
                    completion_clauses)
@@ -125,9 +136,15 @@ class Solver:
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
                                                     debug=self.cfg.debug)
                         if self.cfg.relevance_filter else None)
+        # atoms whose assignments carry justification information, and for
+        # each one that changed since the tracker last heard, the value it
+        # last heard (0 for unknown)
+        self._tracked = (self._just_atoms | theory.opens
+                         if self.tracker is not None else frozenset())
+        self._unsent: dict[int, int] = {}
         self._root_units: list[tuple[int, int]] = []
         for clause in completion_clauses(extended.definition):
-            self._add_problem_clause(list(clause))
+            self._add_problem_clause(clause)
         if assert_constraint:
             self._add_problem_clause([theory.theory_atom])
 
@@ -160,33 +177,57 @@ class Solver:
         self.trail.append(lit)
         if reason is not None:
             self.stats.propagations += 1
-        if self.tracker is not None:
-            self.tracker.notify_becomes_true(lit)
+        if atom in self._tracked:
+            self._unsent.setdefault(atom, 0)
         return True
 
     def _backtrack(self, target_level: int) -> None:
+        values = self.values
+        tracked = self._tracked
         while len(self.trail_lim) > target_level:
             start = self.trail_lim.pop()
             self.flipped.pop()
             while len(self.trail) > start:
-                lit = self.trail.pop()
-                atom = abs(lit)
-                self.phase[atom] = self.values[atom] > 0
-                self.values[atom] = 0
+                atom = abs(self.trail.pop())
+                value = values[atom]
+                if atom in tracked:
+                    self._unsent.setdefault(atom, value)
+                self.phase[atom] = value > 0
+                values[atom] = 0
                 self.reasons[atom] = None
-                if self.tracker is not None:
-                    self.tracker.notify_becomes_unknown(lit)
         self.qhead = len(self.trail)
+
+    def _sync_tracker(self) -> None:
+        """Tell the tracker the net change of every tracked atom since the
+        last sync: the old literal becomes unknown, then the new one true.
+        Assignments undone before a sync are never sent."""
+        tracker = self.tracker
+        values = self.values
+        for atom, sent in self._unsent.items():
+            value = values[atom]
+            if value != sent:
+                if sent:
+                    tracker.notify_becomes_unknown(sent * atom)
+                if value:
+                    tracker.notify_becomes_true(value * atom)
+        self._unsent.clear()
 
     # -- clause database ------------------------------------------------------
 
-    def _add_problem_clause(self, lits: list[int]) -> None:
-        clause = []
-        for lit in lits:
-            if -lit in clause:
-                return  # tautology
-            if lit not in clause:
-                clause.append(lit)
+    def _add_problem_clause(self, lits: Sequence[int]) -> None:
+        """Add a clause without duplicate literals (first occurrences kept, in
+        order), or nothing if it is a tautology."""
+        if len(lits) < 8:  # a list scan is fastest on short clauses
+            clause: list[int] = []
+            for lit in lits:
+                if -lit in clause:
+                    return
+                if lit not in clause:
+                    clause.append(lit)
+        else:
+            clause = list(dict.fromkeys(lits))
+            if len(set(map(abs, clause))) < len(clause):
+                return  # two distinct literals over one atom
         index = len(self.clauses)
         self.clauses.append(clause)
         self.n_problem_clauses += 1
@@ -530,6 +571,8 @@ class Solver:
                 return "sat", self.interpretation()
             justified_already = self.lit_value(self.j_theory_atom) == 1
             use_filter = cfg.relevance_filter and not justified_already
+            if use_filter:
+                self._sync_tracker()
             picked = self._pick_atom(restrict_relevant=use_filter)
             if picked is not None:
                 atom, pos, neg = picked

@@ -123,6 +123,12 @@ def write_cid(theory: DefnfTheory) -> str:
 # ---------------------------------------------------------------------------
 # .pcid general theories
 
+# Deepest parenthesis nesting a `.pcid` may have.  Parsing, negation normal
+# form and flattening recurse once or twice per level, so this keeps them
+# well inside Python's default recursion limit of 1000 frames.
+MAX_NESTING = 200
+
+
 @dataclass
 class PcidAst:
     """A general ground PC(ID) theory before normalization."""
@@ -193,11 +199,13 @@ def _parse_sexpr(text: str):
 
     pos = 0
 
-    def parse():
+    def parse(depth: int):
         nonlocal pos
         token, lineno = tokens[pos]
         pos += 1
         if token == "(":
+            if depth == MAX_NESTING:
+                raise FormatError(f"nesting deeper than {MAX_NESTING} levels", lineno)
             items = []
             while True:
                 if pos >= len(tokens):
@@ -205,12 +213,12 @@ def _parse_sexpr(text: str):
                 if tokens[pos][0] == ")":
                     pos += 1
                     return items
-                items.append(parse())
+                items.append(parse(depth + 1))
         if token == ")":
             raise FormatError("unbalanced ')'", lineno)
         return token
 
-    result = parse()
+    result = parse(0)
     if pos != len(tokens):
         raise FormatError("trailing input after theory", tokens[pos][1])
     return result

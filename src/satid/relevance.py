@@ -46,7 +46,12 @@ class RelevanceSnapshot:
 
 
 class RelevanceTracker:
-    """Watched-parent relevance tracker for one static theory."""
+    """Watched-parent relevance tracker for one static theory.
+
+    The FIFO and quiescence contract holds per call: every notification is
+    drained before its call returns, however the caller batches its calls.
+    `Solver` sends only the net changes since its last filtered decision.
+    """
 
     def __init__(self, theory_atom: int, *, just_atoms: frozenset[int] = frozenset(),
                  to_nonjust: dict[int, int] | None = None,

@@ -6,6 +6,9 @@ import pytest
 from satid import build_justification_maps, parse_cid
 from satid.cli import (EXIT_GUARD, EXIT_MISMATCH, EXIT_PARSE, EXIT_SAT,
                        EXIT_UNKNOWN, EXIT_UNSAT, STATS_SCHEMA, main)
+from satid.formats import MAX_NESTING
+
+from test_formats import nested_pcid
 
 LOOP_CID = "p cid 4\nt 1\nr 1 d 2 3 0\nr 3 d 4 0\nr 4 d 3 0\n"
 UNSAT_CID = "p cid 2\nt 1\nr 1 c 2 -2 0\n"
@@ -211,6 +214,17 @@ def test_solve_accepts_pcid(tmp_path, capsys):
     source.write_text("(theory (constraint p_T) (define (rule p_T (or a p)) "
                       "(rule p q) (rule q p)))")
     assert main(["solve", str(source)]) == 10
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape", ["not", "and_or"])
+def test_solve_rejects_deep_nesting(tmp_path, capsys, shape):
+    source = tmp_path / "deep.pcid"
+    source.write_text(nested_pcid(3000, shape))
+    assert main(["solve", str(source)]) == EXIT_PARSE
+    assert "nesting deeper than" in capsys.readouterr().err
+    source.write_text(nested_pcid(MAX_NESTING, shape))
+    assert main(["solve", str(source)]) == EXIT_SAT
     capsys.readouterr()
 
 

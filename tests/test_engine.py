@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,8 +6,10 @@ import pytest
 
 from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, Rule, Solver, SolverConfig,
-                   build_justification_maps, defined_fixpoint, solve)
+                   build_justification_maps, defined_fixpoint,
+                   normalize_to_defnf, parse_pcid, solve)
 from satid.engine import BudgetExhausted, _luby
+from satid.justifier import status_change_for_event
 from satid import oracle
 
 import theory_gen
@@ -190,6 +193,171 @@ def test_positive_loop_runs_unfounded_pass(loop):
     calls = count_unfounded_calls(solver)
     assert solver.solve().status == "sat"
     assert calls
+
+
+# -- deferred tracker notifications ----------------------------------------------------
+
+class DecisionProbe:
+    """Records decision literals, and at every filtered decision checks that
+    the tracker's justified set is the one the current assignment implies."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decided = []
+        self.filtered_picks = 0
+
+    def _decide(self, lit, flipped=False, heuristic=True):
+        self.decided.append(lit)
+        super()._decide(lit, flipped, heuristic)
+
+    def _pick_atom(self, restrict_relevant):
+        if restrict_relevant:
+            self.filtered_picks += 1
+            expected = set()
+            for atom in range(1, self.n_atoms + 1):
+                if self.values[atom]:
+                    change = status_change_for_event(
+                        self.setup, atom if self.values[atom] > 0 else -atom)
+                    if change is not None:
+                        expected.add(change)
+            assert self.tracker.justified_literals() == expected
+        return super()._pick_atom(restrict_relevant)
+
+
+class DeferredSolver(DecisionProbe, Solver):
+    pass
+
+
+class EagerSolver(DecisionProbe, Solver):
+    """Reference: the tracker hears every assignment as it is made and every
+    backtracked literal as it is undone, and nothing is left to a sync."""
+
+    def _enqueue(self, lit, reason):
+        assigned = self.values[abs(lit)] == 0
+        if not super()._enqueue(lit, reason):
+            return False
+        if assigned:
+            self.tracker.notify_becomes_true(lit)
+        self._unsent.clear()
+        return True
+
+    def _backtrack(self, target_level):
+        undone = (self.trail[self.trail_lim[target_level]:]
+                  if self.level > target_level else [])
+        super()._backtrack(target_level)
+        self._unsent.clear()
+        for lit in reversed(undone):
+            self.tracker.notify_becomes_unknown(lit)
+
+
+def three_sat_theory(rng, n_vars, n_clauses):
+    clauses = []
+    for _ in range(n_clauses):
+        lits = [f"x{a}" if rng.random() < 0.5 else f"(not x{a})"
+                for a in rng.sample(range(1, n_vars + 1), 3)]
+        clauses.append(f"(constraint (or {' '.join(lits)}))")
+    return normalize_to_defnf(parse_pcid(f"(theory {' '.join(clauses)})"))[0]
+
+
+def deferral_corpus():
+    rng = random.Random(37)
+    return ([theory_gen.intro_theory(), theory_gen.justdef_theory(),
+             theory_gen.loop_theory()]
+            + [theory_gen.random_theory(rng, 12, 12) for _ in range(300)]
+            + [theory_gen.random_total_theory(rng, 12, 12) for _ in range(300)]
+            + [three_sat_theory(rng, 20, 85) for _ in range(8)])
+
+
+FILTERED_CONFIGS = [config for config in ALL_CONFIGS if config.relevance_filter]
+
+
+def test_deferred_sync_matches_eager_notification():
+    filtered_picks = 0
+    for theory in deferral_corpus():
+        for config in FILTERED_CONFIGS:
+            deferred = DeferredSolver(theory, config)
+            eager = EagerSolver(theory, config)
+            got, want = deferred.solve(), eager.solve()
+            context = (theory.definition.rules, config)
+            assert got.status == want.status, context
+            assert got.witness == want.witness, context
+            assert deferred.decided == eager.decided, context
+            got_stats = dataclasses.replace(got.stats, wall_ms=0)
+            assert got_stats == dataclasses.replace(want.stats, wall_ms=0), context
+            assert deferred.filtered_picks == eager.filtered_picks
+            filtered_picks += deferred.filtered_picks
+    assert filtered_picks > 800, filtered_picks
+
+
+def test_unfiltered_solver_records_nothing():
+    class QuietSolver(Solver):
+        def _enqueue(self, lit, reason):
+            assigned = super()._enqueue(lit, reason)
+            assert not self._unsent
+            return assigned
+
+        def _backtrack(self, target_level):
+            super()._backtrack(target_level)
+            assert not self._unsent
+
+    for theory in deferral_corpus()[::10]:
+        for config in ALL_CONFIGS:
+            if not config.relevance_filter:
+                solver = QuietSolver(theory, config)
+                solver.solve()
+                assert solver.tracker is None
+
+
+def test_no_sync_after_the_last_decision():
+    # the 4000-atom chain is justified by propagation alone, so the tracker
+    # never hears of an assignment
+    solver = Solver(chain_theory(4000))
+    heard = []
+    solver.tracker.notify_becomes_true = heard.append
+    solver.tracker.notify_becomes_unknown = heard.append
+    assert solver.solve().stats.stopped_early
+    assert heard == []
+
+
+def reference_clause(lits):
+    """The literals' first occurrences in order; None for a tautology."""
+    clause = []
+    for lit in lits:
+        if -lit in clause:
+            return None
+        if lit not in clause:
+            clause.append(lit)
+    return clause
+
+
+def test_problem_clauses_keep_first_occurrences():
+    rng = random.Random(38)
+    solver = Solver(chain_theory(300), SolverConfig(relevance_filter=False))
+    lits = [rng.choice((atom, -atom)) for atom in range(1, 301)]
+    rng.shuffle(lits)
+    long_clause = lits + rng.choices(lits, k=300)
+    rng.shuffle(long_clause)
+    clauses = [long_clause, long_clause + [-long_clause[0]] + long_clause]
+    for length in range(1, 20):  # short and long, over a few atoms
+        for _ in range(20):
+            clauses.append([rng.choice((1, -1)) * rng.randint(1, 6)
+                            for _ in range(length)])
+    added = tautologies = 0
+    for lits in clauses:
+        n_clauses, n_problem = len(solver.clauses), solver.n_problem_clauses
+        solver._add_problem_clause(lits)
+        expected = reference_clause(lits)
+        if expected is None:
+            assert len(solver.clauses) == n_clauses
+            tautologies += 1
+            continue
+        added += 1
+        assert solver.clauses[n_clauses:] == [expected]
+        assert solver.n_problem_clauses == n_problem + 1
+        if len(expected) > 1:
+            assert n_clauses in solver.watches[expected[0]]
+            assert n_clauses in solver.watches[expected[1]]
+    assert added > 50 and tautologies > 50, (added, tautologies)
 
 
 # -- solve: named examples -------------------------------------------------------------

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from satid import (RelevanceTracker, build_dependency_graph,
-                   build_justification_maps, parse_cid, parse_pcid, parse_trace,
-                   to_dot, write_cid, write_trace)
+                   build_justification_maps, normalize_to_defnf, parse_cid,
+                   parse_pcid, parse_trace, solve, to_dot, write_cid,
+                   write_trace)
 from satid.formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
-                           FormatError, QUERY_RELEVANT, TraceEvent)
+                           MAX_NESTING, FormatError, QUERY_RELEVANT, TraceEvent)
 
 import theory_gen
 
@@ -120,6 +121,33 @@ def test_parse_pcid_rejects_unknown_forms():
 def test_parse_pcid_semicolon_comments():
     ast = parse_pcid("; a comment\n(theory (constraint a)) ; trailing")
     assert ast.constraints == [1]
+
+
+def nested_pcid(depth, shape):
+    """A one-constraint theory whose parentheses nest `depth` levels deep;
+    `(theory (constraint ...))` takes the outer two."""
+    levels = depth - 2
+    if shape == "not":
+        formula = "(not " * levels + "a" + ")" * levels
+    else:  # alternating and/or
+        formula = "".join(f"(and b{i} " if i % 2 else f"(or c{i} "
+                          for i in range(levels))
+        formula += "a" + ")" * levels
+    return f"(theory (constraint {formula}))"
+
+
+@pytest.mark.parametrize("shape", ["not", "and_or"])
+def test_parse_pcid_rejects_deep_nesting(shape):
+    with pytest.raises(FormatError, match="nesting deeper than"):
+        parse_pcid(nested_pcid(3000, shape))
+    with pytest.raises(FormatError, match="nesting deeper than"):
+        parse_pcid(nested_pcid(MAX_NESTING + 1, shape))
+
+
+@pytest.mark.parametrize("shape", ["not", "and_or"])
+def test_parse_pcid_accepts_nesting_at_the_limit(shape):
+    theory, _ = normalize_to_defnf(parse_pcid(nested_pcid(MAX_NESTING, shape)))
+    assert solve(theory).status == "sat"
 
 
 # -- .trc ---------------------------------------------------------------------------
