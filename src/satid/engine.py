@@ -12,14 +12,18 @@ atom becomes true.
 
 The relevance tracker hears about assignments only right before a filtered
 decision.  `_enqueue` and `_backtrack` just note which tracked atoms changed
-value since the last sync, and the value the tracker last heard; tracked
-atoms are the justification atoms and the open atoms, whose assignments
+value since the last sync, and the value the tracker last heard; the
+tracked atoms are the tracker's `tracked_atoms`, the ones whose assignments
 carry justification information.  `_sync_tracker` then sends each net
 change: the old literal becomes unknown, then the new one true.  An
 assignment undone and redone between two decisions, by a backjump, a restart
 or a chronological flip, is never sent, and neither is anything assigned
 after the last decision.  At each filtered decision the tracker's justified
-set is exactly the one the current assignment implies.
+set is exactly the one the current assignment implies.  Its relevant set
+need not equal the one eager notification would give: the tracker's watches
+depend on the order of events, and it is not exact at quiescence (ROADMAP
+item 6).  That deferred and eager notification make the same decisions is
+so far only observed, on the test corpus and the benchmark workloads.
 
 Unfounded-set propagation only ever looks at the loop part of the
 definition: the defined atoms that lie on a positive loop or depend
@@ -136,11 +140,10 @@ class Solver:
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
                                                     debug=self.cfg.debug)
                         if self.cfg.relevance_filter else None)
-        # atoms whose assignments carry justification information, and for
-        # each one that changed since the tracker last heard, the value it
-        # last heard (0 for unknown)
-        self._tracked = (self._just_atoms | theory.opens
+        self._tracked = (self.tracker.tracked_atoms
                          if self.tracker is not None else frozenset())
+        # for each tracked atom that changed since the tracker last heard,
+        # the value it last heard (0 for unknown)
         self._unsent: dict[int, int] = {}
         self._root_units: list[tuple[int, int]] = []
         for clause in completion_clauses(extended.definition):
@@ -217,7 +220,10 @@ class Solver:
     def _add_problem_clause(self, lits: Sequence[int]) -> None:
         """Add a clause without duplicate literals (first occurrences kept, in
         order), or nothing if it is a tautology."""
-        if len(lits) < 8:  # a list scan is fastest on short clauses
+        if len(lits) < 8:
+            # a list scan is fastest on short clauses: on the 2-literal
+            # clauses that make up `chain` the dict path below costs 3x as
+            # much, enough to show in that workload's setup time
             clause: list[int] = []
             for lit in lits:
                 if -lit in clause:

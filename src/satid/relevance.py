@@ -50,7 +50,6 @@ class RelevanceTracker:
 
     The FIFO and quiescence contract holds per call: every notification is
     drained before its call returns, however the caller batches its calls.
-    `Solver` sends only the net changes since its last filtered decision.
     """
 
     def __init__(self, theory_atom: int, *, just_atoms: frozenset[int] = frozenset(),
@@ -61,6 +60,8 @@ class RelevanceTracker:
         self._just_atoms = just_atoms
         self._to_nonjust = to_nonjust or {}
         self._opens = open_atoms
+        # atoms whose assignments carry justification information
+        self.tracked_atoms = just_atoms | open_atoms
         self._debug = debug
         self._children: dict[int, list[int]] = {}
         self._parents: dict[int, dict[int, None]] = {}
