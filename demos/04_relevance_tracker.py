@@ -17,7 +17,7 @@ setup = build_justification_maps(theory)
 tracker = RelevanceTracker.for_theory(theory, setup)
 
 p_T, a, p, q = 1, 2, 3, 4
-print("dependency parents of p:", sorted(tracker._parents[p]))
+print("dependency parents of p:", sorted(tracker.graph.parents_of(p)))
 print("initial watches: p ->", tracker.watched_parent(p),
       " q ->", tracker.watched_parent(q))
 print("initially relevant:", sorted(tracker.relevant_literals(), key=abs))

@@ -11,7 +11,7 @@ from .core import (FALSE, TRUE, UNKNOWN, And, AtomTable, DefnfTheory,
                    Definition, DependencyGraph, Not, Or, PartialInterpretation,
                    Rule, TruthValue, atom_of, build_dependency_graph,
                    completion_clauses, direct_justifications, eval_formula,
-                   negate, restrict)
+                   negate)
 from .engine import (BudgetExhausted, SolveResult, Solver, SolverConfig,
                      SolveStats, defined_fixpoint, solve)
 from .formats import (FormatError, PcidAst, TraceEvent, parse_cid, parse_pcid,
@@ -34,6 +34,6 @@ __all__ = [
     "UNKNOWN", "atom_of", "build_dependency_graph", "build_justification_maps",
     "completion_clauses", "defined_fixpoint", "defnf_violations",
     "direct_justifications", "eval_formula", "justification_status", "negate",
-    "normalize_to_defnf", "parse_cid", "parse_pcid", "parse_trace", "restrict",
-    "solve", "to_dot", "write_cid", "write_trace",
+    "normalize_to_defnf", "parse_cid", "parse_pcid", "parse_trace", "solve",
+    "to_dot", "write_cid", "write_trace",
 ]

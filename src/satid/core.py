@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, KeysView, Mapping, Union
 
 
 class TruthValue(IntEnum):
@@ -394,25 +394,29 @@ class DefnfTheory:
 # ---------------------------------------------------------------------------
 # Dependency relation.
 
+_NO_LITERALS: dict[Literal, None] = {}
+
+
 class DependencyGraph:
     """Direct dependencies between literals: for each rule `p <- l1 .. ln`
-    there is an edge (p, li) and an edge (~p, ~li), and no others."""
+    there is an edge (p, li) and an edge (~p, ~li), and no others.
 
-    def __init__(self, children: Mapping[Literal, Iterable[Literal]]) -> None:
-        self._children: dict[Literal, frozenset[Literal]] = {
-            lit: frozenset(kids) for lit, kids in children.items() if kids
-        }
-        parents: dict[Literal, set[Literal]] = {}
-        for lit, kids in self._children.items():
-            for kid in kids:
-                parents.setdefault(kid, set()).add(lit)
-        self._parents = {lit: frozenset(ps) for lit, ps in parents.items()}
+    Children and parents are kept in insertion order: rules in definition
+    order, the head before its negation, body literals in order with first
+    occurrences kept.  Walks over the graph, such as the relevance tracker's,
+    therefore visit edges in a fixed order.
+    """
 
-    def children_of(self, lit: Literal) -> frozenset[Literal]:
-        return self._children.get(lit, frozenset())
+    def __init__(self, children: dict[Literal, dict[Literal, None]],
+                 parents: dict[Literal, dict[Literal, None]]) -> None:
+        self._children = children
+        self._parents = parents
 
-    def parents_of(self, lit: Literal) -> frozenset[Literal]:
-        return self._parents.get(lit, frozenset())
+    def children_of(self, lit: Literal) -> KeysView[Literal]:
+        return self._children.get(lit, _NO_LITERALS).keys()
+
+    def parents_of(self, lit: Literal) -> KeysView[Literal]:
+        return self._parents.get(lit, _NO_LITERALS).keys()
 
     def edges(self) -> list[tuple[Literal, Literal]]:
         result = [(src, dst) for src, kids in self._children.items() for dst in kids]
@@ -426,14 +430,18 @@ class DependencyGraph:
 
 
 def build_dependency_graph(definition: Definition) -> DependencyGraph:
-    children: dict[Literal, set[Literal]] = {}
+    children: dict[Literal, dict[Literal, None]] = {}
+    parents: dict[Literal, dict[Literal, None]] = {}
     for rule in definition:
-        pos = children.setdefault(rule.head, set())
-        neg = children.setdefault(-rule.head, set())
-        for lit in rule.body:
-            pos.add(lit)
-            neg.add(-lit)
-    return DependencyGraph(children)
+        if not rule.body:
+            continue
+        for head, sign in ((rule.head, 1), (-rule.head, -1)):
+            kids = children[head] = {}
+            for lit in rule.body:
+                child = sign * lit
+                kids[child] = None
+                parents.setdefault(child, {})[head] = None
+    return DependencyGraph(children, parents)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +483,6 @@ def completion_clauses(definition: Definition) -> list[tuple[Literal, ...]]:
             for lit in rule.body:
                 clauses.append((p, -lit))
     return clauses
-
-
-def restrict(interp: PartialInterpretation, atoms: Iterable[Atom]) -> PartialInterpretation:
-    """Restriction of an interpretation to a set of atoms (others unknown)."""
-    return interp.restrict(atoms)
 
 
 def cyclic_literals(adjacency: Mapping[int, Iterable[int]]) -> set[int]:

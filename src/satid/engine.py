@@ -12,18 +12,20 @@ atom becomes true.
 
 The relevance tracker hears about assignments only right before a filtered
 decision.  `_enqueue` and `_backtrack` just note which tracked atoms changed
-value since the last sync, and the value the tracker last heard; the
-tracked atoms are the tracker's `tracked_atoms`, the ones whose assignments
-carry justification information.  `_sync_tracker` then sends each net
-change: the old literal becomes unknown, then the new one true.  An
-assignment undone and redone between two decisions, by a backjump, a restart
-or a chronological flip, is never sent, and neither is anything assigned
-after the last decision.  At each filtered decision the tracker's justified
-set is exactly the one the current assignment implies.  Its relevant set
-need not equal the one eager notification would give: the tracker's watches
-depend on the order of events, and it is not exact at quiescence (ROADMAP
-item 6).  That deferred and eager notification make the same decisions is
-so far only observed, on the test corpus and the benchmark workloads.
+value since the last sync, and the value the tracker last heard.  The
+tracked atoms are those whose assignments carry justification information:
+their literals are the keys of the justifier's event-to-status map
+(`JustificationMaps.status_change`), which the tracker reads too.
+`_sync_tracker` then sends each net change: the old literal becomes
+unknown, then the new one true.  An assignment undone and redone between two
+decisions, by a backjump, a restart or a chronological flip, is never sent,
+and neither is anything assigned after the last decision.  At each filtered
+decision the tracker's justified set is exactly the one the current
+assignment implies.  Its relevant set need not equal the one eager
+notification would give: the tracker's watches depend on the order of
+events, and it is not exact at quiescence (ROADMAP item 6).  That deferred
+and eager notification make the same decisions is so far only observed, on
+the test corpus and the benchmark workloads.
 
 Unfounded-set propagation only ever looks at the loop part of the
 definition: the defined atoms that lie on a positive loop or depend
@@ -140,8 +142,9 @@ class Solver:
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
                                                     debug=self.cfg.debug)
                         if self.cfg.relevance_filter else None)
-        self._tracked = (self.tracker.tracked_atoms
-                         if self.tracker is not None else frozenset())
+        # literals whose assignments carry justification information
+        self._tracked = (self.setup.maps.status_change
+                         if self.tracker is not None else {})
         # for each tracked atom that changed since the tracker last heard,
         # the value it last heard (0 for unknown)
         self._unsent: dict[int, int] = {}
@@ -180,7 +183,7 @@ class Solver:
         self.trail.append(lit)
         if reason is not None:
             self.stats.propagations += 1
-        if atom in self._tracked:
+        if lit in self._tracked:
             self._unsent.setdefault(atom, 0)
         return True
 
@@ -191,9 +194,10 @@ class Solver:
             start = self.trail_lim.pop()
             self.flipped.pop()
             while len(self.trail) > start:
-                atom = abs(self.trail.pop())
+                lit = self.trail.pop()
+                atom = abs(lit)
                 value = values[atom]
-                if atom in tracked:
+                if lit in tracked:
                     self._unsent.setdefault(atom, value)
                 self.phase[atom] = value > 0
                 values[atom] = 0

@@ -18,21 +18,21 @@ from .core import (FALSE, TRUE, UNKNOWN, DefnfTheory, Definition,
 
 @dataclass(frozen=True)
 class JustificationMaps:
-    """Literal translation between the original and the justification copy."""
+    """Literal translation between the original and the justification copy.
+
+    `status_change` is the one place that says which events carry
+    justification information: it maps each literal whose becoming true (or
+    unknown again) flips a justified status to the literal whose status
+    flips.  `j(p)` maps to `p` and `~j(p)` to `~p`, so on justification
+    literals it inverts `to_just`; an open literal is its own one-node
+    justification and maps to itself.  Literals of original defined atoms
+    are absent: their values say nothing about justification.
+    """
 
     to_just: dict[int, int]
-    to_nonjust: dict[int, int]
     just_atoms: frozenset[int]
+    status_change: dict[int, int]
     definition: Definition
-
-    def to_just_lit(self, lit: int) -> int:
-        return self.to_just[lit]
-
-    def to_nonjust_lit(self, lit: int) -> int:
-        return self.to_nonjust[lit]
-
-    def is_just_atom(self, atom: int) -> bool:
-        return atom in self.just_atoms
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,15 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
         j_of[atom] = atoms.fresh(name)
 
     to_just: dict[int, int] = {}
-    to_nonjust: dict[int, int] = {}
+    status_change: dict[int, int] = {}
     for atom, j_atom in j_of.items():
         to_just[atom] = j_atom
         to_just[-atom] = -j_atom
-        to_nonjust[j_atom] = atom
-        to_nonjust[-j_atom] = -atom
+        status_change[j_atom] = atom
+        status_change[-j_atom] = -atom
+    for atom in theory.opens:
+        status_change[atom] = atom
+        status_change[-atom] = -atom
 
     def translate(lit: int) -> int:
         atom = atom_of(lit)
@@ -82,7 +85,7 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
         Rule(j_of[rule.head], rule.conjunctive, tuple(translate(l) for l in rule.body))
         for rule in theory.definition
     ]
-    maps = JustificationMaps(to_just, to_nonjust, frozenset(j_of.values()),
+    maps = JustificationMaps(to_just, frozenset(j_of.values()), status_change,
                              Definition(j_rules))
     combined = Definition(theory.definition.rules + maps.definition.rules)
     extended = DefnfTheory(atoms, theory.theory_atom, combined)
@@ -111,15 +114,6 @@ def justification_status(setup: JustifiedTheory, lit: int,
 
 def status_change_for_event(setup: JustifiedTheory, lit: int) -> int | None:
     """The literal whose justified status flips when `lit` becomes true (or,
-    symmetrically, becomes unknown again); None when nothing changes.
-
-    Justification literals report their original literal; open literals
-    report themselves; assignments to original defined atoms carry no
-    justification information.
-    """
-    atom = atom_of(lit)
-    if setup.maps.is_just_atom(atom):
-        return setup.maps.to_nonjust[lit]
-    if atom in setup.base.opens:
-        return lit
-    return None
+    symmetrically, becomes unknown again); None when nothing changes.  See
+    `JustificationMaps.status_change`."""
+    return setup.maps.status_change.get(lit)

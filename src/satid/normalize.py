@@ -47,11 +47,7 @@ def normalize_to_defnf(ast: PcidAst) -> tuple[DefnfTheory, dict[str, int]]:
         if head in heads:
             raise ValueError(f"atom {atoms.name_of(head)!r} defined twice")
         heads.add(head)
-        deduped: list[int] = []
-        for lit in body:
-            if lit not in deduped:
-                deduped.append(lit)
-        rules.append(Rule(head, conjunctive, tuple(deduped)))
+        rules.append(Rule(head, conjunctive, tuple(dict.fromkeys(body))))
 
     def as_literal(formula: Formula) -> int:
         """A literal equivalent to an NNF formula, minting a fresh defined

@@ -1,5 +1,10 @@
 """Incremental relevance tracking over the dependency graph.
 
+The tracker reads a static `core.DependencyGraph`, built once from the
+theory's definition, and hears literals change in the solver; the
+justifier's event-to-status map says whose justified status each change
+flips.  Nothing can be added to the graph after construction.
+
 A literal is relevant when it is not justified and can still contribute to
 justifying the theory atom: the theory atom itself while unjustified, plus
 unjustified literals reachable from a relevant literal.  Instead of storing
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Mapping
 
-from .core import DefnfTheory, Rule, atom_of
+from .core import DefnfTheory, DependencyGraph, build_dependency_graph
 from .justifier import JustifiedTheory, build_justification_maps
 
 _JUSTIFIED = 0
@@ -48,76 +54,44 @@ class RelevanceSnapshot:
 class RelevanceTracker:
     """Watched-parent relevance tracker for one static theory.
 
-    The FIFO and quiescence contract holds per call: every notification is
-    drained before its call returns, however the caller batches its calls.
+    It is built from the theory atom, the theory's `DependencyGraph` and the
+    event-to-status map (`JustificationMaps.status_change`), and has no API
+    for adding rules later.  The FIFO and quiescence contract holds per call:
+    every notification is drained before its call returns, however the
+    caller batches its calls.
     """
 
-    def __init__(self, theory_atom: int, *, just_atoms: frozenset[int] = frozenset(),
-                 to_nonjust: dict[int, int] | None = None,
-                 open_atoms: frozenset[int] = frozenset(),
-                 debug: bool = False) -> None:
+    def __init__(self, theory_atom: int, graph: DependencyGraph,
+                 status_change: Mapping[int, int], debug: bool = False) -> None:
         self._pt = theory_atom
-        self._just_atoms = just_atoms
-        self._to_nonjust = to_nonjust or {}
-        self._opens = open_atoms
-        # atoms whose assignments carry justification information
-        self.tracked_atoms = just_atoms | open_atoms
+        self.graph = graph
+        self._status_change = status_change
         self._debug = debug
-        self._children: dict[int, list[int]] = {}
-        self._parents: dict[int, dict[int, None]] = {}
         self._watched: dict[int, int] = {}
         self._justified: set[int] = set()
         self._queue: deque = deque()
-        self._sealed = False
         self.query_count = 0
+        # initial watches, breadth-first from the theory atom; the
+        # first-visited parent wins, which keeps chains acyclic
+        visited = {theory_atom}
+        queue = deque((theory_atom,))
+        while queue:
+            lit = queue.popleft()
+            for child in graph.children_of(lit):
+                if child not in visited:
+                    visited.add(child)
+                    self._watched[child] = lit
+                    queue.append(child)
+        if debug:
+            self.validate()
 
     @classmethod
     def for_theory(cls, theory: DefnfTheory, setup: JustifiedTheory | None = None,
                    debug: bool = False) -> "RelevanceTracker":
         if setup is None:
             setup = build_justification_maps(theory)
-        tracker = cls(theory.theory_atom,
-                      just_atoms=setup.maps.just_atoms,
-                      to_nonjust=setup.maps.to_nonjust,
-                      open_atoms=theory.opens,
-                      debug=debug)
-        for rule in theory.definition:
-            tracker.notify_new_rule(rule)
-        tracker.finish_initialization()
-        return tracker
-
-    # -- initialization ----------------------------------------------------
-
-    def notify_new_rule(self, rule: Rule) -> None:
-        """Record the dependency edges of one rule (both polarities)."""
-        if self._sealed:
-            raise RuntimeError("tracker already initialized; the theory is static")
-        for head, sign in ((rule.head, 1), (-rule.head, -1)):
-            kids = self._children.setdefault(head, [])
-            for lit in rule.body:
-                child = sign * lit
-                parents = self._parents.setdefault(child, {})
-                if head not in parents:
-                    parents[head] = None
-                    kids.append(child)
-
-    def finish_initialization(self) -> None:
-        """Seal the graph and assign initial watches breadth-first from the
-        theory atom; first-visited parent wins, which keeps chains acyclic."""
-        if self._sealed:
-            raise RuntimeError("tracker already initialized")
-        self._sealed = True
-        visited = {self._pt}
-        queue = deque((self._pt,))
-        while queue:
-            lit = queue.popleft()
-            for child in self._children.get(lit, ()):
-                if child not in visited:
-                    visited.add(child)
-                    self._watched[child] = lit
-                    queue.append(child)
-        if self._debug:
-            self.validate()
+        return cls(theory.theory_atom, build_dependency_graph(theory.definition),
+                   setup.maps.status_change, debug=debug)
 
     # -- queries -----------------------------------------------------------
 
@@ -141,10 +115,8 @@ class RelevanceTracker:
         return set(self._justified)
 
     def snapshot(self) -> RelevanceSnapshot:
-        edges = tuple((parent, child)
-                      for parent, kids in self._children.items() for child in kids)
         return RelevanceSnapshot(frozenset(self.relevant_literals()),
-                                 frozenset(self._justified), edges)
+                                 frozenset(self._justified), tuple(self.graph.edges()))
 
     def _relevant(self, lit: int) -> bool:
         if lit == self._pt:
@@ -154,22 +126,18 @@ class RelevanceTracker:
     # -- external notifications --------------------------------------------
 
     def notify_becomes_true(self, lit: int) -> None:
-        """A literal became true in the solver.  Justification literals and
-        open literals carry justification information; assignments to original
-        defined atoms are ignored."""
-        atom = atom_of(lit)
-        if atom in self._just_atoms:
-            self._run(_JUSTIFIED, self._to_nonjust[lit], 0)
-        elif atom in self._opens:
-            self._run(_JUSTIFIED, lit, 0)
+        """A literal became true in the solver.  The event-to-status map says
+        whose justified status that flips; literals it lacks (those of
+        original defined atoms) are ignored."""
+        flipped = self._status_change.get(lit)
+        if flipped is not None:
+            self._run(_JUSTIFIED, flipped, 0)
 
     def notify_becomes_unknown(self, lit: int) -> None:
         """The mirror of notify_becomes_true for backtracked literals."""
-        atom = atom_of(lit)
-        if atom in self._just_atoms:
-            self._run(_UNJUSTIFIED, self._to_nonjust[lit], 0)
-        elif atom in self._opens:
-            self._run(_UNJUSTIFIED, lit, 0)
+        flipped = self._status_change.get(lit)
+        if flipped is not None:
+            self._run(_UNJUSTIFIED, flipped, 0)
 
     def notify_becomes_justified(self, lit: int) -> None:
         self._run(_JUSTIFIED, lit, 0)
@@ -196,8 +164,6 @@ class RelevanceTracker:
     # -- internals ----------------------------------------------------------
 
     def _run(self, tag: int, a: int, b: int) -> None:
-        if not self._sealed:
-            raise RuntimeError("tracker not initialized")
         self._queue.append((tag, a, b))
         self._drain()
         if self._debug:
@@ -207,8 +173,8 @@ class RelevanceTracker:
         queue = self._queue
         watched = self._watched
         justified = self._justified
-        children = self._children
-        parents = self._parents
+        children_of = self.graph.children_of
+        parents_of = self.graph.parents_of
         pt = self._pt
         while queue:
             tag, lit, other = queue.popleft()
@@ -216,7 +182,7 @@ class RelevanceTracker:
                 # all four criteria must hold; failure is a silent no-op
                 if (lit != pt and lit not in watched and lit not in justified
                         and (other == pt and pt not in justified or other in watched)
-                        and other in parents.get(lit, ())):
+                        and other in parents_of(lit)):
                     watched[lit] = other
                     queue.append((_RELEVANT, lit, 0))
             elif tag == _REMOVE:
@@ -228,10 +194,10 @@ class RelevanceTracker:
                     else:
                         queue.append((_IRRELEVANT, lit, 0))
             elif tag == _RELEVANT:
-                for child in children.get(lit, ()):
+                for child in children_of(lit):
                     queue.append((_ADD, child, lit))
             elif tag == _IRRELEVANT:
-                for child in children.get(lit, ()):
+                for child in children_of(lit):
                     queue.append((_REMOVE, child, lit))
             elif tag == _JUSTIFIED:
                 if lit in justified:
@@ -248,7 +214,7 @@ class RelevanceTracker:
                 if lit == pt:
                     queue.append((_RELEVANT, pt, 0))
                 else:
-                    for parent in parents.get(lit, ()):
+                    for parent in parents_of(lit):
                         queue.append((_ADD, lit, parent))
 
     def find_noncyclic_watch(self, lit: int, excluded: int) -> int | None:
@@ -258,7 +224,7 @@ class RelevanceTracker:
         if lit in self._justified:
             return None
         watched = self._watched
-        for candidate in self._parents.get(lit, ()):
+        for candidate in self.graph.parents_of(lit):
             if candidate == excluded or not self._relevant(candidate):
                 continue
             # walk the candidate's watch chain; hitting `lit` (or an already
@@ -287,7 +253,7 @@ class RelevanceTracker:
                 raise AssertionError(f"justified literal {lit} has a watch")
             if not self._relevant(parent):
                 raise AssertionError(f"watch {lit} -> {parent} has an irrelevant parent")
-            if parent not in self._parents.get(lit, ()):
+            if parent not in self.graph.parents_of(lit):
                 raise AssertionError(f"watch {lit} -> {parent} is not a dependency edge")
         resolved: set[int] = set()
         for lit in watched:

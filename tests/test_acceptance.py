@@ -13,6 +13,7 @@ from satid import (PartialInterpretation, RelevanceTracker, Rule, Solver,
                    defined_fixpoint)
 from satid.core import AtomTable, DefnfTheory, Definition
 from satid.formats import BECOMES_TRUE, BECOMES_UNKNOWN, TraceEvent
+from satid.justifier import status_change_for_event
 from satid.replay import TraceReplayer
 from satid import oracle
 
@@ -146,8 +147,8 @@ def test_criterion_4_golden_examples():
     loop_setup = build_justification_maps(loop)
     loop_tracker = RelevanceTracker.for_theory(loop, loop_setup, debug=True)
     p_T, a, p, q = 1, 2, 3, 4
-    assert loop_tracker._parents[p].keys() == {p_T, q}
-    assert loop_tracker._parents[q].keys() == {p}
+    assert loop_tracker.graph.parents_of(p) == {p_T, q}
+    assert loop_tracker.graph.parents_of(q) == {p}
     assert loop_tracker.watched_parent(p) == p_T
     assert loop_tracker.watched_parent(q) == p
     loop_tracker.notify_becomes_true(a)
@@ -220,11 +221,11 @@ def _batch_states(theory, setup, events):
     for event in events:
         if event.kind == BECOMES_TRUE:
             interp.set_literal(event.literal)
-            change = _status_change(setup, event.literal)
+            change = status_change_for_event(setup, event.literal)
             if change is not None:
                 tracker_justified.add(change)
         elif event.kind == BECOMES_UNKNOWN:
-            change = _status_change(setup, event.literal)
+            change = status_change_for_event(setup, event.literal)
             if change is not None:
                 tracker_justified.discard(change)
             interp.unset(atom_of(event.literal))
@@ -234,15 +235,6 @@ def _batch_states(theory, setup, events):
         if oracle.justified_literals(theory, original) == tracker_justified:
             states.append(original)
     return states
-
-
-def _status_change(setup, lit):
-    atom = atom_of(lit)
-    if setup.maps.is_just_atom(atom):
-        return setup.maps.to_nonjust[lit]
-    if atom in setup.base.opens:
-        return lit
-    return None
 
 
 def _justifying_extension(theory, state):

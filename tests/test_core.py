@@ -165,6 +165,19 @@ def test_dependency_parents_in_loop_theory(loop):
     assert g.parents_of(p) == {p_T, q}
 
 
+def test_dependency_graph_keeps_insertion_order():
+    # rules in definition order, the head before its negation, body order
+    # with first occurrences kept
+    d = Definition([Rule(1, False, (6, -5, 6, 4)), Rule(2, True, (4, 1, -5))])
+    g = build_dependency_graph(d)
+    assert list(g.children_of(1)) == [6, -5, 4]
+    assert list(g.children_of(-2)) == [-4, -1, 5]
+    assert list(g.parents_of(4)) == [1, 2]
+    assert list(g.parents_of(-5)) == [1, 2]
+    assert list(g.parents_of(5)) == [-1, -2]
+    assert g.edges()[:3] == [(1, 4), (1, -5), (1, 6)]
+
+
 def test_empty_definition_graph():
     g = build_dependency_graph(Definition([]))
     assert g.edges() == []

@@ -450,7 +450,7 @@ def _extended_satisfies(solver, model, clause):
         if atom <= solver.theory.n_atoms:
             values[atom] = model.value(atom) is TRUE
         else:
-            original = maps.to_nonjust[atom]
+            original = maps.status_change[atom]
             values[atom] = model.value(original) is TRUE
     return any(values[abs(l)] == (l > 0) for l in clause)
 

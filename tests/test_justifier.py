@@ -42,7 +42,7 @@ def test_translation_maps_are_inverse(justdef):
     setup = build_justification_maps(justdef)
     for atom in justdef.defined:
         for lit in (atom, -atom):
-            assert setup.maps.to_nonjust[setup.maps.to_just[lit]] == lit
+            assert setup.maps.status_change[setup.maps.to_just[lit]] == lit
     assert setup.maps.just_atoms == {setup.maps.to_just[a] for a in justdef.defined}
 
 
@@ -84,6 +84,8 @@ def test_status_change_dispatch(justdef):
     assert status_change_for_event(setup, d) == d          # open atom
     assert status_change_for_event(setup, -d) == -d
     assert status_change_for_event(setup, c1) is None      # original defined atom
+    tracked = setup.maps.just_atoms | justdef.opens
+    assert set(setup.maps.status_change) == {s * a for a in tracked for s in (1, -1)}
 
 
 def test_empty_definition_has_empty_copy():

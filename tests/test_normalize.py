@@ -51,6 +51,13 @@ def test_same_connective_nesting_is_flattened():
     body = rules[names["_t1"]].body
     assert body == (names["a"], names["b"], names["c"])
 
+    # repeated literals keep their first occurrence, in order
+    theory, names = normalize_to_defnf(
+        parse_pcid("(theory (constraint (or c a (or b (not a) c) a (not a) b)))"))
+    rules = {r.head: r for r in theory.definition}
+    body = rules[names["_t1"]].body
+    assert body == (names["c"], names["a"], names["b"], -names["a"])
+
 
 def test_double_negation_collapses():
     theory, names = normalize_to_defnf(

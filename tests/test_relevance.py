@@ -42,18 +42,6 @@ def test_initial_relevance_matches_oracle():
             theory, PartialInterpretation())
 
 
-def test_rules_cannot_be_added_after_seal(loop):
-    tracker, _ = fresh_tracker(loop)
-    with pytest.raises(RuntimeError, match="static"):
-        tracker.notify_new_rule(Rule(2, False, (3,)))
-
-
-def test_notifications_require_initialization(loop):
-    tracker = RelevanceTracker(loop.theory_atom)
-    with pytest.raises(RuntimeError, match="not initialized"):
-        tracker.notify_becomes_justified(1)
-
-
 # -- the loop cascade -----------------------------------------------------------
 
 def test_loop_collapses_when_theory_atom_justified(loop):
