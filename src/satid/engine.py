@@ -38,16 +38,41 @@ so its body lacks support only if the body is false.  The completion clause
 for that body would then have made the atom false, and false atoms are never
 in the set.  A definition without positive loops therefore never runs the
 pass.
+
+Within the loop part the check is incremental, with source pointers as in
+SAT(ID) (Mariën et al., SAT 2008).  Each founded loop atom keeps a source:
+its conjunctive body, or one of its disjuncts.  After every pass that ends
+without a conflict, each non-false loop atom has a source with no false
+literal, every loop atom in a source has a source itself, and the sources
+form no cycle.  The atoms with a source are then exactly the founded ones.
+So a pass only has to look again at the atoms whose source lost a literal
+that turned false since the last pass, and at the atoms whose sources hold
+those.  The first pass finds every source with a worklist.  It runs at
+level 0, where search and `defined_fixpoint` start, so the atoms it leaves
+without a source stay false for good.
+
+Sources are not restored on backtrack.  A false atom keeps its source when
+a literal of it turns false, and an unfounded atom keeps the source it
+lost.  Search decides only after a complete pass, and a conflict backjumps
+below the current level, so a pass reads only literals of the current level.
+An unfounded atom is therefore falsified at the level of the literal that
+broke its source.  A literal that turns false after an atom became false
+lies at that atom's level or above, because trail levels never decrease
+along the trail.  Either way, any backtrack that unassigns a false atom also
+unassigns every false literal of its source.  A backtrack makes no literal
+false, so each source that was valid stays valid, and the invariant holds
+again after it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Sequence
 
-from .core import (Definition, DefnfTheory, PartialInterpretation, TruthValue,
-                   completion_clauses)
+from .core import (Definition, DefnfTheory, PartialInterpretation, Rule,
+                   TruthValue, completion_clauses)
 from .justifier import JustifiedTheory, build_justification_maps
 from .relevance import RelevanceTracker
 
@@ -125,7 +150,12 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.flipped: list[bool] = []
+        # CPython 3.11 lets the instances of a class share one key table
+        # for at most 29 attributes.  Past that, each Solver carries a dict
+        # of its own and every attribute read slows, by about 15% of
+        # `solve()` time on the small theories of the `random` benchmark.
         self.qhead = 0
+        self.uhead = 0  # where the unfounded-set pass reads the trail next
         self.clauses: list[list[int]] = []
         self.n_problem_clauses = 0
         self.watches: dict[int, list[int]] = {}
@@ -133,7 +163,6 @@ class Solver:
         self.var_inc = 1.0
         self.phase = [False] * (self.n_atoms + 1)
         self.stats = SolveStats()
-        self.j_theory_atom = self.setup.just_theory_atom
         self._just_atoms = self.setup.maps.just_atoms
         self._plain_atoms = [a for a in range(1, self.n_atoms + 1)
                              if a not in self._just_atoms]
@@ -202,7 +231,7 @@ class Solver:
                 self.phase[atom] = value > 0
                 values[atom] = 0
                 self.reasons[atom] = None
-        self.qhead = len(self.trail)
+        self.qhead = self.uhead = len(self.trail)
 
     def _sync_tracker(self) -> None:
         """Tell the tracker the net change of every tracked atom since the
@@ -296,18 +325,21 @@ class Solver:
     def _init_loop_part(self) -> None:
         """Index the rules that unfounded-set propagation has to look at.
 
-        `_loop_rules` holds one entry per defined atom of the combined
-        definition that is loop-dependent in the original definition or
-        copies such an atom: (head, conjunctive, body, count of positive loop
-        atoms in the body, the other body literals).  They come in the
-        iteration order of the combined definition's defined-atom set, which
-        fixes the order in which unfounded atoms are falsified and their
-        reason clauses added.
-        `_loop_parents` maps each such atom to the heads of these rules with
-        it in their body, once per occurrence.
+        `_loop_rules` maps each defined atom of the combined definition that
+        is loop-dependent in the original definition, or copies such an
+        atom, to (position, conjunctive, body).  Its order, the iteration
+        order of the combined definition's defined-atom set, fixes the order
+        in which unfounded atoms are falsified and their reason clauses
+        added.  `_loop_watches` maps each body literal of these rules to
+        their heads, once per occurrence: the heads whose source can hold
+        the literal.  The sources themselves are found by the first pass.
         """
-        self._loop_rules: list[tuple[int, bool, tuple[int, ...], int, list[int]]] = []
-        self._loop_parents: dict[int, list[int]] = {}
+        self._loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]] = {}
+        self._loop_watches: dict[int, list[int]] = {}
+        # per atom: 0 for a conjunctive head (its source is the whole body),
+        # the source literal for a disjunctive one, None for no source; the
+        # list is made by the first pass
+        self._source: list[int | None] | None = None
         loop = _loop_dependent_atoms(self.theory.definition)
         if not loop:
             return
@@ -315,20 +347,14 @@ class Solver:
         loop.update([to_just[atom] for atom in loop])
         combined = self.setup.extended.definition
         rule_for = combined.rule_for
-        parents = self._loop_parents = {atom: [] for atom in loop}
+        rules = self._loop_rules
+        watches = self._loop_watches
         for head in combined.defined_atoms:
             if head in loop:
                 rule = rule_for(head)
-                n_internal = 0
-                external = []
+                rules[head] = (len(rules), rule.conjunctive, rule.body)
                 for lit in rule.body:
-                    if lit in loop:
-                        n_internal += 1
-                        parents[lit].append(head)
-                    else:
-                        external.append(lit)
-                self._loop_rules.append(
-                    (head, rule.conjunctive, rule.body, n_internal, external))
+                    watches.setdefault(lit, []).append(head)
 
     def propagate_unfounded(self) -> list[int] | None:
         """Falsify one maximal unfounded set, with external-bodies reasons.
@@ -336,71 +362,152 @@ class Solver:
         A non-false defined atom is founded when some rule can still support
         it from outside the unfounded candidates: a conjunctive body with no
         false literal and every positive defined atom itself founded, or some
-        such disjunct.  Everything left over is propagated false together.
+        such disjunct.  Everything left over is propagated false together,
+        in `_loop_rules` order.
 
-        Only the loop part of the definition is checked (see the module
-        docstring): at a unit-propagation fixpoint every other non-false
-        defined atom is founded, so its body literals count as support
-        whenever they are not false.  The founded set grows from a worklist
-        with one counter per rule, so finding it takes time linear in the
-        loop part.
+        Only the loop part of the definition is checked, and only where a
+        source literal turned false (see the module docstring for the
+        source invariant and why backtracking needs no undo).  The first
+        pass finds the sources of the whole loop part.  Every later pass
+        reads the trail from `uhead`, the way `propagate_unit` reads it
+        from `qhead`, finds the atoms whose sources lost support and looks
+        for new sources for just those atoms, bottom-up.  The atoms left
+        without one are the greatest unfounded set.  A pass that reads no
+        source literal does nothing more.
         """
         values = self.values
-        # candidate head -> founded body atoms it still needs; 0 marks a
+        rules = self._loop_rules
+        if self._source is None:
+            self._source = [None] * (self.n_atoms + 1)
+            self.uhead = len(self.trail)
+            # in `_loop_rules` order, and so are the atoms left unfounded
+            unfounded = self._find_sources(dict.fromkeys(rules))
+        else:
+            lost = self._lost_sources()
+            unfounded = self._find_sources(lost) if lost else []
+            if len(unfounded) > 1:
+                unfounded.sort(key=rules.__getitem__)  # by position
+        conflict = None
+        if unfounded:
+            self.stats.unfounded_sets += 1
+            blockers: list[int] = []
+            for atom in unfounded:
+                _, conjunctive, body = rules[atom]
+                for lit in body:
+                    if (values[lit] if lit > 0 else -values[-lit]) == -1:
+                        if lit not in blockers:
+                            blockers.append(lit)
+                        if conjunctive:
+                            break
+            for atom in unfounded:
+                clause = [-atom] + [b for b in blockers if b != -atom]
+                index = self._add_learned_clause(clause)
+                if not self._enqueue(-atom, index):
+                    conflict = self.clauses[index]
+                    break
+        if self.cfg.debug and conflict is None:
+            self._check_sources()
+        return conflict
+
+    def _lost_sources(self) -> dict[int, None]:
+        """Read the trail from `uhead`; returns the non-false loop atoms
+        whose source holds a literal that turned false, or an atom returned
+        before it.  Their `_source` entries are left as they are."""
+        values = self.values
+        source = self._source
+        watches = self._loop_watches
+        trail = self.trail
+        unsupported = list(map(neg, trail[self.uhead:]))
+        self.uhead = len(trail)
+        lost: dict[int, None] = {}
+        for lit in unsupported:  # grows while it is walked: the worklist
+            for head in watches.get(lit, ()):
+                if head not in lost and values[head] != -1:
+                    held = source[head]
+                    if held == 0 or held == lit:
+                        lost[head] = None
+                        unsupported.append(head)
+        return lost
+
+    def _find_sources(self, lost: dict[int, None]) -> list[int]:
+        """Give new sources to as many of the non-false `lost` atoms as can
+        have one, bottom-up; returns the others, in the order of `lost`.
+
+        A literal outside `lost` supports when it is not false.  The founded
+        atoms grow from a worklist with one counter per rule, so this takes
+        time linear in the rules of the `lost` atoms and their parents.
+        """
+        values = self.values
+        source = self._source
+        rules = self._loop_rules
+        # lost head -> founded body atoms it still needs; 0 marks a
         # conjunctive head with a false body literal, which never gets founded
         need: dict[int, int] = {}
         founded: list[int] = []
-        for head, conjunctive, body, n_internal, external in self._loop_rules:
+        for head in lost:
             if values[head] == -1:
                 continue
+            _, conjunctive, body = rules[head]
             if conjunctive:
+                missing = 0
                 for lit in body:
                     if (values[lit] if lit > 0 else -values[-lit]) == -1:
                         need[head] = 0
                         break
+                    if lit in lost:
+                        missing += 1
                 else:
-                    if n_internal:
-                        need[head] = n_internal
+                    if missing:
+                        need[head] = missing
                     else:
+                        source[head] = 0
                         founded.append(head)
             else:
-                for lit in external:
-                    if (values[lit] if lit > 0 else -values[-lit]) != -1:
+                for lit in body:
+                    if (lit not in lost
+                            and (values[lit] if lit > 0 else -values[-lit]) != -1):
+                        source[head] = lit
                         founded.append(head)
                         break
                 else:
                     need[head] = 1
-        parents = self._loop_parents
+        watches = self._loop_watches
         for atom in founded:  # grows while it is walked: the worklist
-            for head in parents[atom]:
+            for head in watches.get(atom, ()):
                 missing = need.get(head)
                 if missing == 1:
                     del need[head]
                     founded.append(head)
+                    source[head] = 0 if rules[head][1] else atom
                 elif missing:
                     need[head] = missing - 1
-        if not need:
-            return None
-        self.stats.unfounded_sets += 1
-        unfounded = list(need)  # in `_loop_rules` order
+        return list(need)
 
-        rule_for = self.setup.extended.definition.rule_for
-        blockers: list[int] = []
-        for atom in unfounded:
-            rule = rule_for(atom)
-            for lit in rule.body:
-                if self.lit_value(lit) == -1:
-                    if lit not in blockers:
-                        blockers.append(lit)
-                    if rule.conjunctive:
-                        break
-
-        for atom in unfounded:
-            clause = [-atom] + [b for b in blockers if b != -atom]
-            index = self._add_learned_clause(clause)
-            if not self._enqueue(-atom, index):
-                return self.clauses[index]
-        return None
+    def _check_sources(self) -> None:
+        """Full-scan source invariant, checked after each pass in debug
+        mode; raises AssertionError on breakage.  A loop atom without a
+        source is false at level 0.  A non-false atom's source has no false
+        literal, and a false atom's has none below the atom's level.  The
+        sources form no cycle."""
+        values, levels = self.values, self.levels
+        rules = self._loop_rules
+        edges: list[Rule] = []
+        for head, (_, conjunctive, body) in rules.items():
+            held = self._source[head]
+            if held is None:
+                if values[head] != -1 or levels[head]:
+                    raise AssertionError(f"loop atom {head} has no source")
+                continue
+            if conjunctive != (held == 0) or (held and held not in body):
+                raise AssertionError(f"{held} is not a source of {head}")
+            lits = body if conjunctive else (held,)
+            for lit in lits:
+                if self.lit_value(lit) == -1 and (
+                        values[head] != -1 or levels[abs(lit)] < levels[head]):
+                    raise AssertionError(f"source of {head} has false literal {lit}")
+            edges.append(Rule(head, True, tuple(lit for lit in lits if lit in rules)))
+        if _loop_dependent_atoms(Definition(edges)):
+            raise AssertionError("the sources form a cycle")
 
     def propagate(self) -> list[int] | None:
         """Interleave unit and unfounded-set propagation to a joint fixpoint."""
@@ -524,7 +631,7 @@ class Solver:
     def report_justified_count(self) -> int:
         """2^n models represented by the current justifying assignment, with
         n the number of unassigned open atoms."""
-        if self.lit_value(self.j_theory_atom) != 1:
+        if self.lit_value(self.setup.just_theory_atom) != 1:
             raise ValueError("theory atom is not justified in the current state")
         unassigned = sum(1 for atom in self._open_atoms if self.values[atom] == 0)
         return 2 ** unassigned
@@ -543,6 +650,7 @@ class Solver:
 
     def _search(self, start: float) -> tuple[str, PartialInterpretation | None]:
         cfg = self.cfg
+        j_theory_atom = self.setup.just_theory_atom
         for lit, index in self._root_units:
             if not self._enqueue(lit, index):
                 return "unsat", None
@@ -575,11 +683,11 @@ class Solver:
             if (cfg.time_limit is not None
                     and time.monotonic() - start > cfg.time_limit):
                 raise BudgetExhausted("time budget exhausted", self.stats)
-            if cfg.stop_on_justified and self.lit_value(self.j_theory_atom) == 1:
+            if cfg.stop_on_justified and self.lit_value(j_theory_atom) == 1:
                 self.stats.stopped_early = True
                 self.stats.models_represented = self.report_justified_count()
                 return "sat", self.interpretation()
-            justified_already = self.lit_value(self.j_theory_atom) == 1
+            justified_already = self.lit_value(j_theory_atom) == 1
             use_filter = cfg.relevance_filter and not justified_already
             if use_filter:
                 self._sync_tracker()

@@ -165,6 +165,97 @@ def test_unfounded_pass_matches_all_atoms_sweep():
     assert nonempty > 100 and conflicts > 10, (nonempty, conflicts)
 
 
+def test_unfounded_pass_matches_sweep_across_backtracks():
+    # as above, but between fixpoints the solver backtracks at random, as a
+    # backjump, a restart or a chronological flip, so that later passes start
+    # from sources kept across the backtrack
+    rng = random.Random(38)
+    theories = LOOP_SHAPES * 20 + [theory_gen.random_theory(rng, max_atoms=10)
+                                   for _ in range(600)]
+    after_backtrack = backtracks = 0
+    for theory in theories:
+        solver = Solver(theory, SolverConfig(relevance_filter=False, debug=True),
+                        assert_constraint=rng.random() < 0.5)
+        if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
+            continue
+        backtracked = False
+        for _ in range(60):
+            conflict = solver.propagate_unit()
+            if conflict is None:
+                expected = reference_unfounded(solver)
+                clauses, trail = reference_reasons(solver, expected)
+                n_clauses, n_trail = len(solver.clauses), len(solver.trail)
+                conflict = solver.propagate_unfounded()
+                assert solver.clauses[n_clauses:] == clauses
+                assert solver.trail[n_trail:] == trail
+                if expected and backtracked:
+                    after_backtrack += 1
+                if expected and conflict is None:
+                    continue
+            unassigned = [a for a in solver._plain_atoms if solver.values[a] == 0]
+            if conflict is None and unassigned and (solver.level == 0
+                                                    or rng.random() < 0.6):
+                atom = rng.choice(unassigned)
+                solver._decide(rng.choice((atom, -atom)))
+                continue
+            if solver.level == 0:
+                break
+            move = rng.randrange(3)
+            if move == 0:
+                solver._backtrack(rng.randrange(solver.level))
+            elif move == 1 or not solver._flip_most_recent_decision():
+                solver._backtrack(0)
+            backtracked = True
+            backtracks += 1
+    assert after_backtrack > 120 and backtracks > 5000, (after_backtrack, backtracks)
+
+
+def has_cycle_through_negation(theory):
+    """Whether some rule body uses `~a` while `a` depends back on the head."""
+    definition = theory.definition
+    depends = {rule.head: {abs(lit) for lit in rule.body} for rule in definition}
+
+    def reaches(start, goal):
+        seen, stack = set(), [start]
+        while stack:
+            atom = stack.pop()
+            if atom == goal:
+                return True
+            if atom not in seen:
+                seen.add(atom)
+                stack.extend(depends.get(atom, ()))
+        return False
+
+    return any(lit < 0 and reaches(-lit, rule.head)
+               for rule in definition for lit in rule.body)
+
+
+def test_debug_source_checks_hold_while_solving():
+    # debug mode checks the source invariant after every pass; the answers
+    # must agree with the oracle wherever the definition is stratified
+    rng = random.Random(39)
+    theories = LOOP_SHAPES + [theory_gen.random_theory(rng) for _ in range(300)]
+    checked = unfounded = 0
+    for theory in theories:
+        for config in ALL_CONFIGS:
+            result = Solver(theory, dataclasses.replace(config, debug=True)).solve()
+            unfounded += result.stats.unfounded_sets
+            if has_cycle_through_negation(theory):
+                continue
+            checked += 1
+            if result.status == "unsat":
+                assert not oracle.enumerate_models(theory), theory.definition.rules
+                continue
+            witness = result.witness_restricted(theory)
+            if result.stats.stopped_early:
+                assert oracle.justified(theory, witness, theory.theory_atom)
+                assert oracle.count_models_extending(theory, witness) == \
+                    result.stats.models_represented
+            else:
+                assert oracle.is_model(witness, theory), theory.definition.rules
+    assert checked > 900 and unfounded > 500, (checked, unfounded)
+
+
 def chain_theory(n):
     """x1 <- x2 <- ... <- xn with xn open and x1 the theory atom."""
     rules = [Rule(atom, False, (atom + 1,)) for atom in range(1, n)]
