@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import neg
 from typing import Iterable, Iterator, KeysView, Mapping, Union
 
 
@@ -465,23 +466,45 @@ def direct_justifications(lit: Literal, definition: Definition) -> list[frozense
     return [frozenset((sign * b,)) for b in rule.body]
 
 
-def completion_clauses(definition: Definition) -> list[tuple[Literal, ...]]:
-    """Clauses stating head <=> body for every rule.
+def completion_clauses(definition: Definition) -> list[list[Literal]]:
+    """Clauses stating head <=> body for every rule, rule by rule, with no
+    repeated literal and no tautology, so that a solver can store them as
+    they come.
 
     Conjunctive rule: (~p | li) for each i plus (p | ~l1 | ... | ~ln).
     Disjunctive rule: (~p | l1 | ... | ln) plus (p | ~li) for each i.
+
+    Only a body literal over the head or a repeated body atom changes these.
+    li = p makes its two-literal clause a tautology, left out; li = ~p shrinks
+    it to the head literal it repeats.  The long clause is left out when the
+    body holds p or a complementary pair; otherwise it drops ~p and keeps the
+    first occurrence of each body literal.  A repeated body literal still gives
+    one two-literal clause per occurrence.
     """
-    clauses: list[tuple[Literal, ...]] = []
+    clauses: list[list[Literal]] = []
     for rule in definition:
         p = rule.head
+        body = rule.body
+        atoms = set(map(abs, body))
+        if p not in atoms and len(atoms) == len(body):
+            if rule.conjunctive:
+                clauses.extend([-p, lit] for lit in body)
+                clauses.append([p, *map(neg, body)])
+            else:
+                clauses.append([-p, *body])
+                clauses.extend([p, -lit] for lit in body)
+            continue
+        lits = dict.fromkeys(body)
+        long = p not in lits and not any(-lit in lits for lit in lits)
+        lits.pop(-p, None)
         if rule.conjunctive:
-            for lit in rule.body:
-                clauses.append((-p, lit))
-            clauses.append((p, *(-lit for lit in rule.body)))
+            clauses.extend([-p, lit] if lit != -p else [-p] for lit in body if lit != p)
+            if long:
+                clauses.append([p, *map(neg, lits)])
         else:
-            clauses.append((-p, *rule.body))
-            for lit in rule.body:
-                clauses.append((p, -lit))
+            if long:
+                clauses.append([-p, *lits])
+            clauses.extend([p, -lit] if lit != -p else [p] for lit in body if lit != p)
     return clauses
 
 

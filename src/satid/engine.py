@@ -69,7 +69,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import (Definition, DefnfTheory, PartialInterpretation, Rule,
                    TruthValue, completion_clauses)
@@ -93,9 +93,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.empty_relevant_policy not in ("backtrack", "fallback"):
             raise ValueError(f"unknown policy {self.empty_relevant_policy!r}")
-        if self.max_conflicts is not None and self.max_conflicts < 0:
+        # `not x >= 0` also rejects NaN, which compares false both ways
+        if self.max_conflicts is not None and not self.max_conflicts >= 0:
             raise ValueError("max_conflicts must be nonnegative")
-        if self.time_limit is not None and self.time_limit < 0:
+        if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
 
 
@@ -156,9 +157,18 @@ class Solver:
         # `solve()` time on the small theories of the `random` benchmark.
         self.qhead = 0
         self.uhead = 0  # where the unfounded-set pass reads the trail next
-        self.clauses: list[list[int]] = []
-        self.n_problem_clauses = 0
+        self.clauses = completion_clauses(extended.definition)
+        if assert_constraint:
+            self.clauses.append([theory.theory_atom])
+        self.n_problem_clauses = len(self.clauses)
         self.watches: dict[int, list[int]] = {}
+        self._root_units: list[tuple[int, int]] = []
+        for index, clause in enumerate(self.clauses):
+            if len(clause) == 1:
+                self._root_units.append((clause[0], index))
+            else:
+                self.watches.setdefault(clause[0], []).append(index)
+                self.watches.setdefault(clause[1], []).append(index)
         self.activity = [0.0] * (self.n_atoms + 1)
         self.var_inc = 1.0
         self.phase = [False] * (self.n_atoms + 1)
@@ -177,11 +187,6 @@ class Solver:
         # for each tracked atom that changed since the tracker last heard,
         # the value it last heard (0 for unknown)
         self._unsent: dict[int, int] = {}
-        self._root_units: list[tuple[int, int]] = []
-        for clause in completion_clauses(extended.definition):
-            self._add_problem_clause(clause)
-        if assert_constraint:
-            self._add_problem_clause([theory.theory_atom])
 
     # -- assignment primitives ----------------------------------------------
 
@@ -249,32 +254,6 @@ class Solver:
         self._unsent.clear()
 
     # -- clause database ------------------------------------------------------
-
-    def _add_problem_clause(self, lits: Sequence[int]) -> None:
-        """Add a clause without duplicate literals (first occurrences kept, in
-        order), or nothing if it is a tautology."""
-        if len(lits) < 8:
-            # a list scan is fastest on short clauses: on the 2-literal
-            # clauses that make up `chain` the dict path below costs 3x as
-            # much, enough to show in that workload's setup time
-            clause: list[int] = []
-            for lit in lits:
-                if -lit in clause:
-                    return
-                if lit not in clause:
-                    clause.append(lit)
-        else:
-            clause = list(dict.fromkeys(lits))
-            if len(set(map(abs, clause))) < len(clause):
-                return  # two distinct literals over one atom
-        index = len(self.clauses)
-        self.clauses.append(clause)
-        self.n_problem_clauses += 1
-        if len(clause) == 1:
-            self._root_units.append((clause[0], index))
-        else:
-            self.watches.setdefault(clause[0], []).append(index)
-            self.watches.setdefault(clause[1], []).append(index)
 
     def _add_learned_clause(self, clause: list[int]) -> int:
         index = len(self.clauses)

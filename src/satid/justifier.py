@@ -110,10 +110,3 @@ def justification_status(setup: JustifiedTheory, lit: int,
     if value is FALSE:
         return FALSE
     return UNKNOWN
-
-
-def status_change_for_event(setup: JustifiedTheory, lit: int) -> int | None:
-    """The literal whose justified status flips when `lit` becomes true (or,
-    symmetrically, becomes unknown again); None when nothing changes.  See
-    `JustificationMaps.status_change`."""
-    return setup.maps.status_change.get(lit)

@@ -99,9 +99,6 @@ class RelevanceTracker:
         self.query_count += 1
         return self._relevant(lit)
 
-    def is_justified(self, lit: int) -> bool:
-        return lit in self._justified
-
     def watched_parent(self, lit: int) -> int | None:
         return self._watched.get(lit)
 

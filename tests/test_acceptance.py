@@ -13,7 +13,6 @@ from satid import (PartialInterpretation, RelevanceTracker, Rule, Solver,
                    defined_fixpoint)
 from satid.core import AtomTable, DefnfTheory, Definition
 from satid.formats import BECOMES_TRUE, BECOMES_UNKNOWN, TraceEvent
-from satid.justifier import status_change_for_event
 from satid.replay import TraceReplayer
 from satid import oracle
 
@@ -221,11 +220,11 @@ def _batch_states(theory, setup, events):
     for event in events:
         if event.kind == BECOMES_TRUE:
             interp.set_literal(event.literal)
-            change = status_change_for_event(setup, event.literal)
+            change = setup.maps.status_change.get(event.literal)
             if change is not None:
                 tracker_justified.add(change)
         elif event.kind == BECOMES_UNKNOWN:
-            change = status_change_for_event(setup, event.literal)
+            change = setup.maps.status_change.get(event.literal)
             if change is not None:
                 tracker_justified.discard(change)
             interp.unset(atom_of(event.literal))

@@ -88,6 +88,12 @@ def test_budget_exhausted_exit_code_and_stats(tmp_path, capsys):
                                 EXIT_GUARD)
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1", "-inf"])
+def test_solve_rejects_time_limit_below_zero_or_nan(loop_path, capsys, limit):
+    assert main(["solve", loop_path, f"--time-limit={limit}"]) == EXIT_PARSE
+    assert "time_limit" in capsys.readouterr().err
+
+
 def test_stats_deterministic_across_runs(loop_path, tmp_path, capsys):
     payloads = []
     for name in ("a.json", "b.json"):

@@ -241,11 +241,11 @@ def test_completion_of_conjunctive_rule():
 
 
 def test_completion_of_empty_conjunction():
-    assert completion_clauses(Definition([Rule(1, True, ())])) == [(1,)]
+    assert completion_clauses(Definition([Rule(1, True, ())])) == [[1]]
 
 
 def test_completion_of_empty_disjunction():
-    assert completion_clauses(Definition([Rule(1, False, ())])) == [(-1,)]
+    assert completion_clauses(Definition([Rule(1, False, ())])) == [[-1]]
 
 
 def test_completion_equivalent_to_rule_bodies():

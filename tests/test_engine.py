@@ -6,10 +6,9 @@ import pytest
 
 from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, Rule, Solver, SolverConfig,
-                   build_justification_maps, defined_fixpoint,
-                   normalize_to_defnf, parse_pcid, solve)
+                   build_justification_maps, completion_clauses,
+                   defined_fixpoint, normalize_to_defnf, parse_pcid, solve)
 from satid.engine import BudgetExhausted, _luby
-from satid.justifier import status_change_for_event
 from satid import oracle
 
 import theory_gen
@@ -307,8 +306,8 @@ class DecisionProbe:
             expected = set()
             for atom in range(1, self.n_atoms + 1):
                 if self.values[atom]:
-                    change = status_change_for_event(
-                        self.setup, atom if self.values[atom] > 0 else -atom)
+                    change = self.setup.maps.status_change.get(
+                        atom if self.values[atom] > 0 else -atom)
                     if change is not None:
                         expected.add(change)
             assert self.tracker.justified_literals() == expected
@@ -421,33 +420,61 @@ def reference_clause(lits):
     return clause
 
 
+def naive_completion(rule):
+    """One rule's completion clauses as written, with repeated literals and
+    tautologies."""
+    p = rule.head
+    if rule.conjunctive:
+        return [[-p, lit] for lit in rule.body] + [[p, *(-lit for lit in rule.body)]]
+    return [[-p, *rule.body]] + [[p, -lit] for lit in rule.body]
+
+
 def test_problem_clauses_keep_first_occurrences():
     rng = random.Random(38)
-    solver = Solver(chain_theory(300), SolverConfig(relevance_filter=False))
-    lits = [rng.choice((atom, -atom)) for atom in range(1, 301)]
-    rng.shuffle(lits)
-    long_clause = lits + rng.choices(lits, k=300)
-    rng.shuffle(long_clause)
-    clauses = [long_clause, long_clause + [-long_clause[0]] + long_clause]
-    for length in range(1, 20):  # short and long, over a few atoms
-        for _ in range(20):
-            clauses.append([rng.choice((1, -1)) * rng.randint(1, 6)
-                            for _ in range(length)])
+    # a 600-literal body over 300 atoms with repeats, then the same with one
+    # complementary pair
+    lits = [rng.choice((atom, -atom)) for atom in range(2, 302)]
+    long_body = lits + rng.choices(lits, k=300)
+    rng.shuffle(long_body)
+    definitions = [(301, Definition([Rule(1, True, tuple(long_body))])),
+                   (301, Definition([Rule(1, False, (*long_body, -long_body[0]))]))]
+    for _ in range(300):  # short and long bodies over a few atoms
+        rules = []
+        for head in rng.sample(range(1, 7), rng.randint(1, 6)):
+            body = [rng.choice((1, -1)) * rng.randint(1, 6)
+                    for _ in range(rng.randint(0, 12))]
+            body += rng.choices((head, -head), k=rng.randint(0, 2))
+            if body:
+                body += rng.choices(body, k=rng.randint(0, 3))
+            rng.shuffle(body)
+            rules.append(Rule(head, rng.random() < 0.5, tuple(body)))
+        definitions.append((6, Definition(rules)))
     added = tautologies = 0
-    for lits in clauses:
-        n_clauses, n_problem = len(solver.clauses), solver.n_problem_clauses
-        solver._add_problem_clause(lits)
-        expected = reference_clause(lits)
-        if expected is None:
-            assert len(solver.clauses) == n_clauses
-            tautologies += 1
-            continue
-        added += 1
-        assert solver.clauses[n_clauses:] == [expected]
-        assert solver.n_problem_clauses == n_problem + 1
-        if len(expected) > 1:
-            assert n_clauses in solver.watches[expected[0]]
-            assert n_clauses in solver.watches[expected[1]]
+    for n_atoms, definition in definitions:
+        expected = []
+        for rule in definition:
+            for lits in naive_completion(rule):
+                clause = reference_clause(lits)
+                if clause is None:
+                    tautologies += 1
+                else:
+                    expected.append(clause)
+                    added += 1
+        assert completion_clauses(definition) == expected
+
+        # the solver stores the clauses of the extended definition as they come
+        theory = DefnfTheory(AtomTable([None] * n_atoms), definition.rules[0].head,
+                             definition)
+        solver = Solver(theory, SolverConfig(relevance_filter=False))
+        stored = completion_clauses(solver.setup.extended.definition)
+        assert solver.clauses == stored + [[theory.theory_atom]]
+        assert solver.n_problem_clauses == len(solver.clauses)
+        for index, clause in enumerate(solver.clauses):
+            if len(clause) == 1:
+                assert (clause[0], index) in solver._root_units
+            else:
+                assert index in solver.watches[clause[0]]
+                assert index in solver.watches[clause[1]]
     assert added > 50 and tautologies > 50, (added, tautologies)
 
 
@@ -658,6 +685,8 @@ def test_config_validation():
         SolverConfig(empty_relevant_policy="sideways")
     with pytest.raises(ValueError):
         SolverConfig(max_conflicts=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit=float("nan"))
 
 
 def test_luby_sequence():

@@ -2,7 +2,7 @@ import random
 
 from satid import (FALSE, TRUE, UNKNOWN, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, Rule, build_justification_maps)
-from satid.justifier import justification_status, status_change_for_event
+from satid.justifier import justification_status
 
 import theory_gen
 
@@ -79,13 +79,14 @@ def test_status_change_dispatch(justdef):
     c1 = justdef.atoms.id_of("c1")
     d = justdef.atoms.id_of("d")
     j_c1 = setup.maps.to_just[c1]
-    assert status_change_for_event(setup, j_c1) == c1
-    assert status_change_for_event(setup, -j_c1) == -c1
-    assert status_change_for_event(setup, d) == d          # open atom
-    assert status_change_for_event(setup, -d) == -d
-    assert status_change_for_event(setup, c1) is None      # original defined atom
+    status_change = setup.maps.status_change
+    assert status_change.get(j_c1) == c1
+    assert status_change.get(-j_c1) == -c1
+    assert status_change.get(d) == d          # open atom
+    assert status_change.get(-d) == -d
+    assert status_change.get(c1) is None      # original defined atom
     tracked = setup.maps.just_atoms | justdef.opens
-    assert set(setup.maps.status_change) == {s * a for a in tracked for s in (1, -1)}
+    assert set(status_change) == {s * a for a in tracked for s in (1, -1)}
 
 
 def test_empty_definition_has_empty_copy():
