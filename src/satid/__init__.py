@@ -18,7 +18,7 @@ from .formats import (FormatError, PcidAst, TraceEvent, parse_cid, parse_pcid,
                       parse_trace, to_dot, write_cid, write_trace)
 from .justifier import (JustificationMaps, JustifiedTheory,
                         build_justification_maps, justification_status)
-from .normalize import defnf_violations, normalize_to_defnf
+from .normalize import normalize_to_defnf
 from .relevance import RelevanceSnapshot, RelevanceTracker
 from .replay import ReplayOrderError, ReplayReport, TraceReplayer
 
@@ -32,8 +32,8 @@ __all__ = [
     "ReplayReport", "Rule", "SolveResult", "SolveStats", "Solver",
     "SolverConfig", "TRUE", "TraceEvent", "TraceReplayer", "TruthValue",
     "UNKNOWN", "atom_of", "build_dependency_graph", "build_justification_maps",
-    "completion_clauses", "defined_fixpoint", "defnf_violations",
-    "direct_justifications", "eval_formula", "justification_status", "negate",
-    "normalize_to_defnf", "parse_cid", "parse_pcid", "parse_trace", "solve",
-    "to_dot", "write_cid", "write_trace",
+    "completion_clauses", "defined_fixpoint", "direct_justifications",
+    "eval_formula", "justification_status", "negate", "normalize_to_defnf",
+    "parse_cid", "parse_pcid", "parse_trace", "solve", "to_dot", "write_cid",
+    "write_trace",
 ]

@@ -163,19 +163,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_assignment(lits: list[int] | None) -> PartialInterpretation:
+def _parse_assignment(theory: DefnfTheory, option: str,
+                      lits: list[int] | None) -> PartialInterpretation:
+    for lit in lits or ():
+        _check_atom(theory, option, abs(lit))
     return PartialInterpretation.from_literals(lits or [])
+
+
+def _check_atom(theory: DefnfTheory, option: str, atom: int) -> None:
+    if not 1 <= atom <= theory.n_atoms:
+        raise ValueError(f"{option}: atom {atom} outside the atom table "
+                         f"(1..{theory.n_atoms})")
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     theory = load_theory(args.theory)
-    interp = _parse_assignment(args.assign)
+    interp = _parse_assignment(theory, "--assign", args.assign)
     sub = args.oracle_cmd
     if sub == "total":
         print("total" if oracle.is_total(theory.definition,
                                          theory.atoms.atoms()) else "not total")
     elif sub == "wfm":
-        context = _parse_assignment(args.context)
+        context = _parse_assignment(theory, "--context", args.context)
         wfm = oracle.well_founded_model(theory.definition, context)
         for atom in theory.atoms.atoms():
             print(f"{theory.name_of(atom)} {wfm.value(atom).symbol}")
@@ -185,7 +194,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         for model in models:
             print(" ".join(str(l) for l in model.true_literals()))
     elif sub == "justified":
-        atoms = [args.atom] if args.atom else list(theory.atoms.atoms())
+        atoms = theory.atoms.atoms()
+        if args.atom is not None:
+            _check_atom(theory, "--atom", args.atom)
+            atoms = [args.atom]
         for atom in atoms:
             status = oracle.justified_status(theory, interp, atom)
             label = {"t": "true", "f": "false", "u": "unknown"}[status.symbol]
@@ -295,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, ReplayOrderError, ValueError) as exc:
+    except (FormatError, OSError, ReplayOrderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except oracle.GuardExceeded as exc:

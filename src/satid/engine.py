@@ -69,10 +69,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import neg
-from typing import Callable
 
-from .core import (Definition, DefnfTheory, PartialInterpretation, Rule,
-                   TruthValue, completion_clauses)
+from .core import (Definition, DefnfTheory, PartialInterpretation, TruthValue,
+                   completion_clauses, cyclic_literals)
 from .justifier import JustifiedTheory, build_justification_maps
 from .relevance import RelevanceTracker
 
@@ -87,7 +86,6 @@ class SolverConfig:
     empty_relevant_policy: str = "backtrack"  # "backtrack" | "fallback"
     max_conflicts: int | None = None
     time_limit: float | None = None
-    decision_listener: Callable[[int, PartialInterpretation], None] | None = None
     debug: bool = False
 
     def __post_init__(self) -> None:
@@ -470,7 +468,7 @@ class Solver:
         sources form no cycle."""
         values, levels = self.values, self.levels
         rules = self._loop_rules
-        edges: list[Rule] = []
+        needs: dict[int, list[int]] = {}  # head -> the loop atoms in its source
         for head, (_, conjunctive, body) in rules.items():
             held = self._source[head]
             if held is None:
@@ -484,8 +482,8 @@ class Solver:
                 if self.lit_value(lit) == -1 and (
                         values[head] != -1 or levels[abs(lit)] < levels[head]):
                     raise AssertionError(f"source of {head} has false literal {lit}")
-            edges.append(Rule(head, True, tuple(lit for lit in lits if lit in rules)))
-        if _loop_dependent_atoms(Definition(edges)):
+            needs[head] = [lit for lit in lits if lit in rules]
+        if cyclic_literals(needs):
             raise AssertionError("the sources form a cycle")
 
     def propagate(self) -> list[int] | None:
@@ -587,10 +585,8 @@ class Solver:
             return atom if pos_relevant else -atom
         return atom if self.phase[atom] else -atom
 
-    def _decide(self, lit: int, flipped: bool = False, heuristic: bool = True) -> None:
+    def _decide(self, lit: int, flipped: bool = False) -> None:
         assert abs(lit) not in self._just_atoms, "justification atoms are never decided"
-        if heuristic and self.cfg.decision_listener is not None:
-            self.cfg.decision_listener(lit, self.interpretation(original_only=True))
         self.trail_lim.append(len(self.trail))
         self.flipped.append(flipped)
         self.stats.decisions += 1
@@ -603,7 +599,7 @@ class Solver:
             if not self.flipped[index]:
                 decision = self.trail[self.trail_lim[index]]
                 self._backtrack(index)
-                self._decide(-decision, flipped=True, heuristic=False)
+                self._decide(-decision, flipped=True)
                 return True
         return False
 
@@ -673,8 +669,7 @@ class Solver:
             picked = self._pick_atom(restrict_relevant=use_filter)
             if picked is not None:
                 atom, pos, neg = picked
-                self._decide(self._decision_literal(atom, pos, neg),
-                             heuristic=use_filter or not cfg.relevance_filter)
+                self._decide(self._decision_literal(atom, pos, neg))
                 continue
             if all(self.values[a] != 0 for a in self._plain_atoms):
                 return "sat", self.interpretation()
@@ -684,7 +679,7 @@ class Solver:
                 fallback = self._pick_atom(restrict_relevant=False)
                 assert fallback is not None
                 atom, _, _ = fallback
-                self._decide(atom if self.phase[atom] else -atom, heuristic=False)
+                self._decide(atom if self.phase[atom] else -atom)
                 continue
             if not self._flip_most_recent_decision():
                 return "unsat", None

@@ -305,6 +305,10 @@ def to_dot(obj, name_of=None) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as DOT")
 
 
+def _literal_order(lit: int) -> tuple[int, bool]:
+    return atom_of(lit), lit < 0
+
+
 def _label(lit: int, name_of) -> str:
     base = name_of(atom_of(lit)) if name_of is not None else f"x{atom_of(lit)}"
     return base if lit > 0 else "~" + base
@@ -320,19 +324,24 @@ def _dependency_dot(graph: DependencyGraph, name_of) -> str:
 
 def _relevance_dot(snapshot, name_of) -> str:
     """Relevant subgraph solid; cycle remnants among unjustified irrelevant
-    literals dashed (loops that can no longer support themselves)."""
+    literals dashed (loops that can no longer support themselves).  Edges
+    come in `DependencyGraph.edges` order."""
     relevant = snapshot.relevant
-    solid = [(s, d) for s, d in snapshot.edges if s in relevant and d in relevant]
-    floating = {lit for s, d in snapshot.edges for lit in (s, d)
+    children_of = snapshot.graph.children_of
+    floating = {lit for lit in snapshot.graph.literals()
                 if lit not in relevant and lit not in snapshot.justified}
-    sub = {lit: [d for s, d in snapshot.edges if s == lit and d in floating]
-           for lit in floating}
-    cyclic = cyclic_literals(sub)
-    dashed = [(s, d) for s, d in snapshot.edges
-              if s in cyclic and d in cyclic and d in sub.get(s, ())]
+    cyclic = cyclic_literals({lit: [d for d in children_of(lit) if d in floating]
+                              for lit in floating})
+
+    def edges_within(lits):
+        return [(src, dst) for src in sorted(lits, key=_literal_order)
+                for dst in sorted(children_of(src), key=_literal_order) if dst in lits]
+
+    solid = edges_within(relevant)
+    dashed = edges_within(cyclic)
 
     lines = ["digraph relevance {"]
-    for lit in sorted(relevant, key=lambda l: (atom_of(l), l < 0)):
+    for lit in sorted(relevant, key=_literal_order):
         lines.append(f'  "{_label(lit, name_of)}";')
     for src, dst in solid:
         lines.append(f'  "{_label(src, name_of)}" -> "{_label(dst, name_of)}";')

@@ -125,22 +125,3 @@ def _flatten(formula: And | Or) -> list[Formula]:
             result.append(child)
     return result
 
-
-def defnf_violations(theory: DefnfTheory) -> list[str]:
-    """Check every normal-form requirement; empty list means compliant."""
-    problems: list[str] = []
-    if not 1 <= theory.theory_atom <= theory.n_atoms:
-        problems.append("theory atom outside the atom table")
-    if theory.theory_atom not in theory.definition.defined_atoms:
-        problems.append("theory atom is not defined")
-    seen: set[int] = set()
-    for rule in theory.definition:
-        if rule.head in seen:
-            problems.append(f"atom {rule.head} defined twice")
-        seen.add(rule.head)
-        if not 1 <= rule.head <= theory.n_atoms:
-            problems.append(f"rule head {rule.head} outside the atom table")
-        for lit in rule.body:
-            if lit == 0 or abs(lit) > theory.n_atoms:
-                problems.append(f"body literal {lit} outside the atom table")
-    return problems

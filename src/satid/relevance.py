@@ -1,9 +1,17 @@
 """Incremental relevance tracking over the dependency graph.
 
-The tracker reads a static `core.DependencyGraph`, built once from the
-theory's definition, and hears literals change in the solver; the
-justifier's event-to-status map says whose justified status each change
-flips.  Nothing can be added to the graph after construction.
+The tracker is a module beside the solver, with a narrow interface:
+
+- built once per theory, by `RelevanceTracker.for_theory`, from a static
+  `core.DependencyGraph` and the justifier's event-to-status map; nothing
+  can be added to the graph afterwards;
+- input: `notify_becomes_true` and `notify_becomes_unknown`, the solver's
+  literal changes; the event-to-status map says whose justified status each
+  one flips, and literals it lacks are ignored;
+- output: `is_relevant`, which the solver's decisions ask;
+- inspection: `relevant_literals`, `justified_literals`, `watched_parent`,
+  `find_noncyclic_watch`, `snapshot` (the sets plus the graph itself, for
+  rendering) and `validate` (the debug invariants).
 
 A literal is relevant when it is not justified and can still contribute to
 justifying the theory atom: the theory atom itself while unjustified, plus
@@ -21,8 +29,11 @@ a self-supporting loop, the relevance analogue of an unfounded set).  Loops
 that lose outside support are dismantled by the resulting cascade, literal by
 literal.
 
-All notifications run through a FIFO work queue drained before the external
-call returns, so observers only ever see quiescent states.
+Each input runs through a FIFO queue of internal events (a literal becomes
+justified, unjustified, relevant or irrelevant; a candidate parent is
+offered or withdrawn), drained before the call returns, so observers only
+ever see quiescent states.  The internal events are valid only inside such
+a cascade and are not part of the interface.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ class RelevanceSnapshot:
 
     relevant: frozenset[int]
     justified: frozenset[int]
-    edges: tuple[tuple[int, int], ...]
+    graph: DependencyGraph
 
 
 class RelevanceTracker:
@@ -113,14 +124,14 @@ class RelevanceTracker:
 
     def snapshot(self) -> RelevanceSnapshot:
         return RelevanceSnapshot(frozenset(self.relevant_literals()),
-                                 frozenset(self._justified), tuple(self.graph.edges()))
+                                 frozenset(self._justified), self.graph)
 
     def _relevant(self, lit: int) -> bool:
         if lit == self._pt:
             return lit not in self._justified
         return lit in self._watched
 
-    # -- external notifications --------------------------------------------
+    # -- solver events ------------------------------------------------------
 
     def notify_becomes_true(self, lit: int) -> None:
         """A literal became true in the solver.  The event-to-status map says
@@ -128,40 +139,18 @@ class RelevanceTracker:
         original defined atoms) are ignored."""
         flipped = self._status_change.get(lit)
         if flipped is not None:
-            self._run(_JUSTIFIED, flipped, 0)
+            self._run(_JUSTIFIED, flipped)
 
     def notify_becomes_unknown(self, lit: int) -> None:
         """The mirror of notify_becomes_true for backtracked literals."""
         flipped = self._status_change.get(lit)
         if flipped is not None:
-            self._run(_UNJUSTIFIED, flipped, 0)
-
-    def notify_becomes_justified(self, lit: int) -> None:
-        self._run(_JUSTIFIED, lit, 0)
-
-    def notify_becomes_unjustified(self, lit: int) -> None:
-        self._run(_UNJUSTIFIED, lit, 0)
-
-    def notify_becomes_relevant(self, lit: int) -> None:
-        """Offer `lit` as a candidate parent to all its children.  Only valid
-        right after `lit` gained relevance (a watch, or the base case)."""
-        self._run(_RELEVANT, lit, 0)
-
-    def notify_becomes_irrelevant(self, lit: int) -> None:
-        """Withdraw `lit` as a candidate parent from all its children.  Only
-        valid right after `lit` lost relevance."""
-        self._run(_IRRELEVANT, lit, 0)
-
-    def notify_add_candidate_parent(self, lit: int, parent: int) -> None:
-        self._run(_ADD, lit, parent)
-
-    def notify_remove_candidate_parent(self, lit: int, parent: int) -> None:
-        self._run(_REMOVE, lit, parent)
+            self._run(_UNJUSTIFIED, flipped)
 
     # -- internals ----------------------------------------------------------
 
-    def _run(self, tag: int, a: int, b: int) -> None:
-        self._queue.append((tag, a, b))
+    def _run(self, tag: int, lit: int) -> None:
+        self._queue.append((tag, lit, 0))
         self._drain()
         if self._debug:
             self.validate()

@@ -97,9 +97,6 @@ class TraceReplayer:
             raise ValueError(f"unknown event kind {event.kind!r}")
         return output
 
-    def relevant_literals(self) -> set[int]:
-        return self.tracker.relevant_literals()
-
     def _check_literal(self, lit: int) -> None:
         if not 1 <= atom_of(lit) <= self._n_extended:
             raise ReplayOrderError(f"literal {lit} outside the extended atom table")

@@ -17,6 +17,7 @@ from satid.replay import TraceReplayer
 from satid import oracle
 
 import theory_gen
+from test_engine import FilteredPickRecorder
 
 ALL_CONFIGS = [
     SolverConfig(relevance_filter=filt, stop_on_justified=stop,
@@ -266,20 +267,15 @@ def test_criterion_7_structural_invariants():
     decisions_checked = 0
     for theory in solver_corpus()[:150]:
         for stop in (True, False):
-            recorded = []
-
-            def listener(lit, state):
-                recorded.append((lit, state))
-
             config = SolverConfig(relevance_filter=True, stop_on_justified=stop,
-                                  decision_listener=listener, debug=True)
-            solver = Solver(theory, config)
+                                  debug=True)
+            solver = FilteredPickRecorder(theory, config)
             solver.solve()
             for start in solver.trail_lim:
                 assert abs(solver.trail[start]) not in solver._just_atoms
-            for lit, state in recorded:
+            for atom, state in solver.filtered:
                 relevant = oracle.relevant_set(theory, state)
-                assert lit in relevant or -lit in relevant
+                assert atom in relevant or -atom in relevant
                 decisions_checked += 1
     print(f"ACCEPTANCE 7 structural invariants: PASS "
           f"(100 traces validated and reversed, {decisions_checked} filtered "

@@ -244,3 +244,21 @@ def test_compare_agreement(loop_path, capsys):
 def test_missing_file_is_reported(capsys):
     assert main(["solve", "/nonexistent/file.cid"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_directory_is_reported(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == EXIT_PARSE
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["justified", "--atom", "5"], ["justified", "--atom", "-2"],
+    ["justified", "--atom", "0"], ["relevant", "--assign", "5"],
+    ["count", "--assign", "2 -5"], ["wfm", "--context", "-5"],
+])
+def test_oracle_rejects_atoms_outside_the_table(loop_path, capsys, args):
+    command, option, value = args
+    assert main(["oracle", command, loop_path, option, value]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: atom" in captured.err and "outside the atom table" in captured.err

@@ -296,9 +296,9 @@ class DecisionProbe:
         self.decided = []
         self.filtered_picks = 0
 
-    def _decide(self, lit, flipped=False, heuristic=True):
+    def _decide(self, lit, flipped=False):
         self.decided.append(lit)
-        super()._decide(lit, flipped, heuristic)
+        super()._decide(lit, flipped)
 
     def _pick_atom(self, restrict_relevant):
         if restrict_relevant:
@@ -588,19 +588,33 @@ def test_justification_atoms_never_decided():
                 assert abs(solver.trail[start]) not in solver._just_atoms
 
 
+class FilteredPickRecorder(Solver):
+    """Records each atom a filtered decision picks, with the original atoms'
+    assignment at that moment."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.filtered = []
+
+    def _pick_atom(self, restrict_relevant):
+        picked = super()._pick_atom(restrict_relevant)
+        if restrict_relevant and picked is not None:
+            self.filtered.append((picked[0], self.interpretation(original_only=True)))
+        return picked
+
+
 def test_filtered_decisions_are_oracle_relevant():
     rng = random.Random(32)
     for _ in range(25):
         theory = theory_gen.random_verified_total_theory(rng, max_atoms=6)
-        seen = []
-
-        def listener(lit, state):
-            relevant = oracle.relevant_set(theory, state)
-            seen.append((lit, lit in relevant or -lit in relevant))
-
         config = SolverConfig(relevance_filter=True, stop_on_justified=True,
-                              decision_listener=listener, debug=True)
-        Solver(theory, config).solve()
+                              debug=True)
+        solver = FilteredPickRecorder(theory, config)
+        solver.solve()
+        seen = []
+        for atom, state in solver.filtered:
+            relevant = oracle.relevant_set(theory, state)
+            seen.append((atom, atom in relevant or -atom in relevant))
         assert all(ok for _, ok in seen), seen
 
 

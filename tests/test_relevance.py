@@ -93,69 +93,81 @@ def diamond_theory():
         [("p_T", "d", ["x", "y"]), ("x", "d", ["y"])])
 
 
+def fork_theory():
+    # p_T <- x | w | z and z, x, w <- y: breadth-first from p_T, y first
+    # watches x, but its parents come in rule order z, x, w
+    return theory_gen.build_theory(
+        "p_T x y z w", "p_T",
+        [("z", "d", ["y"]), ("x", "d", ["y"]), ("w", "d", ["y"]),
+         ("p_T", "d", ["x", "w", "z"])])
+
+
 def test_watch_swaps_to_alternative_parent():
-    theory = diamond_theory()
-    tracker, _ = fresh_tracker(theory)
-    p_T, x, y = 1, 2, 3
-    assert tracker.watched_parent(y) == p_T
-    tracker.notify_remove_candidate_parent(y, p_T)
+    theory = fork_theory()
+    tracker, setup = fresh_tracker(theory)
+    p_T, x, y, z, w = 1, 2, 3, 4, 5
     assert tracker.watched_parent(y) == x
-    assert tracker.relevant_literals() == {p_T, x, y}
+    tracker.notify_becomes_true(setup.maps.to_just[x])   # x justified
+    assert tracker.watched_parent(y) == z
+    assert tracker.relevant_literals() == {p_T, w, z, y}
 
 
-def test_find_noncyclic_watch():
+def test_find_noncyclic_watch(loop):
     theory = diamond_theory()
     tracker, _ = fresh_tracker(theory)
     p_T, x, y = 1, 2, 3
     tracker._watched[y] = x  # force the chain y -> x -> p_T
     assert tracker.find_noncyclic_watch(y, excluded=x) == p_T
-    # from x's perspective, y chains back to x, so only p_T qualifies
+    # x's only parent is the excluded p_T
     assert tracker.find_noncyclic_watch(x, excluded=p_T) is None
-
-
-def test_loop_parent_rejected_by_cycle_walk(loop):
+    # p's other parent q is relevant, but q's watch chain leads back to p
     tracker, _ = fresh_tracker(loop)
-    p_T, a, p, q = 1, 2, 3, 4
-    # removing p's watch on p_T leaves only q, whose chain leads back to p
-    tracker.notify_remove_candidate_parent(p, p_T)
-    assert not tracker.is_relevant(p)
-    assert not tracker.is_relevant(q)
-    assert tracker.is_relevant(a)
+    p_T, p, q = 1, 3, 4
+    assert tracker.watched_parent(q) == p
+    assert tracker.find_noncyclic_watch(p, excluded=p_T) is None
 
 
 def test_add_criteria_no_ops():
     theory = diamond_theory()
-    tracker, _ = fresh_tracker(theory)
+    tracker, setup = fresh_tracker(theory)
     p_T, x, y = 1, 2, 3
-    tracker.notify_add_candidate_parent(y, x)       # already watched
+    j_x = setup.maps.to_just[x]
+    tracker.notify_becomes_true(j_x)
+    tracker.notify_becomes_unknown(j_x)    # x offered to y, already watched
     assert tracker.watched_parent(y) == p_T
-    tracker.notify_becomes_justified(y)
-    tracker.notify_add_candidate_parent(y, p_T)     # justified literal
+    assert tracker.watched_parent(x) == p_T
+    tracker.notify_becomes_true(y)         # open y justified
+    tracker.notify_becomes_true(j_x)
+    tracker.notify_becomes_unknown(j_x)    # x offered to justified y
     assert tracker.watched_parent(y) is None
-    tracker.notify_becomes_unjustified(y)
+    tracker.notify_becomes_unknown(y)
     assert tracker.watched_parent(y) is not None    # relevant parents re-add
 
 
 def test_remove_of_non_watch_is_no_op():
-    theory = diamond_theory()
-    tracker, _ = fresh_tracker(theory)
-    y = 3
-    tracker.notify_remove_candidate_parent(y, 2)    # y watches p_T, not x
-    assert tracker.watched_parent(y) == 1
+    theory = fork_theory()
+    tracker, setup = fresh_tracker(theory)
+    x, y, w = 2, 3, 5
+    tracker.notify_becomes_true(setup.maps.to_just[w])   # w withdrawn from y
+    # y keeps x; a repair would have picked z, its first relevant parent
+    assert tracker.watched_parent(y) == x
 
 
 def test_relevant_offers_to_watched_children_are_ignored(loop):
-    tracker, _ = fresh_tracker(loop)
+    tracker, setup = fresh_tracker(loop)
+    j_p = setup.maps.to_just[3]
     before = dict(tracker._watched)
-    tracker.notify_becomes_relevant(1)   # re-offer the base case
+    tracker.notify_becomes_true(j_p)
+    # p relevant again: p is offered to q, which watches it again; then q
+    # is offered to p, which already watches p_T
+    tracker.notify_becomes_unknown(j_p)
     assert tracker._watched == before
 
 
 def test_irrelevant_on_childless_literal_is_no_op(loop):
     tracker, _ = fresh_tracker(loop)
     before = tracker.relevant_literals()
-    tracker.notify_becomes_justified(2)  # open leaf; no children to notify
-    tracker.notify_becomes_irrelevant(2)
+    tracker.notify_becomes_true(2)  # open leaf; no children to notify
     assert tracker.relevant_literals() == before - {2}
 
 
@@ -175,15 +187,15 @@ def test_unjustify_theory_atom_restores_base_relevance(loop):
 
 def test_double_justify_rejected(loop):
     tracker, _ = fresh_tracker(loop)
-    tracker.notify_becomes_justified(2)
+    tracker.notify_becomes_true(2)
     with pytest.raises(ValueError, match="already justified"):
-        tracker.notify_becomes_justified(2)
+        tracker.notify_becomes_true(2)
 
 
 def test_unjustify_requires_justified(loop):
     tracker, _ = fresh_tracker(loop)
     with pytest.raises(ValueError, match="not justified"):
-        tracker.notify_becomes_unjustified(2)
+        tracker.notify_becomes_unknown(2)
 
 
 # -- randomized quiescent exactness --------------------------------------------------
@@ -217,6 +229,52 @@ def test_reversibility_of_random_traces():
         fresh = RelevanceTracker.for_theory(theory, setup)
         assert replayer.tracker.relevant_literals() == fresh.relevant_literals()
         assert replayer.tracker.justified_literals() == set()
+
+
+def reachable_unjustified(graph, theory_atom, justified):
+    """Reference relevance: the unjustified literals reachable from the
+    unjustified theory atom through unjustified literals."""
+    if theory_atom in justified:
+        return set()
+    reached = {theory_atom}
+    stack = [theory_atom]
+    while stack:
+        for child in graph.children_of(stack.pop()):
+            if child not in reached and child not in justified:
+                reached.add(child)
+                stack.append(child)
+    return reached
+
+
+def test_tracker_against_reachability_under_solver_events():
+    # Random assignments of the tracked atoms, reached only through the
+    # solver events.  The tracker is not exact yet (ROADMAP item 6): it can
+    # miss literals that reachability includes, but never adds one.  87 of
+    # the 50,000 states miss some today; that count may only fall, and item 6
+    # must bring it to 0.
+    rng = random.Random(0)
+    states = missed_states = 0
+    for _ in range(1000):
+        theory = theory_gen.random_theory(rng)
+        tracker, setup = fresh_tracker(theory)
+        tracked = sorted({abs(lit) for lit in setup.maps.status_change})
+        assigned = {}  # tracked atom -> the literal last sent true
+        for _ in range(50):
+            unassigned = [atom for atom in tracked if atom not in assigned]
+            if unassigned and (not assigned or rng.random() < 0.5):
+                atom = rng.choice(unassigned)
+                assigned[atom] = rng.choice((atom, -atom))
+                tracker.notify_becomes_true(assigned[atom])
+            else:
+                tracker.notify_becomes_unknown(assigned.pop(rng.choice(sorted(assigned))))
+            want = reachable_unjustified(tracker.graph, theory.theory_atom,
+                                         tracker.justified_literals())
+            got = tracker.relevant_literals()
+            assert got <= want, (theory.definition.rules, sorted(got - want))
+            states += 1
+            missed_states += got != want
+    assert states == 50_000
+    assert missed_states <= 87, missed_states
 
 
 # -- performance shape ------------------------------------------------------------------
