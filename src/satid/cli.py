@@ -163,11 +163,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_assignment(theory: DefnfTheory, option: str,
-                      lits: list[int] | None) -> PartialInterpretation:
-    for lit in lits or ():
+def _parse_assignment(theory: DefnfTheory, option: str, lits: list[int] | None,
+                      opens_only: bool = False) -> PartialInterpretation:
+    lits = lits or []
+    given = set(lits)
+    opens = theory.opens if opens_only else None
+    for lit in lits:
         _check_atom(theory, option, abs(lit))
-    return PartialInterpretation.from_literals(lits or [])
+        if opens is not None and abs(lit) not in opens:
+            raise ValueError(f"{option}: atom {abs(lit)} is defined, not open")
+        if -lit in given:
+            raise ValueError(f"{option}: both {abs(lit)} and -{abs(lit)} given")
+    return PartialInterpretation.from_literals(lits)
 
 
 def _check_atom(theory: DefnfTheory, option: str, atom: int) -> None:
@@ -184,7 +191,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print("total" if oracle.is_total(theory.definition,
                                          theory.atoms.atoms()) else "not total")
     elif sub == "wfm":
-        context = _parse_assignment(theory, "--context", args.context)
+        context = _parse_assignment(theory, "--context", args.context,
+                                    opens_only=True)
         wfm = oracle.well_founded_model(theory.definition, context)
         for atom in theory.atoms.atoms():
             print(f"{theory.name_of(atom)} {wfm.value(atom).symbol}")

@@ -27,6 +27,25 @@ events, and it is not exact at quiescence (ROADMAP item 6).  That deferred
 and eager notification make the same decisions is so far only observed, on
 the test corpus and the benchmark workloads.
 
+Decisions come from an activity heap, as in MiniSat (Eén and Sörensson, SAT
+2003): the most active unassigned atom that is not a justification atom,
+ties broken by the lowest id (`ActivityOrder`).  A filtered pick pops
+atoms and asks the tracker only about the one popped.  Assigned atoms are
+dropped until a backtrack undoes them, and an atom irrelevant in both
+polarities goes to a side list, which the next backtrack or unfiltered
+pick puts back into the heap.  That is sound because relevance only shrinks
+between two backtracks.  A backtrack empties the side list before the sync
+that sends its `notify_becomes_unknown` events, and until the next one the
+tracker hears only `notify_becomes_true`, which starts a `_JUSTIFIED`
+cascade.  Such a cascade only removes watches or moves them to other
+parents, and queues no `_ADD` or `_RELEVANT` event, so an atom irrelevant in
+both polarities stays so until the next backtrack.  The picks are
+therefore the ones a scan over all atoms would make, and with
+`debug=True` each filtered pick checks that every side-listed atom is still
+irrelevant and every other unassigned atom has a live heap entry.  When a
+pick finds nothing, the side list holds exactly the unassigned decidable
+atoms, so an empty side list means that every one is assigned.
+
 Unfounded-set propagation only ever looks at the loop part of the
 definition: the defined atoms that lie on a positive loop or depend
 positively on one, and their justification copies, found once at
@@ -68,6 +87,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from operator import neg
 
 from .core import (Definition, DefnfTheory, PartialInterpretation, TruthValue,
@@ -132,6 +152,93 @@ class BudgetExhausted(RuntimeError):
         self.stats = stats
 
 
+class ActivityOrder:
+    """VSIDS activities and a lazy activity heap over the decidable atoms.
+
+    `heap` holds (-activity, atom) entries, so the most active atom comes
+    out first and ties go to the lowest id.  `key[atom]` is the key of the
+    atom's live entry, or None when it has none: an entry whose key differs
+    is stale and skipped when popped.  A bump pushes a fresh entry instead
+    of moving the old one, and the heap is rebuilt from the live keys when
+    stale entries make up most of it.  `side` holds the atoms a filtered
+    pick found irrelevant in both polarities, until the next backtrack or
+    unfiltered pick puts them back.
+    """
+
+    def __init__(self, n_atoms: int, undecidable: frozenset[int]) -> None:
+        self.activity = [0.0] * (n_atoms + 1)
+        self.inc = 1.0
+        self.key: list[float | None] = [0.0] * (n_atoms + 1)
+        self.key[0] = None
+        for atom in undecidable:
+            self.key[atom] = None
+        # in ascending order, which is already a heap
+        self.heap = [(0.0, atom) for atom, key in enumerate(self.key)
+                     if key is not None]
+        self.side: list[int] = []
+
+    def bump(self, atom: int) -> None:
+        activity = self.activity
+        activity[atom] += self.inc
+        if activity[atom] > 1e100:
+            for a in range(1, len(activity)):
+                activity[a] *= 1e-100
+            self.inc *= 1e-100
+            self._rebuild()
+        elif self.key[atom] is not None:
+            self.key[atom] = -activity[atom]
+            heappush(self.heap, (-activity[atom], atom))
+            if len(self.heap) > 2 * len(activity):
+                self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Drop the stale entries and rekey the live ones."""
+        key = self.key
+        activity = self.activity
+        for atom, old in enumerate(key):
+            if old is not None:
+                key[atom] = -activity[atom]
+        self.heap = [(k, atom) for atom, k in enumerate(key) if k is not None]
+        heapify(self.heap)
+
+    def restore_side(self) -> None:
+        """Put every side-listed atom back into the heap."""
+        key = self.key
+        activity = self.activity
+        for atom in self.side:
+            if key[atom] is None:
+                key[atom] = -activity[atom]
+                heappush(self.heap, (key[atom], atom))
+        self.side.clear()
+
+    def pop(self, values: list[int],
+            tracker: RelevanceTracker | None) -> tuple[int, bool, bool] | None:
+        """Pop the most active unassigned atom; with a tracker, the most
+        active one relevant in some polarity.  Returns (atom,
+        positive_relevant, negative_relevant), or None when the heap runs
+        dry; the side list then holds only unassigned atoms.  Popped atoms
+        that are assigned lose their entry until a backtrack undoes them."""
+        heap = self.heap
+        key = self.key
+        while heap:
+            k, atom = heappop(heap)
+            if key[atom] != k:
+                continue
+            key[atom] = None
+            if values[atom]:
+                continue
+            if tracker is None:
+                return atom, False, False
+            pos = tracker.is_relevant(atom)
+            neg = tracker.is_relevant(-atom)
+            if pos or neg:
+                return atom, pos, neg
+            self.side.append(atom)
+        if self.side:
+            self.side = [atom for atom in self.side if not values[atom]]
+        return None
+
+
 class Solver:
     """Single-use CDCL solver instance for one theory."""
 
@@ -167,13 +274,10 @@ class Solver:
             else:
                 self.watches.setdefault(clause[0], []).append(index)
                 self.watches.setdefault(clause[1], []).append(index)
-        self.activity = [0.0] * (self.n_atoms + 1)
-        self.var_inc = 1.0
         self.phase = [False] * (self.n_atoms + 1)
         self.stats = SolveStats()
         self._just_atoms = self.setup.maps.just_atoms
-        self._plain_atoms = [a for a in range(1, self.n_atoms + 1)
-                             if a not in self._just_atoms]
+        self.order = ActivityOrder(self.n_atoms, self._just_atoms)
         self._open_atoms = sorted(theory.opens)
         self._init_loop_part()
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
@@ -222,6 +326,12 @@ class Solver:
     def _backtrack(self, target_level: int) -> None:
         values = self.values
         tracked = self._tracked
+        order = self.order
+        order.restore_side()
+        key = order.key
+        activity = order.activity
+        heap = order.heap
+        just_atoms = self._just_atoms
         while len(self.trail_lim) > target_level:
             start = self.trail_lim.pop()
             self.flipped.pop()
@@ -231,6 +341,9 @@ class Solver:
                 value = values[atom]
                 if lit in tracked:
                     self._unsent.setdefault(atom, value)
+                if key[atom] is None and atom not in just_atoms:
+                    key[atom] = -activity[atom]
+                    heappush(heap, (key[atom], atom))
                 self.phase[atom] = value > 0
                 values[atom] = 0
                 self.reasons[atom] = None
@@ -501,13 +614,6 @@ class Solver:
 
     # -- conflict analysis ------------------------------------------------------
 
-    def _bump(self, atom: int) -> None:
-        self.activity[atom] += self.var_inc
-        if self.activity[atom] > 1e100:
-            for a in range(1, self.n_atoms + 1):
-                self.activity[a] *= 1e-100
-            self.var_inc *= 1e-100
-
     def analyze_conflict(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         current = self.level
@@ -517,6 +623,7 @@ class Solver:
         p: int | None = None
         reason = conflict
         index = len(self.trail) - 1
+        bump = self.order.bump
         while True:
             for lit in reason:
                 if p is not None and lit == p:
@@ -524,7 +631,7 @@ class Solver:
                 atom = abs(lit)
                 if atom not in seen and self.levels[atom] > 0:
                     seen.add(atom)
-                    self._bump(atom)
+                    bump(atom)
                     if self.levels[atom] == current:
                         counter += 1
                     else:
@@ -550,35 +657,42 @@ class Solver:
     # -- decisions ----------------------------------------------------------------
 
     def _pick_atom(self, restrict_relevant: bool) -> tuple[int, bool, bool] | None:
-        """Best unassigned decidable atom by activity (ties: lowest id).
+        """Best unassigned decidable atom by activity (ties: lowest id),
+        relevant in some polarity when `restrict_relevant` is set.
 
         Returns (atom, positive_relevant, negative_relevant); None when no
-        atom qualifies.
+        atom qualifies.  A filtered pick asks the tracker only about the
+        atoms it pops, and leaves those irrelevant in both polarities on
+        the order's side list; an unfiltered one first puts the side list
+        back into the heap.
         """
-        tracker = self.tracker
-        best: tuple[float, int] | None = None
-        best_atom = None
-        best_flags = (False, False)
-        for atom in self._plain_atoms:
-            if self.values[atom] != 0:
+        order = self.order
+        if not restrict_relevant:
+            order.restore_side()
+            return order.pop(self.values, None)
+        if self.cfg.debug:
+            self._check_order()
+        return order.pop(self.values, self.tracker)
+
+    def _check_order(self) -> None:
+        """Order invariants, checked at each filtered pick in debug mode;
+        raises AssertionError on breakage.  Each side-listed atom is
+        irrelevant in both polarities, and each other unassigned decidable
+        atom has a live heap entry.  Reads `relevant_literals`, which the
+        query count leaves out."""
+        order = self.order
+        relevant = self.tracker.relevant_literals()
+        side = set(order.side)
+        for atom in side:
+            if atom in relevant or -atom in relevant:
+                raise AssertionError(f"side-listed atom {atom} is relevant")
+        entries = set(order.heap)
+        for atom in range(1, self.n_atoms + 1):
+            if self.values[atom] or atom in side or atom in self._just_atoms:
                 continue
-            if restrict_relevant:
-                assert tracker is not None
-                pos = tracker.is_relevant(atom)
-                neg = tracker.is_relevant(-atom)
-                if not (pos or neg):
-                    continue
-                flags = (pos, neg)
-            else:
-                flags = (False, False)
-            key = (self.activity[atom], -atom)
-            if best is None or key > best:
-                best = key
-                best_atom = atom
-                best_flags = flags
-        if best_atom is None:
-            return None
-        return best_atom, best_flags[0], best_flags[1]
+            key = order.key[atom]
+            if key != -order.activity[atom] or (key, atom) not in entries:
+                raise AssertionError(f"unassigned atom {atom} has no live heap entry")
 
     def _decision_literal(self, atom: int, pos_relevant: bool, neg_relevant: bool) -> int:
         if pos_relevant != neg_relevant:
@@ -646,7 +760,7 @@ class Solver:
                 self._backtrack(backjump_level)
                 index = self._add_learned_clause(learned)
                 self._enqueue(learned[0], index)
-                self.var_inc /= VSIDS_DECAY
+                self.order.inc /= VSIDS_DECAY
                 if conflicts_here >= restart_limit:
                     luby_index += 1
                     restart_limit = LUBY_UNIT * _luby(luby_index)
@@ -671,7 +785,7 @@ class Solver:
                 atom, pos, neg = picked
                 self._decide(self._decision_literal(atom, pos, neg))
                 continue
-            if all(self.values[a] != 0 for a in self._plain_atoms):
+            if not self.order.side:  # every decidable atom is assigned
                 return "sat", self.interpretation()
             # relevance filter left nothing decidable while atoms remain and
             # the theory atom is not justified

@@ -195,6 +195,25 @@ def test_oracle_wfm(loop_path, capsys):
     assert out == {"x1": "f", "x2": "f", "x3": "f", "x4": "f"}
 
 
+@pytest.mark.parametrize("command, option", [
+    ("justified", "--assign"), ("count", "--assign"), ("wfm", "--context"),
+])
+def test_oracle_rejects_contradictory_assignments(loop_path, capsys, command, option):
+    assert main(["oracle", command, loop_path, option, "2 -2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: both 2 and -2 given" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1", "-3", "2 4"])
+def test_oracle_wfm_context_takes_only_open_atoms(loop_path, capsys, value):
+    # in LOOP_CID atoms 1, 3 and 4 are defined and 2 is open
+    assert main(["oracle", "wfm", loop_path, "--context", value]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--context: atom" in captured.err and "is defined, not open" in captured.err
+
+
 def test_oracle_guard_refusal(tmp_path, capsys):
     rules = "\n".join(f"r {a} d {a + 1} 0" for a in range(1, 15))
     path = tmp_path / "big.cid"

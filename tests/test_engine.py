@@ -156,7 +156,8 @@ def test_unfounded_pass_matches_all_atoms_sweep():
             if expected:
                 nonempty += 1
                 continue
-            unassigned = [a for a in solver._plain_atoms if solver.values[a] == 0]
+            unassigned = [a for a in range(1, solver.n_atoms + 1)
+                          if a not in solver._just_atoms and solver.values[a] == 0]
             if not unassigned:
                 break
             atom = rng.choice(unassigned)
@@ -191,7 +192,8 @@ def test_unfounded_pass_matches_sweep_across_backtracks():
                     after_backtrack += 1
                 if expected and conflict is None:
                     continue
-            unassigned = [a for a in solver._plain_atoms if solver.values[a] == 0]
+            unassigned = [a for a in range(1, solver.n_atoms + 1)
+                          if a not in solver._just_atoms and solver.values[a] == 0]
             if conflict is None and unassigned and (solver.level == 0
                                                     or rng.random() < 0.6):
                 atom = rng.choice(unassigned)
@@ -407,6 +409,147 @@ def test_no_sync_after_the_last_decision():
     solver.tracker.notify_becomes_unknown = heard.append
     assert solver.solve().stats.stopped_early
     assert heard == []
+
+
+# -- decision order ----------------------------------------------------------------------
+
+def scan_pick(solver, restrict_relevant):
+    """Reference for the activity heap: a linear scan for the most active
+    unassigned decidable atom (ties: lowest id), relevant in some polarity
+    when asked.  It reads `relevant_literals`, so the query count is left
+    as it is."""
+    relevant = solver.tracker.relevant_literals() if restrict_relevant else set()
+    best = None
+    for atom in range(1, solver.n_atoms + 1):
+        if atom in solver._just_atoms or solver.values[atom]:
+            continue
+        pos, neg = atom in relevant, -atom in relevant
+        if restrict_relevant and not (pos or neg):
+            continue
+        key = (solver.order.activity[atom], -atom)
+        if best is None or key > best[0]:
+            best = (key, (atom, pos, neg))
+    return None if best is None else best[1]
+
+
+class ScanCheckedPicks:
+    """Asserts at every pick that the heap picks what the scan picks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.picks = {"filtered": 0, "unfiltered": 0, "restored": 0}
+
+    def _pick_atom(self, restrict_relevant):
+        expected = scan_pick(self, restrict_relevant)
+        if restrict_relevant:
+            self.picks["filtered"] += 1
+        else:
+            self.picks["unfiltered"] += 1
+            self.picks["restored"] += bool(self.order.side)
+        picked = super()._pick_atom(restrict_relevant)
+        assert picked == expected, (picked, expected)
+        return picked
+
+
+class ScanCheckedDeferred(ScanCheckedPicks, DeferredSolver):
+    pass
+
+
+class ScanCheckedEager(ScanCheckedPicks, EagerSolver):
+    pass
+
+
+def test_heap_picks_match_the_linear_scan():
+    picks = dict.fromkeys(("filtered", "unfiltered", "restored"), 0)
+    for theory in deferral_corpus():
+        for config in ALL_CONFIGS:
+            kinds = [ScanCheckedDeferred]
+            if config.relevance_filter:
+                kinds.append(ScanCheckedEager)
+            for kind in kinds:
+                solver = kind(theory, config)
+                solver.solve()
+                for name, count in solver.picks.items():
+                    picks[name] += count
+    assert picks["filtered"] > 1500 and picks["unfiltered"] > 8000, picks
+    assert picks["restored"] > 200, picks
+
+
+def test_heap_picks_match_the_scan_through_rescale_and_rebuild():
+    # a huge starting increment pushes activities past 1e100 within a few
+    # conflicts; the long search also fills the heap with stale entries
+    theory = three_sat_theory(random.Random(40), 60, 255)
+    for filtered in (True, False):
+        solver = ScanCheckedDeferred(
+            theory, SolverConfig(relevance_filter=filtered, debug=True))
+        order = solver.order
+        order.inc = 1e99
+        sizes = []  # heap length at each rebuild
+        rebuild = order._rebuild
+        order._rebuild = lambda: sizes.append(len(order.heap)) or rebuild()
+        result = solver.solve()
+        assert result.stats.conflicts > 50, result.stats
+        assert order.inc < 1e99  # rescaled
+        limit = 2 * len(order.activity)
+        assert any(size <= limit for size in sizes), sizes  # by the rescale
+        assert any(size > limit for size in sizes), sizes  # by stale entries
+
+
+def test_backtrack_returns_the_side_list_to_the_heap():
+    # T <- A & B, A <- x | y, B <- v | w over open x, y, v, w: once x is
+    # decided, A is justified and y is irrelevant until x is undone
+    theory = theory_gen.build_theory(
+        "T A B x y v w", "T",
+        [("T", "c", ["A", "B"]), ("A", "d", ["x", "y"]), ("B", "d", ["v", "w"])])
+    x, y, v = (theory.atoms.id_of(name) for name in "xyv")
+    solver = Solver(theory, SolverConfig(debug=True))
+    for lit, index in solver._root_units:
+        assert solver._enqueue(lit, index)
+
+    def pick():
+        assert solver.propagate() is None
+        solver._sync_tracker()
+        expected = scan_pick(solver, True)
+        picked = solver._pick_atom(True)
+        assert picked == expected
+        return picked
+
+    assert pick() == (x, True, False)
+    solver._decide(x)
+    assert pick() == (v, True, False)
+    assert solver.order.side == [y]
+    solver._decide(v)
+    solver._backtrack(0)
+    assert solver.order.side == []
+    assert pick() == (x, True, False)
+    assert y in solver.tracker.relevant_literals()
+
+
+def loops_theory(rng, count):
+    """`T <- p_1 & ... & p_n`, `p_i <- q_i | o_i`, `q_i <- p_i` with the
+    `o_i` open, atom ids shuffled."""
+    names = [f"{kind}{i}" for i in range(count) for kind in "pqo"] + ["T"]
+    rng.shuffle(names)
+    rules = [("T", "c", [f"p{i}" for i in range(count)])]
+    for i in range(count):
+        rules.append((f"p{i}", "d", [f"q{i}", f"o{i}"]))
+        rules.append((f"q{i}", "d", [f"p{i}"]))
+    return theory_gen.build_theory(" ".join(names), "T", rules)
+
+
+def test_loops_ask_only_about_the_decided_atom():
+    rng = random.Random(41)
+    for count in (1, 10, 60):
+        stats = solve(loops_theory(rng, count)).stats
+        assert stats.stopped_early and stats.decisions == count, stats
+        assert stats.relevance_queries == 2 * stats.decisions, stats
+
+
+def test_solver_keeps_to_the_shared_key_limit(loop):
+    # CPython 3.11 lets the instances of a class share one key table for at
+    # most 29 attributes; past that every Solver keeps a dict of its own
+    for filtered in (True, False):
+        assert len(vars(Solver(loop, SolverConfig(relevance_filter=filtered)))) <= 29
 
 
 def reference_clause(lits):
