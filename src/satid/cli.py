@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .core import DefnfTheory, PartialInterpretation, build_dependency_graph
+from .core import DefnfTheory, PartialInterpretation
 from .engine import BudgetExhausted, Solver, SolverConfig, SolveStats
 from .formats import (FormatError, parse_cid, parse_pcid, parse_trace, to_dot,
                       write_cid)
@@ -121,15 +121,15 @@ def _write_stats(args: argparse.Namespace, status: str, stats: SolveStats) -> No
 def cmd_solve(args: argparse.Namespace) -> int:
     theory = load_theory(args.theory)
     solver = Solver(theory, _config(args))
+    if args.dot:  # the graph is static, so every outcome gets it
+        Path(args.dot).write_text(to_dot(solver.setup.graph, theory.name_of),
+                                  encoding="utf-8")
     try:
         result = solver.solve()
     except BudgetExhausted as exc:
         _write_stats(args, "unknown", exc.stats)
         print(f"UNKNOWN ({exc})")
         return EXIT_UNKNOWN
-    if args.dot:
-        graph = build_dependency_graph(theory.definition)
-        Path(args.dot).write_text(to_dot(graph, theory.name_of), encoding="utf-8")
     _write_stats(args, result.status, result.stats)
     if result.status == "sat":
         print("SATISFIABLE")

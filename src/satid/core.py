@@ -168,9 +168,6 @@ class PartialInterpretation:
         copy._vals = {a: v for a, v in self._vals.items() if a in keep}
         return copy
 
-    def assigned_atoms(self) -> set[Atom]:
-        return set(self._vals)
-
     def true_literals(self) -> list[Literal]:
         return sorted((a if v > 0 else -a for a, v in self._vals.items()), key=abs)
 
@@ -221,14 +218,6 @@ class Or:
 
 
 Formula = Union[int, Not, And, Or]
-
-
-def conj(*children: Formula) -> And:
-    return And(tuple(children))
-
-
-def disj(*children: Formula) -> Or:
-    return Or(tuple(children))
 
 
 def to_nnf(formula: Formula, positive: bool = True) -> Formula:
@@ -307,6 +296,7 @@ class Definition:
             if rule.head in self._by_head:
                 raise ValueError(f"atom {rule.head} defined twice")
             self._by_head[rule.head] = rule
+        self._defined = frozenset(self._by_head)
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -317,7 +307,9 @@ class Definition:
 
     @property
     def defined_atoms(self) -> frozenset[Atom]:
-        return frozenset(self._by_head)
+        """The heads, built once.  `Solver._loop_rules` and the tests'
+        `reference_unfounded` sweep follow this set's iteration order."""
+        return self._defined
 
     @property
     def mentioned_atoms(self) -> frozenset[Atom]:
@@ -428,6 +420,34 @@ class DependencyGraph:
         lits = set(self._children)
         lits.update(self._parents)
         return lits
+
+    def loop_atoms(self) -> set[Atom]:
+        """Defined atoms on a positive loop or depending positively on one.
+
+        A Kahn-style peel over the positive edges between heads: a head is
+        peeled once all its positive children with children of their own
+        are, and the heads never peeled are returned.  Open atoms and the
+        heads of empty bodies have no children and need no peeling.
+        """
+        children = self._children
+        missing: dict[Atom, int] = {}  # unpeeled head -> its unpeeled edges
+        ready: list[Atom] = []
+        for head, kids in children.items():
+            if head > 0:
+                n_deps = len([lit for lit in kids if lit > 0 and lit in children])
+                if n_deps:
+                    missing[head] = n_deps
+                else:
+                    ready.append(head)
+        parents = self._parents
+        while ready:
+            for head in parents.get(ready.pop(), _NO_LITERALS):
+                if head > 0:
+                    missing[head] -= 1
+                    if not missing[head]:
+                        del missing[head]
+                        ready.append(head)
+        return set(missing)
 
 
 def build_dependency_graph(definition: Definition) -> DependencyGraph:

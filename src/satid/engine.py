@@ -49,14 +49,15 @@ atoms, so an empty side list means that every one is assigned.
 Unfounded-set propagation only ever looks at the loop part of the
 definition: the defined atoms that lie on a positive loop or depend
 positively on one, and their justification copies, found once at
-construction by peeling the loop-free atoms off the positive dependency
-graph.  That is exact at a unit-propagation fixpoint.  Suppose the
-unfounded set held peeled atoms, and take the one peeled first.  None of its
-positive defined body atoms is in the set (they were all peeled before it),
-so its body lacks support only if the body is false.  The completion clause
-for that body would then have made the atom false, and false atoms are never
-in the set.  A definition without positive loops therefore never runs the
-pass.
+construction by peeling the loop-free atoms off the positive edges of the
+theory's one dependency graph, `JustifiedTheory.graph`, which the relevance
+tracker watches too (`DependencyGraph.loop_atoms`).  That is exact at a
+unit-propagation fixpoint.  Suppose the unfounded set held peeled atoms, and
+take the one peeled first.  None of its positive defined body atoms is in
+the set (they were all peeled before it), so its body lacks support only if
+the body is false.  The completion clause for that body would then have made
+the atom false, and false atoms are never in the set.  A definition without
+positive loops therefore never runs the pass.
 
 Within the loop part the check is incremental, with source pointers as in
 SAT(ID) (Mariën et al., SAT 2008).  Each founded loop atom keeps a source:
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import neg
 
-from .core import (Definition, DefnfTheory, PartialInterpretation, TruthValue,
+from .core import (DefnfTheory, PartialInterpretation, TruthValue,
                    completion_clauses, cyclic_literals)
 from .justifier import JustifiedTheory, build_justification_maps
 from .relevance import RelevanceTracker
@@ -430,7 +431,7 @@ class Solver:
         # the source literal for a disjunctive one, None for no source; the
         # list is made by the first pass
         self._source: list[int | None] | None = None
-        loop = _loop_dependent_atoms(self.theory.definition)
+        loop = self.setup.graph.loop_atoms()
         if not loop:
             return
         to_just = self.setup.maps.to_just
@@ -797,37 +798,6 @@ class Solver:
                 continue
             if not self._flip_most_recent_decision():
                 return "unsat", None
-
-
-def _loop_dependent_atoms(definition: Definition) -> set[int]:
-    """Defined atoms on a positive loop or depending positively on one.
-
-    A Kahn-style peel over the positive edges from each head to the defined
-    atoms in its body: an atom is peeled once all those atoms are, and the
-    atoms never peeled are returned.
-    """
-    defined = definition.defined_atoms
-    missing: dict[int, int] = {}  # unpeeled head -> its unpeeled edges
-    parents: dict[int, list[int]] = {}
-    ready: list[int] = []
-    for rule in definition:
-        head = rule.head
-        n_deps = 0
-        for lit in rule.body:
-            if lit in defined:
-                n_deps += 1
-                parents.setdefault(lit, []).append(head)
-        if n_deps:
-            missing[head] = n_deps
-        else:
-            ready.append(head)
-    while ready:
-        for head in parents.get(ready.pop(), ()):
-            missing[head] -= 1
-            if not missing[head]:
-                del missing[head]
-                ready.append(head)
-    return set(missing)
 
 
 def _luby(i: int) -> int:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FALSE, TRUE, UNKNOWN, DefnfTheory, Definition,
-                   PartialInterpretation, Rule, TruthValue, atom_of)
+                   DependencyGraph, PartialInterpretation, Rule, TruthValue,
+                   atom_of, build_dependency_graph)
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,14 @@ class JustificationMaps:
 
 @dataclass(frozen=True)
 class JustifiedTheory:
-    """A theory together with its justification copy and combined solver view."""
+    """A theory together with its justification copy, combined solver view
+    and the base definition's dependency graph, the one that the relevance
+    tracker, the solver's loop peel and `satid solve --dot` read."""
 
     base: DefnfTheory
     maps: JustificationMaps
     extended: DefnfTheory
+    graph: DependencyGraph
 
     @property
     def just_theory_atom(self) -> int:
@@ -89,7 +93,8 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
                              Definition(j_rules))
     combined = Definition(theory.definition.rules + maps.definition.rules)
     extended = DefnfTheory(atoms, theory.theory_atom, combined)
-    return JustifiedTheory(theory, maps, extended)
+    return JustifiedTheory(theory, maps, extended,
+                           build_dependency_graph(theory.definition))
 
 
 def justification_status(setup: JustifiedTheory, lit: int,

@@ -178,9 +178,6 @@ class Justification:
         internal = {src for src, _ in self.edges}
         return frozenset(self.nodes - internal)
 
-    def contains(self, lit: int) -> bool:
-        return lit in self.nodes
-
 
 def validate_justification(just: Justification, definition: Definition) -> None:
     for src, dst in just.edges:

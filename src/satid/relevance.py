@@ -2,9 +2,11 @@
 
 The tracker is a module beside the solver, with a narrow interface:
 
-- built once per theory, by `RelevanceTracker.for_theory`, from a static
-  `core.DependencyGraph` and the justifier's event-to-status map; nothing
-  can be added to the graph afterwards;
+- built once per theory, by `RelevanceTracker.for_theory`, from the
+  justifier's setup: the static `core.DependencyGraph` that
+  `build_justification_maps` builds (`JustifiedTheory.graph`, which the
+  solver's loop peel and `satid solve --dot` read too) and the event-to-status
+  map; nothing can be added to the graph afterwards;
 - input: `notify_becomes_true` and `notify_becomes_unknown`, the solver's
   literal changes; the event-to-status map says whose justified status each
   one flips, and literals it lacks are ignored;
@@ -42,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DefnfTheory, DependencyGraph, build_dependency_graph
+from .core import DefnfTheory, DependencyGraph
 from .justifier import JustifiedTheory, build_justification_maps
 
 _JUSTIFIED = 0
@@ -101,8 +103,8 @@ class RelevanceTracker:
                    debug: bool = False) -> "RelevanceTracker":
         if setup is None:
             setup = build_justification_maps(theory)
-        return cls(theory.theory_atom, build_dependency_graph(theory.definition),
-                   setup.maps.status_change, debug=debug)
+        return cls(theory.theory_atom, setup.graph, setup.maps.status_change,
+                   debug=debug)
 
     # -- queries -----------------------------------------------------------
 

@@ -88,6 +88,19 @@ def test_budget_exhausted_exit_code_and_stats(tmp_path, capsys):
                                 EXIT_GUARD)
 
 
+def test_budget_exhausted_still_writes_the_dot_file(tmp_path, capsys):
+    source = tmp_path / "quad.cid"
+    source.write_text(QUAD_CID)
+    dot_path, stats_path = tmp_path / "deps.dot", tmp_path / "stats.json"
+    assert main(["solve", str(source), "--max-conflicts", "0",
+                 "--dot", str(dot_path), "--stats-json", str(stats_path)]) \
+        == EXIT_UNKNOWN
+    assert "UNKNOWN" in capsys.readouterr().out
+    assert json.loads(stats_path.read_text())["result"] == "unknown"
+    dot = dot_path.read_text()
+    assert dot.startswith("digraph") and '"x1" -> "x2"' in dot
+
+
 @pytest.mark.parametrize("limit", ["nan", "-1", "-inf"])
 def test_solve_rejects_time_limit_below_zero_or_nan(loop_path, capsys, limit):
     assert main(["solve", loop_path, f"--time-limit={limit}"]) == EXIT_PARSE

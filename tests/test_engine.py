@@ -6,8 +6,10 @@ import pytest
 
 from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, Rule, Solver, SolverConfig,
-                   build_justification_maps, completion_clauses,
-                   defined_fixpoint, normalize_to_defnf, parse_pcid, solve)
+                   build_dependency_graph, build_justification_maps,
+                   completion_clauses, defined_fixpoint, normalize_to_defnf,
+                   parse_pcid, solve)
+from satid.core import cyclic_literals
 from satid.engine import BudgetExhausted, _luby
 from satid import oracle
 
@@ -285,6 +287,56 @@ def test_positive_loop_runs_unfounded_pass(loop):
     calls = count_unfounded_calls(solver)
     assert solver.solve().status == "sat"
     assert calls
+
+
+def reference_loop_atoms(definition):
+    """Defined atoms on a positive cycle between defined atoms, closed under
+    positive dependence: a head with such an atom in its body joins."""
+    defined = definition.defined_atoms
+    edges = {rule.head: [lit for lit in rule.body if lit in defined]
+             for rule in definition}
+    loop = cyclic_literals(edges)
+    grown = True
+    while grown:
+        grown = False
+        for head, deps in edges.items():
+            if head not in loop and any(dep in loop for dep in deps):
+                loop.add(head)
+                grown = True
+    return loop
+
+
+def test_loop_peel_matches_the_cycle_reference():
+    rng = random.Random(42)
+    theories = LOOP_SHAPES + [chain_theory(50)] + [
+        theory_gen.random_theory(rng) for _ in range(300)]
+    with_loops = 0
+    for theory in theories:
+        want = reference_loop_atoms(theory.definition)
+        setup = build_justification_maps(theory)
+        assert setup.graph.loop_atoms() == want, theory.definition.rules
+        solver = Solver(theory, SolverConfig(relevance_filter=False))
+        assert set(solver._loop_rules) == want | {setup.maps.to_just[a] for a in want}
+        with_loops += bool(want)
+    assert with_loops > 100, with_loops
+
+
+@pytest.mark.parametrize("rules, want", [
+    # 4 has an empty body: 3 <- 4 peels, and 1 <- 2 | 3 with it; 2 <- 2 stays
+    ([Rule(1, False, (2, 3)), Rule(2, True, (2, 5)), Rule(3, False, (4,)),
+      Rule(4, True, ())], {1, 2}),
+    # 2 repeated in 1's body: the graph keeps one edge 1 -> 2, so 1 peels
+    # right after 2 (and 3 after 1) on the left, and sits above the 2-4
+    # loop on the right
+    ([Rule(1, True, (2, 2, -5)), Rule(2, False, (5,)), Rule(3, False, (1, 1))],
+     set()),
+    ([Rule(1, True, (2, 2, -5)), Rule(2, False, (4, 5)), Rule(4, True, (2, 2)),
+      Rule(3, False, (1, 1))], {1, 2, 3, 4}),
+])
+def test_loop_peel_handles_empty_bodies_and_repeated_literals(rules, want):
+    definition = Definition(rules)
+    assert reference_loop_atoms(definition) == want
+    assert build_dependency_graph(definition).loop_atoms() == want
 
 
 # -- deferred tracker notifications ----------------------------------------------------
