@@ -9,7 +9,7 @@ to the theory atom are detected by walking watch chains and collapse.
 from pathlib import Path
 
 from satid import (RelevanceTracker, build_justification_maps, parse_cid,
-                   parse_trace, to_dot)
+                   parse_trace, relevance_dot)
 from satid.replay import TraceReplayer
 
 theory = parse_cid(Path(__file__).with_name("data").joinpath("loop.cid").read_text())
@@ -44,4 +44,4 @@ print(f"\ntrace replay: {report.events} events, "
       f"{report.oracle_checks} oracle checks, ok={report.ok}")
 
 print("\nfinal relevance graph as DOT:")
-print(to_dot(replayer.tracker.snapshot(), theory.name_of))
+print(relevance_dot(replayer.tracker, theory.name_of))

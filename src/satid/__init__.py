@@ -15,11 +15,12 @@ from .core import (FALSE, TRUE, UNKNOWN, And, AtomTable, DefnfTheory,
 from .engine import (BudgetExhausted, SolveResult, Solver, SolverConfig,
                      SolveStats, defined_fixpoint, solve)
 from .formats import (FormatError, PcidAst, TraceEvent, parse_cid, parse_pcid,
-                      parse_trace, to_dot, write_cid, write_trace)
+                      parse_trace, relevance_dot, to_dot, write_cid,
+                      write_trace)
 from .justifier import (JustificationMaps, JustifiedTheory,
-                        build_justification_maps, justification_status)
+                        build_justification_maps)
 from .normalize import normalize_to_defnf
-from .relevance import RelevanceSnapshot, RelevanceTracker
+from .relevance import RelevanceTracker
 from .replay import ReplayOrderError, ReplayReport, TraceReplayer
 
 __version__ = "0.1.0"
@@ -28,12 +29,11 @@ __all__ = [
     "And", "AtomTable", "BudgetExhausted", "DefnfTheory", "Definition",
     "DependencyGraph", "FALSE", "FormatError", "JustificationMaps",
     "JustifiedTheory", "Not", "Or", "PartialInterpretation", "PcidAst",
-    "RelevanceSnapshot", "RelevanceTracker", "ReplayOrderError",
-    "ReplayReport", "Rule", "SolveResult", "SolveStats", "Solver",
-    "SolverConfig", "TRUE", "TraceEvent", "TraceReplayer", "TruthValue",
-    "UNKNOWN", "atom_of", "build_dependency_graph", "build_justification_maps",
-    "completion_clauses", "defined_fixpoint", "direct_justifications",
-    "eval_formula", "justification_status", "negate", "normalize_to_defnf",
-    "parse_cid", "parse_pcid", "parse_trace", "solve", "to_dot", "write_cid",
-    "write_trace",
+    "RelevanceTracker", "ReplayOrderError", "ReplayReport", "Rule",
+    "SolveResult", "SolveStats", "Solver", "SolverConfig", "TRUE",
+    "TraceEvent", "TraceReplayer", "TruthValue", "UNKNOWN", "atom_of",
+    "build_dependency_graph", "build_justification_maps", "completion_clauses",
+    "defined_fixpoint", "direct_justifications", "eval_formula", "negate",
+    "normalize_to_defnf", "parse_cid", "parse_pcid", "parse_trace",
+    "relevance_dot", "solve", "to_dot", "write_cid", "write_trace",
 ]

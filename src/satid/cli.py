@@ -10,6 +10,7 @@ expectation or oracle mismatches and 3 when an oracle guard refuses.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 from . import oracle
 from .core import DefnfTheory, PartialInterpretation
 from .engine import BudgetExhausted, Solver, SolverConfig, SolveStats
-from .formats import (FormatError, parse_cid, parse_pcid, parse_trace, to_dot,
-                      write_cid)
+from .formats import (FormatError, parse_cid, parse_pcid, parse_trace,
+                      relevance_dot, to_dot, write_cid)
 from .normalize import normalize_to_defnf
 from .replay import ReplayOrderError, TraceReplayer
 
@@ -96,19 +97,7 @@ def _config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _stats_payload(status: str, stats: SolveStats) -> dict:
-    return {
-        "result": status,
-        "decisions": stats.decisions,
-        "conflicts": stats.conflicts,
-        "propagations": stats.propagations,
-        "unfounded_sets": stats.unfounded_sets,
-        "learned_clauses": stats.learned_clauses,
-        "restarts": stats.restarts,
-        "relevance_queries": stats.relevance_queries,
-        "stopped_early": stats.stopped_early,
-        "models_represented": stats.models_represented,
-        "wall_ms": stats.wall_ms,
-    }
+    return {"result": status, **dataclasses.asdict(stats)}
 
 
 def _write_stats(args: argparse.Namespace, status: str, stats: SolveStats) -> None:
@@ -152,7 +141,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(line)
     if args.dot:
         Path(args.dot).write_text(
-            to_dot(replayer.tracker.snapshot(), theory.name_of), encoding="utf-8")
+            relevance_dot(replayer.tracker, theory.name_of), encoding="utf-8")
     if report.mismatches:
         for miss in report.mismatches:
             print(f"MISMATCH at event {miss.event_index}: {miss.message}",

@@ -125,8 +125,8 @@ class SolveStats:
     conflicts: int = 0
     propagations: int = 0
     unfounded_sets: int = 0
-    restarts: int = 0
     learned_clauses: int = 0
+    restarts: int = 0
     relevance_queries: int = 0
     stopped_early: bool = False
     models_represented: int | None = None
@@ -830,8 +830,9 @@ def defined_fixpoint(theory: DefnfTheory,
     for lit, index in solver._root_units:
         if not solver._enqueue(lit, index):
             raise ValueError("definition is contradictory at the root")
+    opens = theory.opens
     for lit in open_literals:
-        if abs(lit) not in theory.opens:
+        if abs(lit) not in opens:
             raise ValueError(f"literal {lit} is not over an open atom")
         if not solver._enqueue(lit, None):
             raise ValueError(f"contradictory open literal {lit}")

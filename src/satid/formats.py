@@ -1,5 +1,6 @@
 """File formats: `.cid` theories, `.pcid` s-expression theories, `.trc` traces,
-and DOT rendering of dependency/relevance graphs.
+and DOT rendering of a dependency graph (`to_dot`) or of a relevance
+tracker's state (`relevance_dot`).
 
 `.cid` (line based, `%` comments):
     p cid <natoms>
@@ -294,17 +295,6 @@ def write_trace(events: list[TraceEvent]) -> str:
 # ---------------------------------------------------------------------------
 # DOT rendering
 
-def to_dot(obj, name_of=None) -> str:
-    """Render a DependencyGraph or a relevance snapshot as a DOT digraph."""
-    from .relevance import RelevanceSnapshot  # deferred: relevance imports core only
-
-    if isinstance(obj, DependencyGraph):
-        return _dependency_dot(obj, name_of)
-    if isinstance(obj, RelevanceSnapshot):
-        return _relevance_dot(obj, name_of)
-    raise TypeError(f"cannot render {type(obj).__name__} as DOT")
-
-
 def _literal_order(lit: int) -> tuple[int, bool]:
     return atom_of(lit), lit < 0
 
@@ -314,7 +304,9 @@ def _label(lit: int, name_of) -> str:
     return base if lit > 0 else "~" + base
 
 
-def _dependency_dot(graph: DependencyGraph, name_of) -> str:
+def to_dot(graph: DependencyGraph, name_of=None) -> str:
+    """Render a dependency graph as a DOT digraph, edges in
+    `DependencyGraph.edges` order."""
     lines = ["digraph dependencies {"]
     for src, dst in graph.edges():
         lines.append(f'  "{_label(src, name_of)}" -> "{_label(dst, name_of)}";')
@@ -322,14 +314,19 @@ def _dependency_dot(graph: DependencyGraph, name_of) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _relevance_dot(snapshot, name_of) -> str:
-    """Relevant subgraph solid; cycle remnants among unjustified irrelevant
-    literals dashed (loops that can no longer support themselves).  Edges
-    come in `DependencyGraph.edges` order."""
-    relevant = snapshot.relevant
-    children_of = snapshot.graph.children_of
-    floating = {lit for lit in snapshot.graph.literals()
-                if lit not in relevant and lit not in snapshot.justified}
+def relevance_dot(tracker, name_of=None) -> str:
+    """Render a relevance tracker's quiescent state as a DOT digraph.
+
+    The relevant subgraph is solid; cycle remnants among unjustified
+    irrelevant literals are dashed (loops that can no longer support
+    themselves).
+    """
+    relevant = tracker.relevant_literals()
+    justified = tracker.justified_literals()
+    graph = tracker.graph
+    children_of = graph.children_of
+    floating = {lit for lit in graph.literals()
+                if lit not in relevant and lit not in justified}
     cyclic = cyclic_literals({lit: [d for d in children_of(lit) if d in floating]
                               for lit in floating})
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FALSE, TRUE, UNKNOWN, DefnfTheory, Definition,
-                   DependencyGraph, PartialInterpretation, Rule, TruthValue,
-                   atom_of, build_dependency_graph)
+from .core import (DefnfTheory, Definition, DependencyGraph, Rule, atom_of,
+                   build_dependency_graph)
 
 
 @dataclass(frozen=True)
@@ -96,22 +95,3 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
     return JustifiedTheory(theory, maps, extended,
                            build_dependency_graph(theory.definition))
 
-
-def justification_status(setup: JustifiedTheory, lit: int,
-                         interp: PartialInterpretation) -> TruthValue:
-    """Justified status of a literal read off the solver interpretation:
-    true when the literal is justified, false when its negation is.
-
-    Defined literals defer to their justification atom; open literals are
-    their own one-node justifications, so their status is their value.
-    """
-    atom = atom_of(lit)
-    if atom in setup.base.defined:
-        value = interp.literal_value(setup.maps.to_just[lit])
-    else:
-        value = interp.literal_value(lit)
-    if value is TRUE:
-        return TRUE
-    if value is FALSE:
-        return FALSE
-    return UNKNOWN

@@ -10,7 +10,6 @@ machinery, so the two can be checked against each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (FALSE, TRUE, UNKNOWN, And, DefnfTheory, Definition, Formula,
@@ -21,6 +20,7 @@ from .formats import PcidAst
 
 MAX_ENUM_ATOMS = 20
 MAX_ENUM_OPENS = 20
+MAX_PCID_ATOMS = 16
 MAX_SEARCH_DEFINED = 12
 SEARCH_BUDGET = 2_000_000
 
@@ -112,11 +112,10 @@ def _open_contexts(opens: list[int]) -> Iterable[PartialInterpretation]:
             sign * atom for sign, atom in zip(signs, opens))
 
 
-def is_total(definition: Definition, universe: Iterable[int] | None = None,
-             max_opens: int = MAX_ENUM_OPENS) -> bool:
+def is_total(definition: Definition, universe: Iterable[int] | None = None) -> bool:
     """Whether every two-valued open context yields a two-valued model."""
     opens = sorted(definition.open_atoms(universe))
-    if len(opens) > max_opens:
+    if len(opens) > MAX_ENUM_OPENS:
         raise GuardExceeded(f"{len(opens)} open atoms exceed the enumeration guard")
     for context in _open_contexts(opens):
         true_set, notfalse_set = wfs_bounds(definition, context)
@@ -137,14 +136,13 @@ def is_model(interp: PartialInterpretation, theory: DefnfTheory) -> bool:
     return all(wfm.value(atom) == interp.value(atom) for atom in atoms)
 
 
-def enumerate_models(theory: DefnfTheory,
-                     max_atoms: int = MAX_ENUM_ATOMS) -> list[PartialInterpretation]:
+def enumerate_models(theory: DefnfTheory) -> list[PartialInterpretation]:
     """All two-valued models, canonically ordered.
 
     A model is determined by its open part (the definition fixes the rest),
     so enumeration walks the open contexts only.
     """
-    if theory.n_atoms > max_atoms:
+    if theory.n_atoms > MAX_ENUM_ATOMS:
         raise GuardExceeded(f"{theory.n_atoms} atoms exceed the enumeration guard")
     opens = sorted(theory.opens)
     defined = theory.definition.defined_atoms
@@ -161,93 +159,10 @@ def enumerate_models(theory: DefnfTheory,
 
 
 # ---------------------------------------------------------------------------
-# Justifications
-
-@dataclass(frozen=True)
-class Justification:
-    """A subgraph of the dependency graph choosing one direct justification
-    for every internal node."""
-
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def children_of(self, lit: int) -> frozenset[int]:
-        return frozenset(dst for src, dst in self.edges if src == lit)
-
-    def leaves(self) -> frozenset[int]:
-        internal = {src for src, _ in self.edges}
-        return frozenset(self.nodes - internal)
-
-
-def validate_justification(just: Justification, definition: Definition) -> None:
-    for src, dst in just.edges:
-        if src not in just.nodes or dst not in just.nodes:
-            raise ValueError(f"edge ({src}, {dst}) leaves the node set")
-    for lit in just.nodes - just.leaves():
-        if atom_of(lit) not in definition.defined_atoms:
-            raise ValueError(f"internal node {lit} is not a defined literal")
-        if just.children_of(lit) not in direct_justifications(lit, definition):
-            raise ValueError(f"children of {lit} are not a direct justification")
-
-
-def is_total_justification(just: Justification, definition: Definition) -> bool:
-    return all(atom_of(lit) not in definition.defined_atoms for lit in just.leaves())
-
-
-def simple_cycles(nodes: Iterable[int],
-                  adjacency: Mapping[int, Iterable[int]]) -> list[list[int]]:
-    """All simple cycles, as node lists without the closing repeat."""
-    ordered = sorted(nodes, key=lambda l: (atom_of(l), l < 0))
-    rank = {lit: i for i, lit in enumerate(ordered)}
-    cycles: list[list[int]] = []
-
-    def dfs(start: int, node: int, path: list[int], on_path: set[int]) -> None:
-        for nxt in adjacency.get(node, ()):
-            if rank.get(nxt, -1) < rank[start]:
-                continue
-            if nxt == start:
-                cycles.append(list(path))
-            elif nxt not in on_path:
-                path.append(nxt)
-                on_path.add(nxt)
-                dfs(start, nxt, path, on_path)
-                on_path.discard(nxt)
-                path.pop()
-
-    for start in ordered:
-        dfs(start, start, [start], {start})
-    return cycles
-
-
-def justification_value(just: Justification,
-                        interp: PartialInterpretation) -> TruthValue:
-    """false on a false leaf or positive cycle; unknown on an unknown leaf or
-    mixed cycle; true when all leaves are true and cycles are negative."""
-    adjacency: dict[int, list[int]] = {}
-    for src, dst in just.edges:
-        adjacency.setdefault(src, []).append(dst)
-    kinds = set()
-    for cycle in simple_cycles(just.nodes, adjacency):
-        if all(lit > 0 for lit in cycle):
-            kinds.add("positive")
-        elif all(lit < 0 for lit in cycle):
-            kinds.add("negative")
-        else:
-            kinds.add("mixed")
-    leaf_values = {interp.literal_value(lit) for lit in just.leaves()}
-    if FALSE in leaf_values or "positive" in kinds:
-        return FALSE
-    if UNKNOWN in leaf_values or "mixed" in kinds:
-        return UNKNOWN
-    return TRUE
-
-
-# ---------------------------------------------------------------------------
 # Justified status by exhaustive search
 
-def justified(theory: DefnfTheory, interp: PartialInterpretation, literal: int,
-              max_defined: int = MAX_SEARCH_DEFINED,
-              budget: int = SEARCH_BUDGET) -> bool:
+def justified(theory: DefnfTheory, interp: PartialInterpretation,
+              literal: int) -> bool:
     """Whether some total justification containing `literal` has value true.
 
     Searches over choices of one direct justification per reachable defined
@@ -258,7 +173,7 @@ def justified(theory: DefnfTheory, interp: PartialInterpretation, literal: int,
     defined = definition.defined_atoms
     if atom_of(literal) not in defined:
         return interp.literal_value(literal) is TRUE
-    if len(defined) > max_defined:
+    if len(defined) > MAX_SEARCH_DEFINED:
         raise GuardExceeded(f"{len(defined)} defined atoms exceed the search guard")
 
     options: dict[int, list[frozenset[int]]] = {}
@@ -290,7 +205,7 @@ def justified(theory: DefnfTheory, interp: PartialInterpretation, literal: int,
         rest = stack[:-1]
         for opt in options_of(lit):
             steps += 1
-            if steps > budget:
+            if steps > SEARCH_BUDGET:
                 raise GuardExceeded("justification search budget exhausted")
             sigma[lit] = opt
             if cycles_ok():
@@ -353,8 +268,8 @@ def relevant_set(theory: DefnfTheory, interp: PartialInterpretation) -> set[int]
     return result
 
 
-def count_models_extending(theory: DefnfTheory, interp: PartialInterpretation,
-                           max_unassigned: int = MAX_ENUM_OPENS) -> int:
+def count_models_extending(theory: DefnfTheory,
+                           interp: PartialInterpretation) -> int:
     """Number of models whose open part extends the interpretation's.
 
     Requires the theory atom to be justified; the count is verified against
@@ -364,7 +279,7 @@ def count_models_extending(theory: DefnfTheory, interp: PartialInterpretation,
         raise ValueError("theory atom is not justified in this interpretation")
     opens = sorted(theory.opens)
     unassigned = [a for a in opens if interp.value(a) is UNKNOWN]
-    if len(unassigned) > max_unassigned:
+    if len(unassigned) > MAX_ENUM_OPENS:
         raise GuardExceeded(f"{len(unassigned)} unassigned opens exceed the guard")
     base = interp.restrict(opens)
     count = 0
@@ -427,14 +342,14 @@ def _general_wfs_bounds(rules: Mapping[int, list[Formula]],
         true_set, notfalse_set = new_true, new_notfalse
 
 
-def pcid_models(ast: PcidAst, max_atoms: int = 16) -> list[frozenset[int]]:
+def pcid_models(ast: PcidAst) -> list[frozenset[int]]:
     """All models of a general theory, as sets of true atoms.
 
     A two-valued interpretation is a model when it satisfies every constraint
     and equals, per definition, the well-founded model in its own context.
     """
     atoms = sorted(ast.atoms.atoms())
-    if len(atoms) > max_atoms:
+    if len(atoms) > MAX_PCID_ATOMS:
         raise GuardExceeded(f"{len(atoms)} atoms exceed the enumeration guard")
     prepared = []
     for definition in ast.definitions:

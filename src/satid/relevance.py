@@ -12,8 +12,9 @@ The tracker is a module beside the solver, with a narrow interface:
   one flips, and literals it lacks are ignored;
 - output: `is_relevant`, which the solver's decisions ask;
 - inspection: `relevant_literals`, `justified_literals`, `watched_parent`,
-  `find_noncyclic_watch`, `snapshot` (the sets plus the graph itself, for
-  rendering) and `validate` (the debug invariants).
+  `find_noncyclic_watch` and `validate` (the debug invariants); these two
+  sets and the `graph` attribute are all that `formats.relevance_dot`
+  renders.
 
 A literal is relevant when it is not justified and can still contribute to
 justifying the theory atom: the theory atom itself while unjustified, plus
@@ -41,7 +42,6 @@ a cascade and are not part of the interface.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import DefnfTheory, DependencyGraph
@@ -53,15 +53,6 @@ _RELEVANT = 2
 _IRRELEVANT = 3
 _ADD = 4
 _REMOVE = 5
-
-
-@dataclass(frozen=True)
-class RelevanceSnapshot:
-    """Quiescent view of the tracker for rendering and inspection."""
-
-    relevant: frozenset[int]
-    justified: frozenset[int]
-    graph: DependencyGraph
 
 
 class RelevanceTracker:
@@ -123,10 +114,6 @@ class RelevanceTracker:
 
     def justified_literals(self) -> set[int]:
         return set(self._justified)
-
-    def snapshot(self) -> RelevanceSnapshot:
-        return RelevanceSnapshot(frozenset(self.relevant_literals()),
-                                 frozenset(self._justified), self.graph)
 
     def _relevant(self, lit: int) -> bool:
         if lit == self._pt:

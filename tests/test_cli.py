@@ -53,6 +53,7 @@ def test_stats_json_schema(loop_path, tmp_path, capsys):
     assert main(["solve", loop_path, "--stats-json", str(stats_path)]) == 10
     payload = json.loads(stats_path.read_text())
     jsonschema.validate(payload, STATS_SCHEMA)
+    assert list(payload) == STATS_SCHEMA["required"]  # the README's key order
     assert payload["result"] == "sat"
     assert payload["stopped_early"] is True
     assert payload["models_represented"] == 1
@@ -163,7 +164,7 @@ def test_replay_check_oracle(loop_path, tmp_path, capsys):
     assert "oracle checks" in capsys.readouterr().out
 
 
-def test_replay_dot_snapshot(loop_path, tmp_path, capsys):
+def test_replay_dot_writes_the_relevance_graph(loop_path, tmp_path, capsys):
     trace = tmp_path / "t.trc"
     trace.write_text("+ 2\n")
     dot_path = tmp_path / "relevance.dot"

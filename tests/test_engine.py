@@ -54,6 +54,26 @@ def test_unfounded_pair_falsified():
     assert fx[theory.atoms.id_of("q")] is FALSE
 
 
+def test_fixpoint_reads_the_open_atoms_once(monkeypatch):
+    # DefnfTheory.opens builds a new frozenset on every read, so reading it
+    # once per given literal would make the call quadratic
+    n = 200
+    theory = DefnfTheory(AtomTable([None] * (n + 1)), 1,
+                         Definition([Rule(1, False, tuple(range(2, n + 2)))]))
+    reads = 0
+    opens = DefnfTheory.opens.fget
+
+    def counting_opens(self):
+        nonlocal reads
+        reads += 1
+        return opens(self)
+
+    monkeypatch.setattr(DefnfTheory, "opens", property(counting_opens))
+    fx = defined_fixpoint(theory, [-a for a in range(2, n + 2)])
+    assert fx == {1: FALSE}
+    assert reads <= 3
+
+
 def test_justification_copy_unfounded_at_root(loop):
     solver = Solver(loop, SolverConfig(relevance_filter=False))
     for lit, index in solver._root_units:

@@ -4,8 +4,8 @@ import pytest
 
 from satid import (RelevanceTracker, build_dependency_graph,
                    build_justification_maps, normalize_to_defnf, parse_cid,
-                   parse_pcid, parse_trace, solve, to_dot, write_cid,
-                   write_trace)
+                   parse_pcid, parse_trace, relevance_dot, solve, to_dot,
+                   write_cid, write_trace)
 from satid.formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
                            MAX_NESTING, FormatError, QUERY_RELEVANT, TraceEvent)
 
@@ -201,9 +201,15 @@ def test_dependency_dot_empty():
 
 def test_relevance_dot_initial(loop):
     tracker = RelevanceTracker.for_theory(loop)
-    dot = to_dot(tracker.snapshot(), loop.name_of)
+    dot = relevance_dot(tracker, loop.name_of)
     for edge in ('"p_T" -> "a"', '"p_T" -> "p"', '"p" -> "q"', '"q" -> "p"'):
         assert edge + ";" in dot
+    assert dot == (
+        'digraph relevance {\n'
+        '  "p_T";\n  "a";\n  "p";\n  "q";\n'
+        '  "p_T" -> "a";\n  "p_T" -> "p";\n  "p" -> "q";\n  "q" -> "p";\n'
+        '  "~p" -> "~q" [style=dashed];\n  "~q" -> "~p" [style=dashed];\n'
+        '}\n')
 
 
 def test_relevance_dot_after_support_shows_dashed_loop(loop):
@@ -213,7 +219,7 @@ def test_relevance_dot_after_support_shows_dashed_loop(loop):
     tracker.notify_becomes_true(setup.maps.to_just[1])      # theory atom justified
     tracker.notify_becomes_true(-setup.maps.to_just[3])     # p status false
     tracker.notify_becomes_true(-setup.maps.to_just[4])     # q status false
-    dot = to_dot(tracker.snapshot(), loop.name_of)
+    dot = relevance_dot(tracker, loop.name_of)
     assert '"p" -> "q" [style=dashed];' in dot
     assert '"q" -> "p" [style=dashed];' in dot
     assert '"p_T" -> "p";' not in dot

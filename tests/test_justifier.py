@@ -1,8 +1,7 @@
 import random
 
-from satid import (FALSE, TRUE, UNKNOWN, AtomTable, DefnfTheory, Definition,
-                   PartialInterpretation, Rule, build_justification_maps)
-from satid.justifier import justification_status
+from satid import (AtomTable, DefnfTheory, Definition, Rule,
+                   build_justification_maps)
 
 import theory_gen
 
@@ -60,18 +59,6 @@ def test_copy_is_isomorphic_to_original():
                  tuple(translate(l) for l in rule.body))
             for rule in theory.definition]
         assert tuple(translated) == setup.maps.definition.rules
-
-
-def test_status_from_state(justdef):
-    setup = build_justification_maps(justdef)
-    f = justdef.atoms.id_of("f")
-    jf = setup.maps.to_just[f]
-    assert justification_status(setup, f, PartialInterpretation.from_literals([jf])) is TRUE
-    assert justification_status(setup, -f, PartialInterpretation.from_literals([-jf])) is TRUE
-    assert justification_status(setup, f, PartialInterpretation.from_literals([-jf])) is FALSE
-    b = justdef.atoms.id_of("b")
-    assert justification_status(setup, b, PartialInterpretation()) is UNKNOWN
-    assert justification_status(setup, b, PartialInterpretation.from_literals([b])) is TRUE
 
 
 def test_status_change_dispatch(justdef):

@@ -4,11 +4,9 @@ import pytest
 
 from satid import (FALSE, TRUE, UNKNOWN, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, Rule)
-from satid import oracle
-from satid.oracle import (GuardExceeded, Justification, count_models_extending,
-                          enumerate_models, is_model, is_total, justification_value,
-                          justified, justified_literals, justified_status,
-                          relevant_set, simple_cycles, validate_justification,
+from satid.oracle import (GuardExceeded, count_models_extending,
+                          enumerate_models, is_model, is_total, justified,
+                          justified_literals, justified_status, relevant_set,
                           well_founded_model)
 
 import theory_gen
@@ -79,7 +77,7 @@ def test_totality_examples(justdef):
 def test_totality_guard():
     defn = Definition([Rule(1, False, tuple(range(2, 30)))])
     with pytest.raises(GuardExceeded):
-        is_total(defn, max_opens=20)
+        is_total(defn)
 
 
 def test_total_definitions_are_two_valued_everywhere():
@@ -132,47 +130,6 @@ def test_enumerate_models_guard():
     theory = DefnfTheory(table, 1, Definition([Rule(1, True, ())]))
     with pytest.raises(GuardExceeded):
         enumerate_models(theory)
-
-
-# -- justification graphs --------------------------------------------------------
-
-def test_justification_value_all_true_leaves(intro):
-    just = Justification(frozenset({1, 2, 3}), frozenset({(1, 2), (1, 3)}))
-    validate_justification(just, intro.definition)
-    # a is defined, so this justification is not total, but the valuation
-    # only looks at leaves and cycles
-    assert not oracle.is_total_justification(just, intro.definition)
-    assert justification_value(just, interp(2, 3)) is TRUE
-
-
-def test_justification_value_positive_cycle_is_false(loop):
-    just = Justification(frozenset({3, 4}), frozenset({(3, 4), (4, 3)}))
-    validate_justification(just, loop.definition)
-    assert justification_value(just, interp()) is FALSE
-
-
-def test_justification_value_unknown_leaf():
-    defn = Definition([Rule(1, False, (2,))])
-    just = Justification(frozenset({1, 2}), frozenset({(1, 2)}))
-    validate_justification(just, defn)
-    assert justification_value(just, interp()) is UNKNOWN
-
-
-def test_justification_value_negative_cycle_is_true():
-    just = Justification(frozenset({-1, -2}), frozenset({(-1, -2), (-2, -1)}))
-    assert justification_value(just, interp()) is TRUE
-
-
-def test_validate_justification_rejects_bad_children(loop):
-    just = Justification(frozenset({3, 2}), frozenset({(3, 2)}))
-    with pytest.raises(ValueError, match="direct justification"):
-        validate_justification(just, loop.definition)
-
-
-def test_simple_cycles():
-    cycles = simple_cycles([1, 2, 3], {1: [2], 2: [1, 3], 3: [2]})
-    normalized = {frozenset(c) for c in cycles}
-    assert normalized == {frozenset({1, 2}), frozenset({2, 3})}
 
 
 # -- justified status -----------------------------------------------------------------
