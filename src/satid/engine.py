@@ -11,40 +11,42 @@ one polarity, and search can stop as soon as the theory atom's justification
 atom becomes true.
 
 The relevance tracker hears about assignments only right before a filtered
-decision.  `_enqueue` and `_backtrack` just note which tracked atoms changed
-value since the last sync, and the value the tracker last heard.  The
-tracked atoms are those whose assignments carry justification information:
-their literals are the keys of the justifier's event-to-status map
-(`JustificationMaps.status_change`), which the tracker reads too.
-`_sync_tracker` then sends each net change: the old literal becomes
-unknown, then the new one true.  An assignment undone and redone between two
-decisions, by a backjump, a restart or a chronological flip, is never sent,
-and neither is anything assigned after the last decision.  At each filtered
-decision the tracker's justified set is exactly the one the current
-assignment implies.  Its relevant set need not equal the one eager
-notification would give: the tracker's watches depend on the order of
-events, and it is not exact at quiescence (ROADMAP item 6).  That deferred
-and eager notification make the same decisions is so far only observed, on
-the test corpus and the benchmark workloads.
+decision.  `_enqueue`, `propagate_unit` and `_backtrack` just note which
+tracked atoms changed value since the last sync, and the value the tracker
+last heard.  The tracked atoms are those whose assignments carry
+justification information: their literals are the keys of the justifier's
+event-to-status map (`JustificationMaps.status_change`), which the tracker
+reads too.  `_sync_tracker` then sends each net change: the old literal
+becomes unknown, then the new one true.  An assignment undone and redone
+between two decisions, by a backjump, a restart or a chronological flip, is
+never sent, and neither is anything assigned after the last decision.  At
+each filtered decision the tracker's justified set is exactly the one the
+current assignment implies.  The tracker is exact at quiescence (see
+`relevance`): its relevant set is the set of literals reachable from the
+unjustified theory atom through unjustified literals, a function of the
+justified set alone, even though its watches depend on the order of events.
+So at every filtered decision deferred and eager notification give the same
+relevant set, every relevance query gets the same answer, and the two make
+the same decisions.
 
 Decisions come from an activity heap, as in MiniSat (Eén and Sörensson, SAT
 2003): the most active unassigned atom that is not a justification atom,
-ties broken by the lowest id (`ActivityOrder`).  A filtered pick pops
-atoms and asks the tracker only about the one popped.  Assigned atoms are
-dropped until a backtrack undoes them, and an atom irrelevant in both
-polarities goes to a side list, which the next backtrack or unfiltered
-pick puts back into the heap.  That is sound because relevance only shrinks
-between two backtracks.  A backtrack empties the side list before the sync
-that sends its `notify_becomes_unknown` events, and until the next one the
-tracker hears only `notify_becomes_true`, which starts a `_JUSTIFIED`
-cascade.  Such a cascade only removes watches or moves them to other
-parents, and queues no `_ADD` or `_RELEVANT` event, so an atom irrelevant in
-both polarities stays so until the next backtrack.  The picks are
-therefore the ones a scan over all atoms would make, and with
-`debug=True` each filtered pick checks that every side-listed atom is still
-irrelevant and every other unassigned atom has a live heap entry.  When a
-pick finds nothing, the side list holds exactly the unassigned decidable
-atoms, so an empty side list means that every one is assigned.
+ties broken by the lowest id (`ActivityOrder`).  A filtered pick pops atoms
+and asks the tracker only about the one popped.  Assigned atoms are dropped
+until a backtrack undoes them, and an atom irrelevant in both polarities
+goes to a side list, which the next backtrack or unfiltered pick puts back
+into the heap.  That is sound because relevance only shrinks between two
+backtracks.  A backtrack empties the side list before the sync that sends
+its `notify_becomes_unknown` events, and until the next one the tracker
+hears only `notify_becomes_true`.  The justified set then only grows, so the
+reachable set, which is the relevant set, only shrinks, and an atom
+irrelevant in both polarities stays so until the next backtrack.  The picks
+are therefore the ones a scan over all atoms would make.  With `debug=True`
+each filtered pick checks that the relevant set is the reachable one, that
+every side-listed atom is still irrelevant and that every other unassigned
+atom has a live heap entry.  When a pick finds nothing, the side list holds
+exactly the unassigned decidable atoms, so an empty side list means that
+every one is assigned.
 
 Unfounded-set propagation only ever looks at the loop part of the
 definition: the defined atoms that lie on a positive loop or depend
@@ -308,6 +310,7 @@ class Solver:
         return len(self.trail_lim)
 
     def _enqueue(self, lit: int, reason: int | None) -> bool:
+        # `propagate_unit` inlines this for the literals it implies
         value = self.lit_value(lit)
         if value == 1:
             return True
@@ -379,39 +382,67 @@ class Solver:
     # -- propagation ----------------------------------------------------------
 
     def propagate_unit(self) -> list[int] | None:
-        """Unit propagation to fixpoint; returns the conflicting clause if any."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -lit
-            watchlist = self.watches.get(falsified)
+        """Unit propagation to fixpoint; returns the conflicting clause if any.
+
+        The hottest loop of the search, so it reads values and assigns the
+        implied literals inline instead of calling `lit_value` and
+        `_enqueue`, with the solver's state bound to locals.
+        """
+        trail = self.trail
+        qhead = self.qhead
+        start = len(trail)
+        watches = self.watches
+        clauses = self.clauses
+        values = self.values
+        levels = self.levels
+        reasons = self.reasons
+        tracked = self._tracked
+        unsent = self._unsent
+        level = len(self.trail_lim)
+        conflict = None
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchlist = watches.get(falsified)
             if not watchlist:
                 continue
             kept: list[int] = []
-            i = 0
-            while i < len(watchlist):
-                ci = watchlist[i]
-                i += 1
-                clause = self.clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+            for i, ci in enumerate(watchlist):
+                clause = clauses[ci]
                 first = clause[0]
-                if self.lit_value(first) == 1:
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                value = values[first] if first > 0 else -values[-first]
+                if value == 1:
                     kept.append(ci)
                     continue
                 for k in range(2, len(clause)):
-                    if self.lit_value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(ci)
+                    lit = clause[k]
+                    if (values[lit] if lit > 0 else -values[-lit]) != -1:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches.setdefault(lit, []).append(ci)
                         break
                 else:
                     kept.append(ci)
-                    if not self._enqueue(first, ci):
-                        kept.extend(watchlist[i:])
-                        self.watches[falsified] = kept
-                        return clause
-            self.watches[falsified] = kept
-        return None
+                    if value == -1:
+                        kept.extend(watchlist[i + 1:])
+                        conflict = clause
+                        break
+                    atom = first if first > 0 else -first
+                    values[atom] = 1 if first > 0 else -1
+                    levels[atom] = level
+                    reasons[atom] = ci
+                    trail.append(first)
+                    if first in tracked:
+                        unsent.setdefault(atom, 0)
+            watches[falsified] = kept
+            if conflict is not None:
+                break
+        self.qhead = qhead
+        self.stats.propagations += len(trail) - start
+        return conflict
 
     def _init_loop_part(self) -> None:
         """Index the rules that unfounded-set propagation has to look at.
@@ -676,13 +707,29 @@ class Solver:
         return order.pop(self.values, self.tracker)
 
     def _check_order(self) -> None:
-        """Order invariants, checked at each filtered pick in debug mode;
-        raises AssertionError on breakage.  Each side-listed atom is
+        """Order and relevance invariants, checked at each filtered pick in
+        debug mode; raises AssertionError on breakage.  The tracker's
+        relevant literals are exactly those reachable from the unjustified
+        theory atom through unjustified literals.  Each side-listed atom is
         irrelevant in both polarities, and each other unassigned decidable
         atom has a live heap entry.  Reads `relevant_literals`, which the
         query count leaves out."""
         order = self.order
-        relevant = self.tracker.relevant_literals()
+        tracker = self.tracker
+        relevant = tracker.relevant_literals()
+        justified = tracker.justified_literals()
+        theory_atom = self.theory.theory_atom
+        stack = [] if theory_atom in justified else [theory_atom]
+        reachable = set(stack)
+        while stack:
+            for child in tracker.graph.children_of(stack.pop()):
+                if child not in reachable and child not in justified:
+                    reachable.add(child)
+                    stack.append(child)
+        if relevant != reachable:
+            raise AssertionError(
+                f"tracker misses {sorted(reachable - relevant)} "
+                f"and adds {sorted(relevant - reachable)}")
         side = set(order.side)
         for atom in side:
             if atom in relevant or -atom in relevant:

@@ -36,7 +36,30 @@ Each input runs through a FIFO queue of internal events (a literal becomes
 justified, unjustified, relevant or irrelevant; a candidate parent is
 offered or withdrawn), drained before the call returns, so observers only
 ever see quiescent states.  The internal events are valid only inside such
-a cascade and are not part of the interface.
+a cascade and are not part of the interface.  When the queue runs dry, each
+literal that lost its watch with no replacement during the drain and is
+still unwatched is offered every parent again, and the queue is drained
+once more.
+
+At quiescence the relevant set is exact: it is the set of literals
+reachable from the unjustified theory atom through unjustified literals, so
+it depends on the justified set alone, not on the order of the events.  It
+has no extras, because every watch is a dependency edge from a relevant
+parent to an unjustified literal and every watch chain ends at the theory
+atom (`validate`).  It misses nothing.  Otherwise take a path from the
+theory atom to a missed literal: its first missed literal `m` is not the
+theory atom and has a relevant parent `p`.  Take the last step of the
+cascades at which "`p` relevant, `m` unjustified and unwatched" became
+true; it was false after the initial breadth-first watches.  It became true
+in one of three ways, and each queues an `_ADD` of `m` from `p` in the same
+call.  `p` got a watch, or is the theory atom and became unjustified: its
+`_RELEVANT` event offers it to every child.  `m` became unjustified: that
+offers `m` every parent.  `m` lost its watch, which leaves it unjustified
+only when `_REMOVE` found no replacement: the re-offer at quiescence offers
+it every parent again.  The condition still holds when that `_ADD` runs, so
+all its criteria hold and `m` gets a watch, a contradiction.  The drain a
+re-offer starts runs only `_ADD` and `_RELEVANT` events, which add watches
+and never remove one, so it ends.
 """
 
 from __future__ import annotations
@@ -151,46 +174,58 @@ class RelevanceTracker:
         children_of = self.graph.children_of
         parents_of = self.graph.parents_of
         pt = self._pt
+        dropped: list[int] = []  # literals whose watch found no replacement
         while queue:
-            tag, lit, other = queue.popleft()
-            if tag == _ADD:
-                # all four criteria must hold; failure is a silent no-op
-                if (lit != pt and lit not in watched and lit not in justified
-                        and (other == pt and pt not in justified or other in watched)
-                        and other in parents_of(lit)):
-                    watched[lit] = other
-                    queue.append((_RELEVANT, lit, 0))
-            elif tag == _REMOVE:
-                if watched.get(lit) == other:
-                    del watched[lit]
-                    replacement = self.find_noncyclic_watch(lit, other)
-                    if replacement is not None:
-                        watched[lit] = replacement
-                    else:
+            while queue:
+                tag, lit, other = queue.popleft()
+                if tag == _ADD:
+                    # all four criteria must hold; failure is a silent no-op
+                    if (lit != pt and lit not in watched and lit not in justified
+                            and (other == pt and pt not in justified
+                                 or other in watched)
+                            and other in parents_of(lit)):
+                        watched[lit] = other
+                        queue.append((_RELEVANT, lit, 0))
+                elif tag == _REMOVE:
+                    if watched.get(lit) == other:
+                        del watched[lit]
+                        replacement = self.find_noncyclic_watch(lit, other)
+                        if replacement is not None:
+                            watched[lit] = replacement
+                        else:
+                            dropped.append(lit)
+                            queue.append((_IRRELEVANT, lit, 0))
+                elif tag == _RELEVANT:
+                    for child in children_of(lit):
+                        queue.append((_ADD, child, lit))
+                elif tag == _IRRELEVANT:
+                    for child in children_of(lit):
+                        queue.append((_REMOVE, child, lit))
+                elif tag == _JUSTIFIED:
+                    if lit in justified:
+                        raise ValueError(f"literal {lit} is already justified")
+                    was_relevant = self._relevant(lit)
+                    justified.add(lit)
+                    watched.pop(lit, None)
+                    if was_relevant:
                         queue.append((_IRRELEVANT, lit, 0))
-            elif tag == _RELEVANT:
-                for child in children_of(lit):
-                    queue.append((_ADD, child, lit))
-            elif tag == _IRRELEVANT:
-                for child in children_of(lit):
-                    queue.append((_REMOVE, child, lit))
-            elif tag == _JUSTIFIED:
-                if lit in justified:
-                    raise ValueError(f"literal {lit} is already justified")
-                was_relevant = self._relevant(lit)
-                justified.add(lit)
-                watched.pop(lit, None)
-                if was_relevant:
-                    queue.append((_IRRELEVANT, lit, 0))
-            else:  # _UNJUSTIFIED
-                if lit not in justified:
-                    raise ValueError(f"literal {lit} is not justified")
-                justified.remove(lit)
-                if lit == pt:
-                    queue.append((_RELEVANT, pt, 0))
-                else:
+                else:  # _UNJUSTIFIED
+                    if lit not in justified:
+                        raise ValueError(f"literal {lit} is not justified")
+                    justified.remove(lit)
+                    if lit == pt:
+                        queue.append((_RELEVANT, pt, 0))
+                    else:
+                        for parent in parents_of(lit):
+                            queue.append((_ADD, lit, parent))
+            # at quiescence, offer each dropped literal still unwatched all
+            # of its parents again; the drain this starts queues only _ADD
+            # and _RELEVANT events, so it drops nothing and ends
+            for lit in dropped:
+                if lit not in watched:
                     for parent in parents_of(lit):
                         queue.append((_ADD, lit, parent))
+            dropped.clear()
 
     def find_noncyclic_watch(self, lit: int, excluded: int) -> int | None:
         """A replacement watched parent for `lit`: another relevant parent

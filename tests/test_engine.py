@@ -8,7 +8,7 @@ from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, Rule, Solver, SolverConfig,
                    build_dependency_graph, build_justification_maps,
                    completion_clauses, defined_fixpoint, normalize_to_defnf,
-                   parse_pcid, solve)
+                   parse_cid, parse_pcid, solve)
 from satid.core import cyclic_literals
 from satid.engine import BudgetExhausted, _luby
 from satid import oracle
@@ -37,6 +37,96 @@ def test_unit_chain_propagates():
         assert solver._enqueue(lit, index)
     assert solver.propagate_unit() is None
     assert solver.lit_value(theory.atoms.id_of("a")) == 1
+
+
+def reference_unit_fixpoint(clauses, assigned):
+    """Reference unit propagation: scan every clause until nothing changes.
+    Returns the set of true literals, or None when a clause is falsified."""
+    true = set(assigned)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            unknown = [lit for lit in clause if -lit not in true]
+            if not unknown:
+                return None
+            if len(unknown) == 1:
+                true.add(unknown[0])
+                changed = True
+    return true
+
+
+def checked_propagate_unit(solver):
+    """`propagate_unit`, checked against the reference fixpoint and the
+    watch, reason, level, counter and notification bookkeeping."""
+    before = len(solver.trail)
+    propagations = solver.stats.propagations
+    want = reference_unit_fixpoint(solver.clauses, solver.trail)
+    conflict = solver.propagate_unit()
+    assert (conflict is None) == (want is not None)
+    if conflict is None:
+        assert set(solver.trail) == want
+    else:
+        assert all(solver.lit_value(lit) == -1 for lit in conflict)
+    implied = solver.trail[before:]
+    assert solver.stats.propagations == propagations + len(implied)
+    for lit in implied:
+        atom = abs(lit)
+        reason = solver.clauses[solver.reasons[atom]]
+        assert lit in reason
+        assert all(solver.lit_value(other) == -1 for other in reason if other != lit)
+        assert solver.levels[atom] == solver.level
+        if lit in solver._tracked:
+            assert atom in solver._unsent
+    watchers = [ci for watchlist in solver.watches.values() for ci in watchlist]
+    assert len(watchers) == 2 * sum(len(clause) >= 2 for clause in solver.clauses)
+    for ci, clause in enumerate(solver.clauses):
+        if len(clause) >= 2:
+            assert ci in solver.watches[clause[0]] and ci in solver.watches[clause[1]]
+    return conflict, len(implied)
+
+
+def test_unit_propagation_matches_the_reference_fixpoint():
+    # CDCL steps with random decisions and random backjumps; every
+    # propagate_unit call is compared with a full clause scan
+    rng = random.Random(43)
+    theories = ([theory_gen.random_theory(rng, 10, 10) for _ in range(150)]
+                + [theory_gen.random_total_theory(rng, 10, 10) for _ in range(150)]
+                + [three_sat_theory(rng, 14, 60) for _ in range(20)])
+    calls = propagated = conflicts = 0
+    for theory in theories:
+        solver = Solver(theory, SolverConfig(relevance_filter=rng.random() < 0.7))
+        if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
+            continue
+        for _ in range(60):
+            conflict, implied = checked_propagate_unit(solver)
+            calls += 1
+            propagated += implied
+            if conflict is None and solver._loop_rules:
+                before = len(solver.trail)
+                conflict = solver.propagate_unfounded()
+                if conflict is None and len(solver.trail) > before:
+                    continue
+            if conflict is not None:
+                conflicts += 1
+                if solver.level == 0:
+                    break
+                learned, level = solver.analyze_conflict(conflict)
+                solver._backtrack(level)
+                solver._enqueue(learned[0], solver._add_learned_clause(learned))
+            elif solver.level and rng.random() < 0.2:
+                solver._backtrack(rng.randrange(solver.level))
+            else:
+                free = [atom for atom in range(1, solver.n_atoms + 1)
+                        if not solver.values[atom] and atom not in solver._just_atoms]
+                if not free:
+                    break
+                atom = rng.choice(free)
+                solver._decide(rng.choice((atom, -atom)))
+    assert calls > 1200 and propagated > 6000 and conflicts > 200, (
+        calls, propagated, conflicts)
 
 
 def test_justification_rule_propagates(justdef):
@@ -405,6 +495,15 @@ class EagerSolver(DecisionProbe, Solver):
         self._unsent.clear()
         return True
 
+    def propagate_unit(self):
+        # propagate_unit assigns without calling _enqueue
+        before = len(self.trail)
+        conflict = super().propagate_unit()
+        for lit in self.trail[before:]:
+            self.tracker.notify_becomes_true(lit)
+        self._unsent.clear()
+        return conflict
+
     def _backtrack(self, target_level):
         undone = (self.trail[self.trail_lim[target_level]:]
                   if self.level > target_level else [])
@@ -423,10 +522,22 @@ def three_sat_theory(rng, n_vars, n_clauses):
     return normalize_to_defnf(parse_pcid(f"(theory {' '.join(clauses)})"))[0]
 
 
+# `random` benchmark instances (seed 1 no. 2119, seed 3 no. 2766) where a
+# tracker that never re-offers a literal dropped without a replacement watch
+# misses relevant literals at a filtered pick
+TRACKER_MISS_CIDS = [
+    "p cid 7\nt 1\nr 1 d -7 4 0\nr 7 d 2 -3 5 0\nr 4 c -7 0\nr 6 c 2 -3 -7 0\n"
+    "r 3 d -3 1 7 0\nr 2 c 2 4 6 3 0\nr 5 d 4 -1 0\n",
+    "p cid 8\nt 1\nr 1 d -7 -3 -5 0\nr 2 d -5 1 3 -6 0\nr 8 c 7 -1 -2 0\n"
+    "r 6 c -3 4 0\nr 4 c 2 7 8 0\nr 5 d -5 -6 -8 0\nr 7 d -3 0\n",
+]
+
+
 def deferral_corpus():
     rng = random.Random(37)
     return ([theory_gen.intro_theory(), theory_gen.justdef_theory(),
              theory_gen.loop_theory()]
+            + [parse_cid(text) for text in TRACKER_MISS_CIDS]
             + [theory_gen.random_theory(rng, 12, 12) for _ in range(300)]
             + [theory_gen.random_total_theory(rng, 12, 12) for _ in range(300)]
             + [three_sat_theory(rng, 20, 85) for _ in range(8)])
@@ -453,12 +564,29 @@ def test_deferred_sync_matches_eager_notification():
     assert filtered_picks > 800, filtered_picks
 
 
+def test_debug_picks_check_the_tracker_against_reachability():
+    # with debug=True every filtered pick compares the tracker's relevant
+    # literals with reachability through unjustified literals
+    filtered_picks = 0
+    for theory in deferral_corpus():
+        for config in FILTERED_CONFIGS:
+            solver = DeferredSolver(theory, dataclasses.replace(config, debug=True))
+            solver.solve()
+            filtered_picks += solver.filtered_picks
+    assert filtered_picks > 800, filtered_picks
+
+
 def test_unfiltered_solver_records_nothing():
     class QuietSolver(Solver):
         def _enqueue(self, lit, reason):
             assigned = super()._enqueue(lit, reason)
             assert not self._unsent
             return assigned
+
+        def propagate_unit(self):
+            conflict = super().propagate_unit()
+            assert not self._unsent
+            return conflict
 
         def _backtrack(self, target_level):
             super()._backtrack(target_level)

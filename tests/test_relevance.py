@@ -248,10 +248,8 @@ def reachable_unjustified(graph, theory_atom, justified):
 
 def test_tracker_against_reachability_under_solver_events():
     # Random assignments of the tracked atoms, reached only through the
-    # solver events.  The tracker is not exact yet (ROADMAP item 6): it can
-    # miss literals that reachability includes, but never adds one.  87 of
-    # the 50,000 states miss some today; that count may only fall, and item 6
-    # must bring it to 0.
+    # solver events.  At quiescence the tracker's relevant set is exactly
+    # the reachable one: it never adds a literal and never misses one.
     rng = random.Random(0)
     states = missed_states = 0
     for _ in range(1000):
@@ -274,7 +272,7 @@ def test_tracker_against_reachability_under_solver_events():
             states += 1
             missed_states += got != want
     assert states == 50_000
-    assert missed_states <= 87, missed_states
+    assert missed_states == 0, missed_states
 
 
 # -- performance shape ------------------------------------------------------------------
