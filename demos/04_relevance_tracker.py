@@ -2,8 +2,10 @@
 
 Relevance is tracked with one watched parent per literal: a literal is
 relevant exactly when it has a watch (or is the unjustified theory atom).
-When support arrives, watches cascade away; loops that lose their connection
-to the theory atom are detected by walking watch chains and collapse.
+Notifications are settled at the next read.  When support arrives, a
+literal's watch goes, and so does every watch chain through it; the dropped
+literals then take a relevant parent if they have one.  A loop that lost its
+connection to the theory atom has none, so it stays unwatched.
 """
 
 from pathlib import Path
@@ -28,8 +30,8 @@ tracker.notify_becomes_true(a)
 tracker.notify_becomes_true(setup.maps.to_just[p_T])
 print("\nafter a is true and the theory atom is justified:")
 print("relevant:", sorted(tracker.relevant_literals(), key=abs))
-print("p's replacement watch search finds:",
-      tracker.find_noncyclic_watch(p, excluded=p_T))
+print("watches: p ->", tracker.watched_parent(p),
+      " q ->", tracker.watched_parent(q))
 
 # undo in reverse order: the initial state comes back
 tracker.notify_becomes_unknown(setup.maps.to_just[p_T])

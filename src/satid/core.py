@@ -338,7 +338,13 @@ class Definition:
 
 
 class DefnfTheory:
-    """A normal-form theory: one theory atom constrained true, one definition."""
+    """A normal-form theory: one theory atom constrained true, one definition.
+
+    Its atom table does not grow once the theory is built: `parse_cid`,
+    `normalize` and the justifier add all their atoms first (the justifier
+    to a copy).  So the set of open atoms is built on the first read of
+    `opens` and kept.
+    """
 
     def __init__(self, atoms: AtomTable, theory_atom: Atom, definition: Definition) -> None:
         n = len(atoms)
@@ -352,6 +358,7 @@ class DefnfTheory:
         self.atoms = atoms
         self.theory_atom = theory_atom
         self.definition = definition
+        self._opens: frozenset[Atom] | None = None
 
     @property
     def n_atoms(self) -> int:
@@ -363,7 +370,9 @@ class DefnfTheory:
 
     @property
     def opens(self) -> frozenset[Atom]:
-        return frozenset(self.atoms.atoms()) - self.definition.defined_atoms
+        if self._opens is None:
+            self._opens = frozenset(self.atoms.atoms()) - self.definition.defined_atoms
+        return self._opens
 
     def name_of(self, atom: Atom) -> str:
         return self.atoms.name_of(atom)

@@ -21,10 +21,11 @@ becomes unknown, then the new one true.  An assignment undone and redone
 between two decisions, by a backjump, a restart or a chronological flip, is
 never sent, and neither is anything assigned after the last decision.  At
 each filtered decision the tracker's justified set is exactly the one the
-current assignment implies.  The tracker is exact at quiescence (see
-`relevance`): its relevant set is the set of literals reachable from the
-unjustified theory atom through unjustified literals, a function of the
-justified set alone, even though its watches depend on the order of events.
+current assignment implies, and the tracker's next read settles the whole
+sync as one batch.  After a settle the tracker is exact (see `relevance`):
+its relevant set is the set of literals reachable from the unjustified
+theory atom through unjustified literals, a function of the justified set
+alone, even though its watches depend on the order and batching of events.
 So at every filtered decision deferred and eager notification give the same
 relevant set, every relevance query gets the same answer, and the two make
 the same decisions.

@@ -54,6 +54,10 @@ def parse_cid(text: str) -> DefnfTheory:
                 raise FormatError(f"bad atom count {fields[2]!r}", lineno) from None
             if n_atoms < 1:
                 raise FormatError("atom count must be at least 1", lineno)
+            try:
+                names = [None] * n_atoms
+            except (OverflowError, MemoryError):
+                raise FormatError(f"atom count {n_atoms} is too large", lineno) from None
             continue
         if fields[0] == "t":
             if theory_atom is not None:
@@ -89,7 +93,7 @@ def parse_cid(text: str) -> DefnfTheory:
         raise FormatError("missing theory-atom line 't <atom>'")
     if theory_atom not in heads:
         raise FormatError(f"theory atom {theory_atom} is not defined by any rule")
-    return DefnfTheory(AtomTable([None] * n_atoms), theory_atom, Definition(rules))
+    return DefnfTheory(AtomTable(names), theory_atom, Definition(rules))
 
 
 def _parse_atom(field: str, n_atoms: int, lineno: int) -> int:

@@ -11,10 +11,9 @@ The tracker is a module beside the solver, with a narrow interface:
   literal changes; the event-to-status map says whose justified status each
   one flips, and literals it lacks are ignored;
 - output: `is_relevant`, which the solver's decisions ask;
-- inspection: `relevant_literals`, `justified_literals`, `watched_parent`,
-  `find_noncyclic_watch` and `validate` (the debug invariants); these two
-  sets and the `graph` attribute are all that `formats.relevance_dot`
-  renders.
+- inspection: `relevant_literals`, `justified_literals`, `watched_parent`
+  and `validate` (the debug invariants); these two sets and the `graph`
+  attribute are all that `formats.relevance_dot` renders.
 
 A literal is relevant when it is not justified and can still contribute to
 justifying the theory atom: the theory atom itself while unjustified, plus
@@ -22,60 +21,52 @@ unjustified literals reachable from a relevant literal.  Instead of storing
 the full set of candidate parents per literal, the tracker keeps one watched
 parent; a literal is relevant exactly when it has a watch (or is the
 unjustified theory atom, whose relevance is a stored base case, never a
-watch).
+watch).  Watch chains always end at the theory atom, so the watch graph
+stays acyclic.
 
-Watch chains always terminate at the theory atom, so the watch graph stays
-acyclic.  When a watch is removed, a replacement is searched among the
-literal's other parents; a candidate is rejected when following watch
-pointers from it leads back to the literal being repaired (which would close
-a self-supporting loop, the relevance analogue of an unfounded set).  Loops
-that lose outside support are dismantled by the resulting cascade, literal by
-literal.
+A notification only updates the justified set and notes the flipped
+literal.  The watches catch up in one settle, which every read of them runs
+first when literals changed since the last one (`is_relevant`,
+`relevant_literals`, `watched_parent` and `validate`), so observers only
+ever see settled states.  A settle takes the changed literals as one batch:
 
-Each input runs through a FIFO queue of internal events (a literal becomes
-justified, unjustified, relevant or irrelevant; a candidate parent is
-offered or withdrawn), drained before the call returns, so observers only
-ever see quiescent states.  The internal events are valid only inside such
-a cascade and are not part of the interface.  When the queue runs dry, each
-literal that lost its watch with no replacement during the drain and is
-still unwatched is offered every parent again, and the queue is drained
-once more.
+- shrink: each changed literal that is now justified and has a watch, or is
+  the now justified theory atom, loses it, and so does every literal whose
+  watch chain runs through it;
+- regrow: each changed or dropped literal that is unjustified, unwatched and
+  not the theory atom takes its first relevant parent, if it has one.  A
+  depth-first walk then attaches the unjustified, unwatched children of each
+  literal that got a watch, and of the theory atom if it became unjustified.
 
-At quiescence the relevant set is exact: it is the set of literals
+A new watch points at a relevant parent, whose chain reaches the theory atom
+without passing the unwatched literal, so no watch closes a cycle.
+
+After a settle the relevant set is exact: it is the set of literals
 reachable from the unjustified theory atom through unjustified literals, so
-it depends on the justified set alone, not on the order of the events.  It
-has no extras, because every watch is a dependency edge from a relevant
-parent to an unjustified literal and every watch chain ends at the theory
-atom (`validate`).  It misses nothing.  Otherwise take a path from the
-theory atom to a missed literal: its first missed literal `m` is not the
-theory atom and has a relevant parent `p`.  Take the last step of the
-cascades at which "`p` relevant, `m` unjustified and unwatched" became
-true; it was false after the initial breadth-first watches.  It became true
-in one of three ways, and each queues an `_ADD` of `m` from `p` in the same
-call.  `p` got a watch, or is the theory atom and became unjustified: its
-`_RELEVANT` event offers it to every child.  `m` became unjustified: that
-offers `m` every parent.  `m` lost its watch, which leaves it unjustified
-only when `_REMOVE` found no replacement: the re-offer at quiescence offers
-it every parent again.  The condition still holds when that `_ADD` runs, so
-all its criteria hold and `m` gets a watch, a contradiction.  The drain a
-re-offer starts runs only `_ADD` and `_RELEVANT` events, which add watches
-and never remove one, so it ends.
+it depends on the justified set alone, not on the order or batching of the
+events.  The initial breadth-first watches are exact; assume the last
+settle left them so.  There are no extras: shrink leaves only chains of
+unjustified literals that end at the theory atom, and regrow adds only
+edges from relevant parents to unjustified literals (`validate` checks
+both).  Nothing is missed.  Otherwise take a path from the theory atom to a
+missed literal: its first missed literal `m` is not the theory atom and has
+a relevant parent `p`.  If `p` got its watch in regrow, or is the theory
+atom and became unjustified, the walk from `p` gave `m` a watch, since
+regrow removes none.  So `p` was relevant before the batch and stayed so
+throughout.  If `m` was relevant before too, shrink dropped it; if not, it
+was unreachable then while its parent `p` was relevant, so it was justified
+and has changed.  Either way regrow offered `m` its parents while `p` was
+relevant, and `m` got a watch, a contradiction.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Mapping
 
 from .core import DefnfTheory, DependencyGraph
 from .justifier import JustifiedTheory, build_justification_maps
-
-_JUSTIFIED = 0
-_UNJUSTIFIED = 1
-_RELEVANT = 2
-_IRRELEVANT = 3
-_ADD = 4
-_REMOVE = 5
 
 
 class RelevanceTracker:
@@ -83,9 +74,9 @@ class RelevanceTracker:
 
     It is built from the theory atom, the theory's `DependencyGraph` and the
     event-to-status map (`JustificationMaps.status_change`), and has no API
-    for adding rules later.  The FIFO and quiescence contract holds per call:
-    every notification is drained before its call returns, however the
-    caller batches its calls.
+    for adding rules later.  Notifications are batched until the next read,
+    which settles them; the result does not depend on how the caller
+    batches its calls.
     """
 
     def __init__(self, theory_atom: int, graph: DependencyGraph,
@@ -96,7 +87,7 @@ class RelevanceTracker:
         self._debug = debug
         self._watched: dict[int, int] = {}
         self._justified: set[int] = set()
-        self._queue: deque = deque()
+        self._changed: list[int] = []  # flipped since the last settle
         self.query_count = 0
         # initial watches, breadth-first from the theory atom; the
         # first-visited parent wins, which keeps chains acyclic
@@ -124,12 +115,18 @@ class RelevanceTracker:
 
     def is_relevant(self, lit: int) -> bool:
         self.query_count += 1
+        if self._changed:
+            self._settle()
         return self._relevant(lit)
 
     def watched_parent(self, lit: int) -> int | None:
+        if self._changed:
+            self._settle()
         return self._watched.get(lit)
 
     def relevant_literals(self) -> set[int]:
+        if self._changed:
+            self._settle()
         result = set(self._watched)
         if self._pt not in self._justified:
             result.add(self._pt)
@@ -151,110 +148,71 @@ class RelevanceTracker:
         original defined atoms) are ignored."""
         flipped = self._status_change.get(lit)
         if flipped is not None:
-            self._run(_JUSTIFIED, flipped)
+            if flipped in self._justified:
+                raise ValueError(f"literal {flipped} is already justified")
+            self._justified.add(flipped)
+            self._changed.append(flipped)
 
     def notify_becomes_unknown(self, lit: int) -> None:
         """The mirror of notify_becomes_true for backtracked literals."""
         flipped = self._status_change.get(lit)
         if flipped is not None:
-            self._run(_UNJUSTIFIED, flipped)
+            if flipped not in self._justified:
+                raise ValueError(f"literal {flipped} is not justified")
+            self._justified.remove(flipped)
+            self._changed.append(flipped)
 
-    # -- internals ----------------------------------------------------------
+    # -- settling -----------------------------------------------------------
 
-    def _run(self, tag: int, lit: int) -> None:
-        self._queue.append((tag, lit, 0))
-        self._drain()
-        if self._debug:
-            self.validate()
-
-    def _drain(self) -> None:
-        queue = self._queue
+    def _settle(self) -> None:
+        """Bring the watches up to date with the changed literals: shrink,
+        then regrow (see the module docstring)."""
+        changed = self._changed
         watched = self._watched
         justified = self._justified
         children_of = self.graph.children_of
-        parents_of = self.graph.parents_of
         pt = self._pt
-        dropped: list[int] = []  # literals whose watch found no replacement
-        while queue:
-            while queue:
-                tag, lit, other = queue.popleft()
-                if tag == _ADD:
-                    # all four criteria must hold; failure is a silent no-op
-                    if (lit != pt and lit not in watched and lit not in justified
-                            and (other == pt and pt not in justified
-                                 or other in watched)
-                            and other in parents_of(lit)):
-                        watched[lit] = other
-                        queue.append((_RELEVANT, lit, 0))
-                elif tag == _REMOVE:
-                    if watched.get(lit) == other:
-                        del watched[lit]
-                        replacement = self.find_noncyclic_watch(lit, other)
-                        if replacement is not None:
-                            watched[lit] = replacement
-                        else:
-                            dropped.append(lit)
-                            queue.append((_IRRELEVANT, lit, 0))
-                elif tag == _RELEVANT:
-                    for child in children_of(lit):
-                        queue.append((_ADD, child, lit))
-                elif tag == _IRRELEVANT:
-                    for child in children_of(lit):
-                        queue.append((_REMOVE, child, lit))
-                elif tag == _JUSTIFIED:
-                    if lit in justified:
-                        raise ValueError(f"literal {lit} is already justified")
-                    was_relevant = self._relevant(lit)
-                    justified.add(lit)
-                    watched.pop(lit, None)
-                    if was_relevant:
-                        queue.append((_IRRELEVANT, lit, 0))
-                else:  # _UNJUSTIFIED
-                    if lit not in justified:
-                        raise ValueError(f"literal {lit} is not justified")
-                    justified.remove(lit)
-                    if lit == pt:
-                        queue.append((_RELEVANT, pt, 0))
-                    else:
-                        for parent in parents_of(lit):
-                            queue.append((_ADD, lit, parent))
-            # at quiescence, offer each dropped literal still unwatched all
-            # of its parents again; the drain this starts queues only _ADD
-            # and _RELEVANT events, so it drops nothing and ends
-            for lit in dropped:
-                if lit not in watched:
-                    for parent in parents_of(lit):
-                        queue.append((_ADD, lit, parent))
-            dropped.clear()
-
-    def find_noncyclic_watch(self, lit: int, excluded: int) -> int | None:
-        """A replacement watched parent for `lit`: another relevant parent
-        whose watch chain does not lead back to `lit`.  None when every
-        candidate fails, which makes `lit` irrelevant."""
-        if lit in self._justified:
-            return None
-        watched = self._watched
-        for candidate in self.graph.parents_of(lit):
-            if candidate == excluded or not self._relevant(candidate):
-                continue
-            # walk the candidate's watch chain; hitting `lit` (or an already
-            # visited literal) would close a cycle
-            node = candidate
-            seen = set()
-            while node != lit and node not in seen:
-                seen.add(node)
-                nxt = watched.get(node)
-                if nxt is None:
-                    return candidate
-                node = nxt
-            if node != lit:
-                return candidate
-        return None
+        dropped: list[int] = []
+        for lit in changed:
+            if lit in justified and (lit in watched or lit == pt):
+                watched.pop(lit, None)
+                stack = [lit]
+                while stack:
+                    node = stack.pop()
+                    for child in children_of(node):
+                        if watched.get(child) == node:
+                            del watched[child]
+                            dropped.append(child)
+                            stack.append(child)
+        pt_unjustified = pt not in justified
+        parents_of = self.graph.parents_of
+        stack = []
+        for lit in chain(changed, dropped):
+            if lit == pt:
+                if pt_unjustified:
+                    stack.append(pt)
+            elif lit not in watched and lit not in justified:
+                for parent in parents_of(lit):
+                    if parent in watched or parent == pt and pt_unjustified:
+                        watched[lit] = parent
+                        stack.append(lit)
+                        break
+            while stack:
+                node = stack.pop()
+                for child in children_of(node):
+                    if child not in watched and child not in justified and child != pt:
+                        watched[child] = node
+                        stack.append(child)
+        changed.clear()
+        if self._debug:
+            self.validate()
 
     # -- debug invariants ----------------------------------------------------
 
     def validate(self) -> None:
         """Full-scan structural invariants; raises AssertionError on breakage."""
+        if self._changed:
+            self._settle()
         watched = self._watched
         if self._pt in watched:
             raise AssertionError("the theory atom must never have a watch")

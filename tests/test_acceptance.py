@@ -157,7 +157,9 @@ def test_criterion_4_golden_examples():
     loop_tracker.notify_becomes_true(-loop_setup.maps.to_just[q])
     for lit in (p_T, a, p, q):
         assert not loop_tracker.is_relevant(lit)
-    assert loop_tracker.find_noncyclic_watch(p, excluded=p_T) is None
+    # p's other parent q keeps no watch that would close the loop p <-> q
+    assert loop_tracker.watched_parent(p) is None
+    assert loop_tracker.watched_parent(q) is None
     print("ACCEPTANCE 4 golden examples: PASS "
           "(justification copy, justified prefix, loop collapse)")
 
@@ -254,10 +256,10 @@ def test_criterion_7_structural_invariants():
     # notification, on the whole trace corpus
     for theory, setup, events, unwind in trace_corpus()[:100]:
         replayer = TraceReplayer(theory, setup=setup, debug=True)
-        replayer.run(list(events))
-        replayer.tracker.validate()
+        for event in [*events, *unwind]:
+            replayer.apply(event)
+            replayer.tracker.validate()
         # trace reversibility: the unwound state equals a fresh tracker
-        replayer.run(list(unwind))
         fresh = RelevanceTracker.for_theory(theory, setup)
         assert replayer.tracker.relevant_literals() == fresh.relevant_literals()
         assert replayer.tracker.justified_literals() == set()

@@ -48,6 +48,13 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_rejects_an_overflowing_atom_count(tmp_path, capsys):
+    path = tmp_path / "huge.cid"
+    path.write_text("p cid 99999999999999999999\nt 1\nr 1 d 2 0\n")
+    assert main(["solve", str(path)]) == 2
+    assert "atom count 99999999999999999999 is too large" in capsys.readouterr().err
+
+
 def test_stats_json_schema(loop_path, tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     assert main(["solve", loop_path, "--stats-json", str(stats_path)]) == 10

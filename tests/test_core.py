@@ -148,6 +148,12 @@ def test_theory_requires_defined_theory_atom():
         DefnfTheory(table, 2, Definition([Rule(1, True, (2,))]))
 
 
+def test_theory_builds_its_open_atoms_once():
+    theory = DefnfTheory(AtomTable([None] * 4), 1, Definition([Rule(1, True, (2, -3))]))
+    assert theory.opens == {2, 3, 4}
+    assert theory.opens is theory.opens
+
+
 # -- dependency graph ------------------------------------------------------------
 
 def test_dependency_edges_both_polarities():

@@ -145,8 +145,9 @@ def test_unfounded_pair_falsified():
 
 
 def test_fixpoint_reads_the_open_atoms_once(monkeypatch):
-    # DefnfTheory.opens builds a new frozenset on every read, so reading it
-    # once per given literal would make the call quadratic
+    # the fixpoint reads DefnfTheory.opens a fixed number of times, not once
+    # per given literal; the property builds its set only on the first read,
+    # but each read is still a call
     n = 200
     theory = DefnfTheory(AtomTable([None] * (n + 1)), 1,
                          Definition([Rule(1, False, tuple(range(2, n + 2)))]))
@@ -523,8 +524,9 @@ def three_sat_theory(rng, n_vars, n_clauses):
 
 
 # `random` benchmark instances (seed 1 no. 2119, seed 3 no. 2766) where a
-# tracker that never re-offers a literal dropped without a replacement watch
-# misses relevant literals at a filtered pick
+# tracker that repairs each lost watch on its own, and never offers a
+# literal left unwatched its parents again, misses relevant literals at a
+# filtered pick
 TRACKER_MISS_CIDS = [
     "p cid 7\nt 1\nr 1 d -7 4 0\nr 7 d 2 -3 5 0\nr 4 c -7 0\nr 6 c 2 -3 -7 0\n"
     "r 3 d -3 1 7 0\nr 2 c 2 4 6 3 0\nr 5 d 4 -1 0\n",

@@ -67,6 +67,14 @@ def test_parse_missing_header():
         parse_cid("t 1\nr 1 d 2 0\n")
 
 
+@pytest.mark.parametrize("count", [10**20, 2**62])
+def test_parse_rejects_an_atom_count_too_large_for_a_table(count):
+    # 10**20 does not fit an index and 2**62 pointers do not fit an address
+    # space, so both fail before anything is allocated
+    with pytest.raises(FormatError, match=f"line 1: atom count {count} is too large"):
+        parse_cid(f"p cid {count}\nt 1\nr 1 d 2 0\n")
+
+
 def test_parse_deduplicates_body_literals():
     theory = parse_cid("p cid 3\nt 1\nr 1 d 2 2 3 -2 0\n")
     assert theory.definition.rules[0].body == (2, 3, -2)

@@ -112,19 +112,37 @@ def test_watch_swaps_to_alternative_parent():
     assert tracker.relevant_literals() == {p_T, w, z, y}
 
 
-def test_find_noncyclic_watch(loop):
-    theory = diamond_theory()
-    tracker, _ = fresh_tracker(theory)
+def test_lost_watches_regrow_without_cycles():
+    # y's parents come in rule order x, p_T
+    theory = theory_gen.build_theory(
+        "p_T x y", "p_T", [("x", "d", ["y"]), ("p_T", "d", ["x", "y"])])
+    tracker, setup = fresh_tracker(theory)
     p_T, x, y = 1, 2, 3
-    tracker._watched[y] = x  # force the chain y -> x -> p_T
-    assert tracker.find_noncyclic_watch(y, excluded=x) == p_T
-    # x's only parent is the excluded p_T
-    assert tracker.find_noncyclic_watch(x, excluded=p_T) is None
-    # p's other parent q is relevant, but q's watch chain leads back to p
-    tracker, _ = fresh_tracker(loop)
-    p_T, p, q = 1, 3, 4
+    tracker.notify_becomes_true(y)
+    assert not tracker.is_relevant(y)
+    tracker.notify_becomes_unknown(y)
+    assert tracker.watched_parent(y) == x   # the chain y -> x -> p_T
+    tracker.notify_becomes_true(setup.maps.to_just[x])
+    assert tracker.watched_parent(y) == p_T
+    # x's only parent is p_T
+    tracker.notify_becomes_unknown(setup.maps.to_just[x])
+    tracker.notify_becomes_true(setup.maps.to_just[p_T])
+    assert tracker.watched_parent(x) is None
+    assert tracker.relevant_literals() == set()
+    # p's other parent q is relevant, but q's watch chain leads back to p:
+    # once p's support x is justified, the loop p <-> q keeps no watch
+    theory = theory_gen.build_theory(
+        "p_T a x p q", "p_T",
+        [("p_T", "d", ["a", "x"]), ("x", "d", ["p"]),
+         ("p", "d", ["q"]), ("q", "d", ["p"])])
+    tracker, setup = fresh_tracker(theory)
+    p_T, a, x, p, q = 1, 2, 3, 4, 5
+    assert tracker.watched_parent(p) == x
     assert tracker.watched_parent(q) == p
-    assert tracker.find_noncyclic_watch(p, excluded=p_T) is None
+    tracker.notify_becomes_true(setup.maps.to_just[x])
+    assert tracker.watched_parent(p) is None
+    assert tracker.watched_parent(q) is None
+    assert tracker.relevant_literals() == {p_T, a}
 
 
 def test_add_criteria_no_ops():
@@ -155,12 +173,15 @@ def test_remove_of_non_watch_is_no_op():
 
 def test_relevant_offers_to_watched_children_are_ignored(loop):
     tracker, setup = fresh_tracker(loop)
-    j_p = setup.maps.to_just[3]
+    p_T, p, q = 1, 3, 4
+    j_p = setup.maps.to_just[p]
     before = dict(tracker._watched)
     tracker.notify_becomes_true(j_p)
-    # p relevant again: p is offered to q, which watches it again; then q
-    # is offered to p, which already watches p_T
+    assert tracker.watched_parent(p) is None and tracker.watched_parent(q) is None
+    # p relevant again: p takes p_T, its first relevant parent, and q, which
+    # already has a watch by then, is not offered to p
     tracker.notify_becomes_unknown(j_p)
+    assert tracker.watched_parent(p) == p_T
     assert tracker._watched == before
 
 
@@ -246,25 +267,35 @@ def reachable_unjustified(graph, theory_atom, justified):
     return reached
 
 
+def send_random_event(rng, tracker, tracked, assigned):
+    """Assign an unassigned tracked atom or unassign an assigned one, at
+    random, and notify the tracker; returns the literal sent.  `assigned`
+    maps each assigned tracked atom to the literal last sent true."""
+    unassigned = [atom for atom in tracked if atom not in assigned]
+    if unassigned and (not assigned or rng.random() < 0.5):
+        atom = rng.choice(unassigned)
+        lit = assigned[atom] = rng.choice((atom, -atom))
+        tracker.notify_becomes_true(lit)
+    else:
+        lit = assigned.pop(rng.choice(sorted(assigned)))
+        tracker.notify_becomes_unknown(lit)
+    return lit
+
+
 def test_tracker_against_reachability_under_solver_events():
     # Random assignments of the tracked atoms, reached only through the
-    # solver events.  At quiescence the tracker's relevant set is exactly
-    # the reachable one: it never adds a literal and never misses one.
+    # solver events, with a read after each one.  The tracker's relevant
+    # set is exactly the reachable one: it never adds a literal and never
+    # misses one.
     rng = random.Random(0)
     states = missed_states = 0
     for _ in range(1000):
         theory = theory_gen.random_theory(rng)
         tracker, setup = fresh_tracker(theory)
         tracked = sorted({abs(lit) for lit in setup.maps.status_change})
-        assigned = {}  # tracked atom -> the literal last sent true
+        assigned = {}
         for _ in range(50):
-            unassigned = [atom for atom in tracked if atom not in assigned]
-            if unassigned and (not assigned or rng.random() < 0.5):
-                atom = rng.choice(unassigned)
-                assigned[atom] = rng.choice((atom, -atom))
-                tracker.notify_becomes_true(assigned[atom])
-            else:
-                tracker.notify_becomes_unknown(assigned.pop(rng.choice(sorted(assigned))))
+            send_random_event(rng, tracker, tracked, assigned)
             want = reachable_unjustified(tracker.graph, theory.theory_atom,
                                          tracker.justified_literals())
             got = tracker.relevant_literals()
@@ -275,12 +306,42 @@ def test_tracker_against_reachability_under_solver_events():
     assert missed_states == 0, missed_states
 
 
+def test_tracker_against_reachability_under_batched_events():
+    # The same with 1-8 events between reads, so that one settle takes the
+    # whole batch.  Batches include a status flipped and flipped back, and
+    # flips of the theory atom's status.
+    rng = random.Random(1)
+    states = missed_states = extra_states = 0
+    flipped_back = theory_atom_flips = 0
+    for _ in range(1000):
+        theory = theory_gen.random_theory(rng)
+        tracker, setup = fresh_tracker(theory)
+        status_change = setup.maps.status_change
+        tracked = sorted({abs(lit) for lit in status_change})
+        assigned = {}
+        for _ in range(20):
+            flips = [status_change[send_random_event(rng, tracker, tracked, assigned)]
+                     for _ in range(rng.randint(1, 8))]
+            flipped_back += len(set(flips)) < len(flips)
+            theory_atom_flips += theory.theory_atom in flips
+            want = reachable_unjustified(tracker.graph, theory.theory_atom,
+                                         tracker.justified_literals())
+            got = tracker.relevant_literals()
+            states += 1
+            missed_states += not want <= got
+            extra_states += not got <= want
+    assert states == 20_000
+    assert flipped_back > 10_000 and theory_atom_flips > 5_000, (
+        flipped_back, theory_atom_flips)
+    assert (missed_states, extra_states) == (0, 0)
+
+
 # -- performance shape ------------------------------------------------------------------
 
 def test_chain_notifications_are_local():
     # toggling justification near the tail of a long chain must not touch the
-    # head: the tracker counts work through its queue, so just bound time by
-    # asserting a few thousand toggles complete instantly at depth 1
+    # head: a few thousand toggles, each settled by a read, complete
+    # instantly at depth 1
     size = 2000
     rules = [Rule(1, False, (2,))]
     rules += [Rule(a, False, (a + 1,)) for a in range(2, size)]
@@ -292,5 +353,8 @@ def test_chain_notifications_are_local():
     j_tail = setup.maps.to_just[size - 1]
     for _ in range(3000):
         tracker.notify_becomes_true(j_tail)
+        assert not tracker.is_relevant(size)
         tracker.notify_becomes_unknown(j_tail)
+        assert tracker.is_relevant(size)
     assert tracker.is_relevant(2)
+    assert tracker.query_count == 6001
