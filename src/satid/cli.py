@@ -82,8 +82,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="on|off", help="filter decisions by relevance")
     parser.add_argument("--stop-on-justified", type=_onoff, default=True,
                         metavar="on|off", help="stop once the theory atom is justified")
-    parser.add_argument("--on-empty-relevant", choices=("backtrack", "fallback"),
-                        default="backtrack", help="policy when nothing is relevant")
     parser.add_argument("--max-conflicts", type=int, default=None, metavar="N")
     parser.add_argument("--time-limit", type=float, default=None, metavar="S")
 
@@ -91,7 +89,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(relevance_filter=args.relevance,
                         stop_on_justified=args.stop_on_justified,
-                        empty_relevant_policy=args.on_empty_relevant,
                         max_conflicts=args.max_conflicts,
                         time_limit=args.time_limit)
 

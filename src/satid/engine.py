@@ -107,14 +107,11 @@ LUBY_UNIT = 64
 class SolverConfig:
     relevance_filter: bool = True
     stop_on_justified: bool = True
-    empty_relevant_policy: str = "backtrack"  # "backtrack" | "fallback"
     max_conflicts: int | None = None
     time_limit: float | None = None
     debug: bool = False
 
     def __post_init__(self) -> None:
-        if self.empty_relevant_policy not in ("backtrack", "fallback"):
-            raise ValueError(f"unknown policy {self.empty_relevant_policy!r}")
         # `not x >= 0` also rejects NaN, which compares false both ways
         if self.max_conflicts is not None and not self.max_conflicts >= 0:
             raise ValueError("max_conflicts must be nonnegative")
@@ -282,7 +279,6 @@ class Solver:
         self.stats = SolveStats()
         self._just_atoms = self.setup.maps.just_atoms
         self.order = ActivityOrder(self.n_atoms, self._just_atoms)
-        self._open_atoms = sorted(theory.opens)
         self._init_loop_part()
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
                                                     debug=self.cfg.debug)
@@ -756,8 +752,9 @@ class Solver:
         self._enqueue(lit, None)
 
     def _flip_most_recent_decision(self) -> bool:
-        """Chronological step of the `backtrack` policy: revisit the deepest
-        not-yet-flipped decision with its other polarity (no learned clause)."""
+        """The solver's answer to an empty relevant set: revisit the deepest
+        not-yet-flipped decision with its other polarity (no learned clause).
+        False when every decision is flipped already."""
         for index in range(len(self.trail_lim) - 1, -1, -1):
             if not self.flipped[index]:
                 decision = self.trail[self.trail_lim[index]]
@@ -771,7 +768,7 @@ class Solver:
         n the number of unassigned open atoms."""
         if self.lit_value(self.setup.just_theory_atom) != 1:
             raise ValueError("theory atom is not justified in the current state")
-        unassigned = sum(1 for atom in self._open_atoms if self.values[atom] == 0)
+        unassigned = sum(1 for atom in self.theory.opens if self.values[atom] == 0)
         return 2 ** unassigned
 
     # -- main loop ------------------------------------------------------------------
@@ -836,14 +833,9 @@ class Solver:
                 continue
             if not self.order.side:  # every decidable atom is assigned
                 return "sat", self.interpretation()
-            # relevance filter left nothing decidable while atoms remain and
-            # the theory atom is not justified
-            if cfg.empty_relevant_policy == "fallback":
-                fallback = self._pick_atom(restrict_relevant=False)
-                assert fallback is not None
-                atom, _, _ = fallback
-                self._decide(atom if self.phase[atom] else -atom)
-                continue
+            # nothing is relevant, yet atoms remain and the theory atom is
+            # not justified: flip the deepest unflipped decision, and answer
+            # unsat when none is left
             if not self._flip_most_recent_decision():
                 return "unsat", None
 

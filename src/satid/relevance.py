@@ -28,14 +28,16 @@ A notification only updates the justified set and notes the flipped
 literal.  The watches catch up in one settle, which every read of them runs
 first when literals changed since the last one (`is_relevant`,
 `relevant_literals`, `watched_parent` and `validate`), so observers only
-ever see settled states.  A settle takes the changed literals as one batch:
+ever see settled states.  Construction runs the first settle, with nothing
+justified and the theory atom as the one changed literal; it builds the
+initial watches.  A settle takes the changed literals as one batch:
 
 - shrink: each changed literal that is now justified and has a watch, or is
   the now justified theory atom, loses it, and so does every literal whose
   watch chain runs through it;
 - regrow: each changed or dropped literal that is unjustified, unwatched and
   not the theory atom takes its first relevant parent, if it has one.  A
-  depth-first walk then attaches the unjustified, unwatched children of each
+  breadth-first walk then attaches the unjustified, unwatched children of each
   literal that got a watch, and of the theory atom if it became unjustified.
 
 A new watch points at a relevant parent, whose chain reaches the theory atom
@@ -44,24 +46,26 @@ without passing the unwatched literal, so no watch closes a cycle.
 After a settle the relevant set is exact: it is the set of literals
 reachable from the unjustified theory atom through unjustified literals, so
 it depends on the justified set alone, not on the order or batching of the
-events.  The initial breadth-first watches are exact; assume the last
-settle left them so.  There are no extras: shrink leaves only chains of
-unjustified literals that end at the theory atom, and regrow adds only
-edges from relevant parents to unjustified literals (`validate` checks
-both).  Nothing is missed.  Otherwise take a path from the theory atom to a
-missed literal: its first missed literal `m` is not the theory atom and has
-a relevant parent `p`.  If `p` got its watch in regrow, or is the theory
-atom and became unjustified, the walk from `p` gave `m` a watch, since
-regrow removes none.  So `p` was relevant before the batch and stayed so
-throughout.  If `m` was relevant before too, shrink dropped it; if not, it
-was unreachable then while its parent `p` was relevant, so it was justified
-and has changed.  Either way regrow offered `m` its parents while `p` was
-relevant, and `m` got a watch, a contradiction.
+events.  The first settle is exact: nothing is justified, and its walk
+starts at the theory atom and attaches every child of each literal it
+reaches, so it attaches exactly the literals reachable from the theory
+atom.  For a later settle, assume the one before it left the watches exact.
+There are no extras: shrink leaves only chains of unjustified literals that
+end at the theory atom, and regrow adds only edges from relevant parents to
+unjustified literals (`validate` checks both).  Nothing is missed.
+Otherwise take a path from the theory atom to a missed literal: its first
+missed literal `m` is not the theory atom and has a relevant parent `p`.
+If `p` got its watch in regrow, or is the theory atom and became
+unjustified, the walk from `p` gave `m` a watch, since regrow removes none.
+So `p` was relevant before the batch and stayed so throughout.  If `m` was
+relevant before too, shrink dropped it; if not, it was unreachable then
+while its parent `p` was relevant, so it was justified and has changed.
+Either way regrow offered `m` its parents while `p` was relevant, and `m`
+got a watch, a contradiction.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from typing import Mapping
 
@@ -74,9 +78,10 @@ class RelevanceTracker:
 
     It is built from the theory atom, the theory's `DependencyGraph` and the
     event-to-status map (`JustificationMaps.status_change`), and has no API
-    for adding rules later.  Notifications are batched until the next read,
-    which settles them; the result does not depend on how the caller
-    batches its calls.
+    for adding rules later.  Construction settles once, from the unjustified
+    theory atom, to build the initial watches.  Notifications are batched
+    until the next read, which settles them; the result does not depend on
+    how the caller batches its calls.
     """
 
     def __init__(self, theory_atom: int, graph: DependencyGraph,
@@ -87,21 +92,11 @@ class RelevanceTracker:
         self._debug = debug
         self._watched: dict[int, int] = {}
         self._justified: set[int] = set()
-        self._changed: list[int] = []  # flipped since the last settle
         self.query_count = 0
-        # initial watches, breadth-first from the theory atom; the
-        # first-visited parent wins, which keeps chains acyclic
-        visited = {theory_atom}
-        queue = deque((theory_atom,))
-        while queue:
-            lit = queue.popleft()
-            for child in graph.children_of(lit):
-                if child not in visited:
-                    visited.add(child)
-                    self._watched[child] = lit
-                    queue.append(child)
-        if debug:
-            self.validate()
+        # literals flipped since the last settle; the first settle runs from
+        # the unjustified theory atom alone and builds the initial watches
+        self._changed = [theory_atom]
+        self._settle()
 
     @classmethod
     def for_theory(cls, theory: DefnfTheory, setup: JustifiedTheory | None = None,
@@ -186,23 +181,25 @@ class RelevanceTracker:
                             stack.append(child)
         pt_unjustified = pt not in justified
         parents_of = self.graph.parents_of
-        stack = []
+        queue: list[int] = []
+        head = 0
         for lit in chain(changed, dropped):
             if lit == pt:
                 if pt_unjustified:
-                    stack.append(pt)
+                    queue.append(pt)
             elif lit not in watched and lit not in justified:
                 for parent in parents_of(lit):
                     if parent in watched or parent == pt and pt_unjustified:
                         watched[lit] = parent
-                        stack.append(lit)
+                        queue.append(lit)
                         break
-            while stack:
-                node = stack.pop()
+            while head < len(queue):
+                node = queue[head]
+                head += 1
                 for child in children_of(node):
                     if child not in watched and child not in justified and child != pt:
                         watched[child] = node
-                        stack.append(child)
+                        queue.append(child)
         changed.clear()
         if self._debug:
             self.validate()

@@ -17,13 +17,11 @@ from satid.replay import TraceReplayer
 from satid import oracle
 
 import theory_gen
-from test_engine import FilteredPickRecorder
+from test_engine import FilteredPickRecorder, NoFlipSolver
 
 ALL_CONFIGS = [
-    SolverConfig(relevance_filter=filt, stop_on_justified=stop,
-                 empty_relevant_policy=policy, debug=True)
-    for filt, stop, policy in itertools.product(
-        (True, False), (True, False), ("backtrack", "fallback"))
+    SolverConfig(relevance_filter=filt, stop_on_justified=stop, debug=True)
+    for filt, stop in itertools.product((True, False), (True, False))
 ]
 
 
@@ -60,7 +58,8 @@ def test_criterion_1_solver_matches_oracle_on_500_theories():
     for theory in theories:
         want = "sat" if oracle.enumerate_models(theory) else "unsat"
         for config in ALL_CONFIGS:
-            result = Solver(theory, config).solve()
+            # NoFlipSolver raises if the relevant set ever runs empty
+            result = NoFlipSolver(theory, config).solve()
             if result.status != want:
                 disagreements += 1
     elapsed = time.monotonic() - start

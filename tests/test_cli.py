@@ -129,7 +129,7 @@ def test_stats_deterministic_across_runs(loop_path, tmp_path, capsys):
 
 def test_solve_flags_accepted(loop_path, capsys):
     assert main(["solve", loop_path, "--relevance=off", "--stop-on-justified=off",
-                 "--on-empty-relevant=fallback", "--max-conflicts=100"]) == 10
+                 "--max-conflicts=100"]) == 10
     capsys.readouterr()
 
 
