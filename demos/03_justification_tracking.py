@@ -1,10 +1,12 @@
 """Tracking justified status through a duplicated definition.
 
-For every defined atom p a fresh justification atom j(p) is added, defined by
-a copy of the rules in which defined atoms are replaced by their copies and
-open atoms stay.  The solver never decides on the copies, so their values
-come from propagation alone, and j(p) is true/false exactly when p / ~p is
-justified by the current open-atom assignment.
+For every defined atom p a justification atom j(p) is added, numbered after
+the theory's atoms and defined by a copy of the rules in which defined atoms
+are replaced by their copies and open atoms stay.  The copies have ids but no
+names; the j(p) labels below are made from the base names.  The solver never
+decides on the copies, so their values come from propagation alone, and j(p)
+is true/false exactly when p / ~p is justified by the current open-atom
+assignment.
 """
 
 from satid import build_justification_maps, defined_fixpoint, parse_cid
@@ -26,12 +28,22 @@ r 6 d 8 10 0
 theory = parse_cid(text)
 setup = build_justification_maps(theory)
 
+
+def label(lit):
+    """A literal of the copy, named j(p) for the copy of p after p's name."""
+    if abs(lit) not in setup.maps.just_atoms:
+        return theory.literal_name(lit)  # an open atom's literal
+    base = setup.maps.status_change[lit]
+    name = f"j({theory.name_of(abs(base))})"
+    return name if base > 0 else "~" + name
+
+
 print("justification copy:")
-for rule in setup.maps.definition:
+for base_rule in theory.definition:
+    rule = setup.definition.rule_for(setup.maps.to_just[base_rule.head])
     connective = " & " if rule.conjunctive else " | "
-    body = connective.join(
-        setup.extended.literal_name(lit) for lit in rule.body)
-    print(f"  {setup.extended.name_of(rule.head)} <- {body}")
+    body = connective.join(label(lit) for lit in rule.body)
+    print(f"  {label(rule.head)} <- {body}")
 
 # propagation from open literals alone derives exactly the justified atoms
 for opens in ([8], [10], [-8, -10]):

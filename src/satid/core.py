@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import neg
-from typing import Iterable, Iterator, KeysView, Mapping, Union
+from typing import AbstractSet, Iterable, Iterator, KeysView, Mapping, Union
 
 
 class TruthValue(IntEnum):
@@ -70,8 +70,8 @@ def atom_of(lit: Literal) -> Atom:
 class AtomTable:
     """Append-only table of atoms with optional symbolic names.
 
-    Atom ids are dense 1..N; fresh atoms (normalization or justification
-    copies) extend the table and never invalidate existing ids.
+    Atom ids are dense 1..N; fresh atoms (normalization's subformula atoms)
+    extend the table and never invalidate existing ids.
     """
 
     def __init__(self, names: Iterable[str | None] = ()) -> None:
@@ -340,10 +340,10 @@ class Definition:
 class DefnfTheory:
     """A normal-form theory: one theory atom constrained true, one definition.
 
-    Its atom table does not grow once the theory is built: `parse_cid`,
-    `normalize` and the justifier add all their atoms first (the justifier
-    to a copy).  So the set of open atoms is built on the first read of
-    `opens` and kept.
+    Its atom table does not grow once the theory is built: `parse_cid` and
+    `normalize` add all their atoms first, and the justifier numbers its
+    copies past the table without adding to it.  So the set of open atoms is
+    built on the first read of `opens` and kept.
     """
 
     def __init__(self, atoms: AtomTable, theory_atom: Atom, definition: Definition) -> None:
@@ -429,6 +429,21 @@ class DependencyGraph:
         lits = set(self._children)
         lits.update(self._parents)
         return lits
+
+    def reachable(self, root: Literal, blocked: AbstractSet[Literal]) -> set[Literal]:
+        """The literals reachable from `root`, itself included, through
+        literals not in `blocked`; empty when `root` is blocked."""
+        if root in blocked:
+            return set()
+        children = self._children
+        reached = {root}
+        stack = [root]
+        while stack:
+            for child in children.get(stack.pop(), _NO_LITERALS):
+                if child not in reached and child not in blocked:
+                    reached.add(child)
+                    stack.append(child)
+        return reached
 
     def loop_atoms(self) -> set[Atom]:
         """Defined atoms on a positive loop or depending positively on one.

@@ -249,8 +249,7 @@ class Solver:
         self.theory = theory
         self.cfg = config or SolverConfig()
         self.setup = setup or build_justification_maps(theory)
-        extended = self.setup.extended
-        self.n_atoms = extended.n_atoms
+        self.n_atoms = self.setup.n_atoms
         self.values = [0] * (self.n_atoms + 1)  # 0 unknown, 1 true, -1 false
         self.levels = [0] * (self.n_atoms + 1)
         self.reasons: list[int | None] = [None] * (self.n_atoms + 1)
@@ -263,7 +262,7 @@ class Solver:
         # `solve()` time on the small theories of the `random` benchmark.
         self.qhead = 0
         self.uhead = 0  # where the unfounded-set pass reads the trail next
-        self.clauses = completion_clauses(extended.definition)
+        self.clauses = completion_clauses(self.setup.definition)
         if assert_constraint:
             self.clauses.append([theory.theory_atom])
         self.n_problem_clauses = len(self.clauses)
@@ -296,11 +295,10 @@ class Solver:
         value = self.values[abs(lit)]
         return value if lit > 0 else -value
 
-    def interpretation(self, original_only: bool = False) -> PartialInterpretation:
-        limit = self.theory.n_atoms if original_only else self.n_atoms
+    def interpretation(self) -> PartialInterpretation:
         return PartialInterpretation.from_literals(
             (atom if self.values[atom] > 0 else -atom)
-            for atom in range(1, limit + 1) if self.values[atom] != 0)
+            for atom in range(1, self.n_atoms + 1) if self.values[atom] != 0)
 
     @property
     def level(self) -> int:
@@ -464,7 +462,7 @@ class Solver:
             return
         to_just = self.setup.maps.to_just
         loop.update([to_just[atom] for atom in loop])
-        combined = self.setup.extended.definition
+        combined = self.setup.definition
         rule_for = combined.rule_for
         rules = self._loop_rules
         watches = self._loop_watches
@@ -714,15 +712,8 @@ class Solver:
         order = self.order
         tracker = self.tracker
         relevant = tracker.relevant_literals()
-        justified = tracker.justified_literals()
-        theory_atom = self.theory.theory_atom
-        stack = [] if theory_atom in justified else [theory_atom]
-        reachable = set(stack)
-        while stack:
-            for child in tracker.graph.children_of(stack.pop()):
-                if child not in reachable and child not in justified:
-                    reachable.add(child)
-                    stack.append(child)
+        reachable = tracker.graph.reachable(self.theory.theory_atom,
+                                            tracker.justified_literals())
         if relevant != reachable:
             raise AssertionError(
                 f"tracker misses {sorted(reachable - relevant)} "

@@ -1,11 +1,13 @@
-"""Justification atoms: a duplicated definition over fresh atoms whose truth
+"""Justification atoms: a duplicated definition over new atom ids whose truth
 values are produced purely by propagation, so that j(p) being true/false in
 the solver encodes that p / ~p is justified.
 
 The copy replaces every defined atom (head or body) by its justification
-atom and leaves open atoms untouched.  The solver must never decide on a
-justification atom; their values then coincide with justified status at every
-propagation fixpoint.
+atom and leaves open atoms untouched.  With n atoms in the theory and d of
+them defined, the copies are numbered n+1..n+d in ascending order of the
+defined atom they copy.  They have no names and no atom table: the theory
+keeps its own.  The solver must never decide on a justification atom; their
+values then coincide with justified status at every propagation fixpoint.
 """
 
 from __future__ import annotations
@@ -32,19 +34,25 @@ class JustificationMaps:
     to_just: dict[int, int]
     just_atoms: frozenset[int]
     status_change: dict[int, int]
-    definition: Definition
 
 
 @dataclass(frozen=True)
 class JustifiedTheory:
-    """A theory together with its justification copy, combined solver view
-    and the base definition's dependency graph, the one that the relevance
-    tracker, the solver's loop peel and `satid solve --dot` read."""
+    """A theory and what the solver and the relevance tracker read of its
+    justification copy: the literal maps, the combined definition (the base
+    rules, then the copy rules, in that order) and the base definition's
+    dependency graph, the one that the relevance tracker, the solver's loop
+    peel and `satid solve --dot` read."""
 
     base: DefnfTheory
     maps: JustificationMaps
-    extended: DefnfTheory
+    definition: Definition
     graph: DependencyGraph
+
+    @property
+    def n_atoms(self) -> int:
+        """Atoms of the theory plus their justification copies."""
+        return self.base.n_atoms + len(self.maps.just_atoms)
 
     @property
     def just_theory_atom(self) -> int:
@@ -54,18 +62,12 @@ class JustifiedTheory:
 def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
     """Create the justification copy of a theory's definition.
 
-    Fresh atoms are appended after the existing table in ascending order of
+    The copies are numbered after the theory's atoms in ascending order of
     the defined atom they copy, which makes their ids reproducible.
     """
-    atoms = theory.atoms.copy()
-    defined = sorted(theory.definition.defined_atoms)
-
-    j_of: dict[int, int] = {}
-    for atom in defined:
-        name: str | None = f"j({theory.atoms.name_of(atom)})"
-        if name in atoms:
-            name = None
-        j_of[atom] = atoms.fresh(name)
+    n = theory.n_atoms
+    j_of = {atom: n + i
+            for i, atom in enumerate(sorted(theory.definition.defined_atoms), start=1)}
 
     to_just: dict[int, int] = {}
     status_change: dict[int, int] = {}
@@ -84,14 +86,11 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
             return j_of[atom] if lit > 0 else -j_of[atom]
         return lit
 
-    j_rules = [
+    rules = list(theory.definition)
+    rules += [
         Rule(j_of[rule.head], rule.conjunctive, tuple(translate(l) for l in rule.body))
         for rule in theory.definition
     ]
-    maps = JustificationMaps(to_just, frozenset(j_of.values()), status_change,
-                             Definition(j_rules))
-    combined = Definition(theory.definition.rules + maps.definition.rules)
-    extended = DefnfTheory(atoms, theory.theory_atom, combined)
-    return JustifiedTheory(theory, maps, extended,
+    maps = JustificationMaps(to_just, frozenset(j_of.values()), status_change)
+    return JustifiedTheory(theory, maps, Definition(rules),
                            build_dependency_graph(theory.definition))
-

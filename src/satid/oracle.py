@@ -253,19 +253,8 @@ def relevant_set(theory: DefnfTheory, interp: PartialInterpretation) -> set[int]
     """Least fixpoint of relevance: the theory atom when unjustified, plus
     unjustified literals reachable from a relevant literal in the dependency
     graph."""
-    justified_lits = justified_literals(theory, interp)
-    graph = build_dependency_graph(theory.definition)
-    result: set[int] = set()
-    if theory.theory_atom not in justified_lits:
-        result.add(theory.theory_atom)
-        queue = [theory.theory_atom]
-        while queue:
-            lit = queue.pop()
-            for child in graph.children_of(lit):
-                if child not in result and child not in justified_lits:
-                    result.add(child)
-                    queue.append(child)
-    return result
+    return build_dependency_graph(theory.definition).reachable(
+        theory.theory_atom, justified_literals(theory, interp))
 
 
 def count_models_extending(theory: DefnfTheory,

@@ -53,7 +53,6 @@ class TraceReplayer:
         self.assignment = PartialInterpretation()
         self.check_oracle = check_oracle
         self.report = ReplayReport()
-        self._n_extended = self.setup.extended.n_atoms
 
     def run(self, events: list[TraceEvent]) -> ReplayReport:
         for event in events:
@@ -98,8 +97,9 @@ class TraceReplayer:
         return output
 
     def _check_literal(self, lit: int) -> None:
-        if not 1 <= atom_of(lit) <= self._n_extended:
-            raise ReplayOrderError(f"literal {lit} outside the extended atom table")
+        n_atoms = self.setup.n_atoms
+        if not 1 <= atom_of(lit) <= n_atoms:
+            raise ReplayOrderError(f"literal {lit} outside atoms 1..{n_atoms}")
 
     def _maybe_check_oracle(self, index: int) -> None:
         if not self.check_oracle:

@@ -116,18 +116,17 @@ def test_criterion_4_golden_examples():
     # (a) structure of the justification copy
     justdef = theory_gen.justdef_theory()
     setup = build_justification_maps(justdef)
-    ext = setup.extended
-    by_name = {ext.name_of(r.head): r for r in setup.maps.definition}
     ids = {name: justdef.atoms.id_of(name) for name in "abcde"}
-    jf = setup.maps.to_just[justdef.atoms.id_of("f")]
-    assert by_name["j(p_T)"].conjunctive
-    assert tuple(ext.name_of(x) for x in by_name["j(p_T)"].body) == (
-        "j(c1)", "j(c2)", "j(c3)", "j(c4)")
-    assert by_name["j(c1)"].body == (-ids["b"], -ids["d"])
-    assert by_name["j(c2)"].body == (ids["a"], ids["b"], -ids["c"])
-    assert by_name["j(c3)"].body == (-ids["b"], ids["e"], -jf)
-    assert by_name["j(c4)"].body == (ids["d"], jf, -ids["a"])
-    assert by_name["j(f)"].body == (ids["b"], ids["d"])
+    j = {name: setup.maps.to_just[justdef.atoms.id_of(name)]
+         for name in ("p_T", "c1", "c2", "c3", "c4", "f")}
+    by_name = {name: setup.definition.rule_for(j_atom) for name, j_atom in j.items()}
+    assert by_name["p_T"].conjunctive
+    assert by_name["p_T"].body == (j["c1"], j["c2"], j["c3"], j["c4"])
+    assert by_name["c1"].body == (-ids["b"], -ids["d"])
+    assert by_name["c2"].body == (ids["a"], ids["b"], -ids["c"])
+    assert by_name["c3"].body == (-ids["b"], ids["e"], -j["f"])
+    assert by_name["c4"].body == (ids["d"], j["f"], -ids["a"])
+    assert by_name["f"].body == (ids["b"], ids["d"])
 
     # (b) justified prefix and pruned negated literal
     intro = theory_gen.intro_theory()

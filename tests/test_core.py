@@ -184,6 +184,16 @@ def test_dependency_graph_keeps_insertion_order():
     assert g.edges()[:3] == [(1, 4), (1, -5), (1, 6)]
 
 
+def test_reachable_through_unblocked_literals(loop):
+    g = build_dependency_graph(loop.definition)
+    p_T, a, p, q = 1, 2, 3, 4
+    assert g.reachable(p_T, set()) == {p_T, a, p, q}
+    assert g.reachable(p_T, {p}) == {p_T, a}          # the loop is cut off
+    assert g.reachable(-p_T, {-a}) == {-p_T, -p, -q}
+    assert g.reachable(a, set()) == {a}               # an open atom is a leaf
+    assert g.reachable(p_T, {p_T}) == set()           # a blocked root
+
+
 def test_empty_definition_graph():
     g = build_dependency_graph(Definition([]))
     assert g.edges() == []

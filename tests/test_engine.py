@@ -192,7 +192,7 @@ def reference_unfounded(solver):
     """The all-atoms founded-set sweep over the whole combined definition,
     repeated until nothing changes: the unfounded atoms in the iteration
     order of the defined-atom set."""
-    definition = solver.setup.extended.definition
+    definition = solver.setup.definition
     defined = definition.defined_atoms
     candidates = [a for a in defined if solver.values[a] != -1]
     founded = set()
@@ -218,7 +218,7 @@ def reference_reasons(solver, unfounded):
     literals they put on the trail, up to the first atom that is true."""
     blockers = []
     for atom in unfounded:
-        rule = solver.setup.extended.definition.rule_for(atom)
+        rule = solver.setup.definition.rule_for(atom)
         for lit in rule.body:
             if solver.lit_value(lit) == -1:
                 if lit not in blockers:
@@ -814,11 +814,11 @@ def test_problem_clauses_keep_first_occurrences():
                     added += 1
         assert completion_clauses(definition) == expected
 
-        # the solver stores the clauses of the extended definition as they come
+        # the solver stores the clauses of the combined definition as they come
         theory = DefnfTheory(AtomTable([None] * n_atoms), definition.rules[0].head,
                              definition)
         solver = Solver(theory, SolverConfig(relevance_filter=False))
-        stored = completion_clauses(solver.setup.extended.definition)
+        stored = completion_clauses(solver.setup.definition)
         assert solver.clauses == stored + [[theory.theory_atom]]
         assert solver.n_problem_clauses == len(solver.clauses)
         for index, clause in enumerate(solver.clauses):
@@ -951,7 +951,8 @@ class FilteredPickRecorder(Solver):
     def _pick_atom(self, restrict_relevant):
         picked = super()._pick_atom(restrict_relevant)
         if restrict_relevant and picked is not None:
-            self.filtered.append((picked[0], self.interpretation(original_only=True)))
+            self.filtered.append(
+                (picked[0], self.interpretation().restrict(self.theory.atoms.atoms())))
         return picked
 
 

@@ -6,22 +6,26 @@ from satid import (AtomTable, DefnfTheory, Definition, Rule,
 import theory_gen
 
 
+def copy_rule(setup, name):
+    """The copy rule of the base atom with this name, looked up by id."""
+    atom = setup.base.atoms.id_of(name)
+    return setup.definition.rule_for(setup.maps.to_just[atom])
+
+
 def test_justification_definition_structure(justdef):
     setup = build_justification_maps(justdef)
-    ext = setup.extended
-    names = {ext.name_of(r.head): r for r in setup.maps.definition}
     b, c, d, e, a = (justdef.atoms.id_of(x) for x in "bcdea")
-    jf = setup.maps.to_just[justdef.atoms.id_of("f")]
+    j = {name: setup.maps.to_just[justdef.atoms.id_of(name)]
+         for name in ("c1", "c2", "c3", "c4", "f")}
 
-    top = names["j(p_T)"]
+    top = copy_rule(setup, "p_T")
     assert top.conjunctive
-    assert tuple(ext.name_of(x) for x in top.body) == (
-        "j(c1)", "j(c2)", "j(c3)", "j(c4)")
-    assert names["j(c1)"].body == (-b, -d)
-    assert names["j(c2)"].body == (a, b, -c)
-    assert names["j(c3)"].body == (-b, e, -jf)   # defined f becomes j(f)
-    assert names["j(c4)"].body == (d, jf, -a)
-    assert names["j(f)"].body == (b, d)          # open-only body is unchanged
+    assert top.body == (j["c1"], j["c2"], j["c3"], j["c4"])
+    assert copy_rule(setup, "c1").body == (-b, -d)
+    assert copy_rule(setup, "c2").body == (a, b, -c)
+    assert copy_rule(setup, "c3").body == (-b, e, -j["f"])  # defined f becomes j(f)
+    assert copy_rule(setup, "c4").body == (d, j["f"], -a)
+    assert copy_rule(setup, "f").body == (b, d)             # open-only body is unchanged
 
 
 def test_fresh_atoms_appended_in_ascending_defined_order(justdef):
@@ -34,7 +38,7 @@ def test_fresh_atoms_appended_in_ascending_defined_order(justdef):
 def test_open_only_bodies_are_identical():
     theory = theory_gen.build_theory("p x y", "p", [("p", "d", ["x", "~y"])])
     setup = build_justification_maps(theory)
-    assert setup.maps.definition.rules[0].body == theory.definition.rules[0].body
+    assert copy_rule(setup, "p").body == theory.definition.rules[0].body
 
 
 def test_translation_maps_are_inverse(justdef):
@@ -58,7 +62,8 @@ def test_copy_is_isomorphic_to_original():
             Rule(translate(rule.head), rule.conjunctive,
                  tuple(translate(l) for l in rule.body))
             for rule in theory.definition]
-        assert tuple(translated) == setup.maps.definition.rules
+        # the base rules first, then their copies in the same order
+        assert setup.definition.rules == theory.definition.rules + tuple(translated)
 
 
 def test_status_change_dispatch(justdef):
@@ -80,13 +85,28 @@ def test_empty_definition_has_empty_copy():
     table = AtomTable(["p"])
     theory = DefnfTheory(table, 1, Definition([Rule(1, True, ())]))
     setup = build_justification_maps(theory)
-    assert len(setup.maps.definition) == 1
-    assert setup.maps.definition.rules[0].body == ()
+    assert len(setup.definition) == 2
+    assert setup.definition.rule_for(setup.maps.to_just[1]).body == ()
 
 
-def test_extended_theory_contains_both_copies(loop):
+def test_combined_definition_contains_both_copies(loop):
     setup = build_justification_maps(loop)
-    assert setup.extended.n_atoms == loop.n_atoms + len(loop.defined)
-    assert len(setup.extended.definition) == 2 * len(loop.definition)
-    assert setup.extended.theory_atom == loop.theory_atom
+    assert setup.n_atoms == loop.n_atoms + len(loop.defined)
+    assert len(setup.definition) == 2 * len(loop.definition)
+    assert setup.definition.defined_atoms == loop.defined | setup.maps.just_atoms
     assert setup.just_theory_atom == setup.maps.to_just[loop.theory_atom]
+
+
+def test_copy_needs_no_atom_names():
+    # the copies get ids, not names: the base table is not grown, and a
+    # base atom named like a copy of another changes no id
+    rules = [Rule(1, False, (2, 3)), Rule(3, True, (-2,))]
+    named = AtomTable(["a", "j(a)", "b"])
+    unnamed = AtomTable([None] * 3)
+    ids = []
+    for table in (named, unnamed):
+        theory = DefnfTheory(table, 1, Definition(rules))
+        setup = build_justification_maps(theory)
+        assert len(theory.atoms) == 3
+        ids.append(setup.maps.to_just)
+    assert ids[0] == ids[1] == {1: 4, -1: -4, 3: 5, -3: -5}

@@ -252,21 +252,6 @@ def test_reversibility_of_random_traces():
         assert replayer.tracker.justified_literals() == set()
 
 
-def reachable_unjustified(graph, theory_atom, justified):
-    """Reference relevance: the unjustified literals reachable from the
-    unjustified theory atom through unjustified literals."""
-    if theory_atom in justified:
-        return set()
-    reached = {theory_atom}
-    stack = [theory_atom]
-    while stack:
-        for child in graph.children_of(stack.pop()):
-            if child not in reached and child not in justified:
-                reached.add(child)
-                stack.append(child)
-    return reached
-
-
 def send_random_event(rng, tracker, tracked, assigned):
     """Assign an unassigned tracked atom or unassign an assigned one, at
     random, and notify the tracker; returns the literal sent.  `assigned`
@@ -296,8 +281,8 @@ def test_tracker_against_reachability_under_solver_events():
         assigned = {}
         for _ in range(50):
             send_random_event(rng, tracker, tracked, assigned)
-            want = reachable_unjustified(tracker.graph, theory.theory_atom,
-                                         tracker.justified_literals())
+            want = tracker.graph.reachable(theory.theory_atom,
+                                           tracker.justified_literals())
             got = tracker.relevant_literals()
             assert got <= want, (theory.definition.rules, sorted(got - want))
             states += 1
@@ -324,8 +309,8 @@ def test_tracker_against_reachability_under_batched_events():
                      for _ in range(rng.randint(1, 8))]
             flipped_back += len(set(flips)) < len(flips)
             theory_atom_flips += theory.theory_atom in flips
-            want = reachable_unjustified(tracker.graph, theory.theory_atom,
-                                         tracker.justified_literals())
+            want = tracker.graph.reachable(theory.theory_atom,
+                                           tracker.justified_literals())
             got = tracker.relevant_literals()
             states += 1
             missed_states += not want <= got

@@ -63,6 +63,11 @@ def test_literal_outside_table_rejected(loop):
     replayer = TraceReplayer(loop)
     with pytest.raises(ReplayOrderError, match="outside"):
         replayer.run(parse_trace("+ 99\n"))
+    # the theory of demos/data/loop.cid: 4 atoms, then 3 justification
+    # copies, so the last literal a trace may name is 7
+    assert TraceReplayer(loop).run(parse_trace("+ -7\n")).events == 1
+    with pytest.raises(ReplayOrderError, match="outside atoms 1..7"):
+        TraceReplayer(loop).run(parse_trace("+ 8\n"))
 
 
 def test_oracle_checking_counts_quiescent_states():
