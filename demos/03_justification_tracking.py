@@ -39,11 +39,11 @@ def label(lit):
 
 
 print("justification copy:")
-for base_rule in theory.definition:
-    rule = setup.definition.rule_for(setup.maps.to_just[base_rule.head])
+for rule, copy in zip(theory.definition, setup.maps.translate(
+        rule.body for rule in theory.definition)):
     connective = " & " if rule.conjunctive else " | "
-    body = connective.join(label(lit) for lit in rule.body)
-    print(f"  {label(rule.head)} <- {body}")
+    body = connective.join(label(lit) for lit in copy)
+    print(f"  {label(setup.maps.to_just[rule.head])} <- {body}")
 
 # propagation from open literals alone derives exactly the justified atoms
 for opens in ([8], [10], [-8, -10]):

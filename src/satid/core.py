@@ -75,10 +75,12 @@ class AtomTable:
     """
 
     def __init__(self, names: Iterable[str | None] = ()) -> None:
-        self._names: list[str | None] = []
-        self._ids: dict[str, int] = {}
-        for name in names:
-            self.fresh(name)
+        self._names: list[str | None] = list(names)
+        self._ids = {name: i for i, name in enumerate(self._names, 1) if name is not None}
+        if len(self._ids) + self._names.count(None) < len(self._names):
+            table = AtomTable()
+            for name in self._names:
+                table.fresh(name)  # raises at the first repeated name
 
     def fresh(self, name: str | None = None) -> Atom:
         if name is not None and name in self._ids:
@@ -277,7 +279,7 @@ class Rule:
     def __post_init__(self) -> None:
         if self.head <= 0:
             raise ValueError(f"rule head must be a positive atom, got {self.head}")
-        if any(lit == 0 for lit in self.body):
+        if 0 in self.body:
             raise ValueError("0 is not a literal")
 
     def body_value(self, interp: PartialInterpretation) -> TruthValue:
@@ -307,20 +309,15 @@ class Definition:
 
     @property
     def defined_atoms(self) -> frozenset[Atom]:
-        """The heads, built once.  `Solver._loop_rules` and the tests'
-        `reference_unfounded` sweep follow this set's iteration order."""
+        """The heads, built once from a dict in rule order, as the set that
+        `Solver._loop_rules` follows is (`JustifiedTheory.defined_atoms`)."""
         return self._defined
 
-    @property
-    def mentioned_atoms(self) -> frozenset[Atom]:
-        atoms = set(self._by_head)
-        for rule in self._rules:
-            atoms.update(atom_of(lit) for lit in rule.body)
-        return frozenset(atoms)
-
     def open_atoms(self, universe: Iterable[Atom] | None = None) -> frozenset[Atom]:
-        atoms = self.mentioned_atoms if universe is None else frozenset(universe)
-        return atoms - self.defined_atoms
+        """The atoms of `universe` (by default, of the bodies) that no rule defines."""
+        if universe is None:
+            universe = [atom_of(lit) for rule in self._rules for lit in rule.body]
+        return frozenset(universe) - self.defined_atoms
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self._rules)
@@ -352,8 +349,9 @@ class DefnfTheory:
             raise ValueError(f"theory atom {theory_atom} outside atom table (1..{n})")
         if theory_atom not in definition.defined_atoms:
             raise ValueError(f"theory atom {theory_atom} is not defined")
-        for atom in definition.mentioned_atoms:
-            if atom > n:
+        for rule in definition:
+            if rule.head > n or rule.body and (max(rule.body) > n or min(rule.body) < -n):
+                atom = next(a for a in (rule.head, *map(abs, rule.body)) if a > n)
                 raise ValueError(f"atom {atom} outside atom table (1..{n})")
         self.atoms = atoms
         self.theory_atom = theory_atom

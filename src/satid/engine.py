@@ -1,7 +1,7 @@
 """CDCL search over rule completions plus unfounded-set propagation.
 
-The solver works on the combined definition (the original rules and their
-justification copy): unit propagation runs on the completion clauses with two
+The solver works on the original rules and their justification copy, never
+built as rules: unit propagation runs on their completion clauses with two
 watched literals, unfounded-set propagation falsifies defined atoms that lost
 external support, and conflicts are analyzed to the first unique implication
 point.  Justification atoms are never decided, so their values are produced
@@ -262,18 +262,21 @@ class Solver:
         # `solve()` time on the small theories of the `random` benchmark.
         self.qhead = 0
         self.uhead = 0  # where the unfounded-set pass reads the trail next
-        self.clauses = completion_clauses(self.setup.definition)
+        # the base rules' clauses, then the copies': each a base one renamed
+        self.clauses = clauses = completion_clauses(self.setup.base.definition)
+        clauses += self.setup.maps.translate(clauses)
         if assert_constraint:
-            self.clauses.append([theory.theory_atom])
-        self.n_problem_clauses = len(self.clauses)
+            clauses.append([theory.theory_atom])
+        self.n_problem_clauses = len(clauses)
         self.watches: dict[int, list[int]] = {}
         self._root_units: list[tuple[int, int]] = []
-        for index, clause in enumerate(self.clauses):
+        watch, unit = self.watches.setdefault, self._root_units.append
+        for index, clause in enumerate(clauses):
             if len(clause) == 1:
-                self._root_units.append((clause[0], index))
+                unit((clause[0], index))
             else:
-                self.watches.setdefault(clause[0], []).append(index)
-                self.watches.setdefault(clause[1], []).append(index)
+                watch(clause[0], []).append(index)
+                watch(clause[1], []).append(index)
         self.phase = [False] * (self.n_atoms + 1)
         self.stats = SolveStats()
         self._just_atoms = self.setup.maps.just_atoms
@@ -442,14 +445,14 @@ class Solver:
     def _init_loop_part(self) -> None:
         """Index the rules that unfounded-set propagation has to look at.
 
-        `_loop_rules` maps each defined atom of the combined definition that
-        is loop-dependent in the original definition, or copies such an
-        atom, to (position, conjunctive, body).  Its order, the iteration
-        order of the combined definition's defined-atom set, fixes the order
-        in which unfounded atoms are falsified and their reason clauses
-        added.  `_loop_watches` maps each body literal of these rules to
-        their heads, once per occurrence: the heads whose source can hold
-        the literal.  The sources themselves are found by the first pass.
+        `_loop_rules` maps each defined atom that is loop-dependent in the
+        original definition, and its copy (whose body is the base body
+        renamed), to (position, conjunctive, body).  Its order, the iteration
+        order of `JustifiedTheory.defined_atoms`, fixes the order in which
+        unfounded atoms are falsified and their reason clauses added.
+        `_loop_watches` maps each body literal of these rules to their
+        heads, once per occurrence: the heads whose source can hold the
+        literal.  The sources themselves are found by the first pass.
         """
         self._loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]] = {}
         self._loop_watches: dict[int, list[int]] = {}
@@ -460,17 +463,17 @@ class Solver:
         loop = self.setup.graph.loop_atoms()
         if not loop:
             return
-        to_just = self.setup.maps.to_just
-        loop.update([to_just[atom] for atom in loop])
-        combined = self.setup.definition
-        rule_for = combined.rule_for
+        base = list(map(self.setup.base.definition.rule_for, loop))
+        found: dict[int, tuple[bool, tuple[int, ...]]] = {}
+        for rule, copy in zip(base, self.setup.maps.translate(r.body for r in base)):
+            found[rule.head] = rule.conjunctive, rule.body
+            found[self.setup.maps.to_just[rule.head]] = rule.conjunctive, tuple(copy)
         rules = self._loop_rules
         watches = self._loop_watches
-        for head in combined.defined_atoms:
-            if head in loop:
-                rule = rule_for(head)
-                rules[head] = (len(rules), rule.conjunctive, rule.body)
-                for lit in rule.body:
+        for head in self.setup.defined_atoms():
+            if head in found:
+                rules[head] = (len(rules), *found[head])
+                for lit in found[head][1]:
                     watches.setdefault(lit, []).append(head)
 
     def propagate_unfounded(self) -> list[int] | None:

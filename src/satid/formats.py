@@ -41,13 +41,13 @@ def parse_cid(text: str) -> DefnfTheory:
     heads: dict[int, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("%"):
             continue
-        fields = line.split()
         if n_atoms is None:
             if fields[:2] != ["p", "cid"] or len(fields) != 3:
-                raise FormatError(f"expected header 'p cid <natoms>', got {line!r}", lineno)
+                raise FormatError(
+                    f"expected header 'p cid <natoms>', got {raw.strip()!r}", lineno)
             try:
                 n_atoms = int(fields[2])
             except ValueError:
@@ -76,16 +76,16 @@ def parse_cid(text: str) -> DefnfTheory:
                 raise FormatError(
                     f"atom {head} defined twice (first rule on line {heads[head]})", lineno)
             heads[head] = lineno
-            body = []
-            seen = set()
-            for field in fields[3:-1]:
-                lit = _parse_literal(field, n_atoms, lineno)
-                if lit not in seen:
-                    seen.add(lit)
-                    body.append(lit)
-            rules.append(Rule(head, fields[2] == "c", tuple(body)))
+            try:
+                body = list(map(int, fields[3:-1]))
+                if body and (0 in body or max(body) > n_atoms or min(body) < -n_atoms):
+                    raise ValueError
+            except ValueError:
+                # parse field by field to report the first bad one
+                body = [_parse_literal(field, n_atoms, lineno) for field in fields[3:-1]]
+            rules.append(Rule(head, fields[2] == "c", tuple(dict.fromkeys(body))))
             continue
-        raise FormatError(f"unrecognized line {line!r}", lineno)
+        raise FormatError(f"unrecognized line {raw.strip()!r}", lineno)
 
     if n_atoms is None:
         raise FormatError("missing 'p cid' header")

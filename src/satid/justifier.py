@@ -8,14 +8,17 @@ them defined, the copies are numbered n+1..n+d in ascending order of the
 defined atom they copy.  They have no names and no atom table: the theory
 keeps its own.  The solver must never decide on a justification atom; their
 values then coincide with justified status at every propagation fixpoint.
+The copy is never built as rules: renaming keeps open atoms, so each copy
+rule, and each of its completion clauses, is a base one with every literal
+renamed (`JustificationMaps.translate`), and the solver builds them so.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .core import (DefnfTheory, Definition, DependencyGraph, Rule, atom_of,
-                   build_dependency_graph)
+from .core import DefnfTheory, DependencyGraph, build_dependency_graph
 
 
 @dataclass(frozen=True)
@@ -35,18 +38,22 @@ class JustificationMaps:
     just_atoms: frozenset[int]
     status_change: dict[int, int]
 
+    def translate(self, seqs: Iterable[Sequence[int]]) -> list[list[int]]:
+        """Each sequence of literals renamed into the copy: a defined atom's
+        literal to its justification atom's, an open literal to itself."""
+        get = self.to_just.get
+        return [list(map(get, lits, lits)) for lits in seqs]
+
 
 @dataclass(frozen=True)
 class JustifiedTheory:
     """A theory and what the solver and the relevance tracker read of its
-    justification copy: the literal maps, the combined definition (the base
-    rules, then the copy rules, in that order) and the base definition's
+    justification copy: the literal maps and the base definition's
     dependency graph, the one that the relevance tracker, the solver's loop
     peel and `satid solve --dot` read."""
 
     base: DefnfTheory
     maps: JustificationMaps
-    definition: Definition
     graph: DependencyGraph
 
     @property
@@ -58,20 +65,24 @@ class JustifiedTheory:
     def just_theory_atom(self) -> int:
         return self.maps.to_just[self.base.theory_atom]
 
+    def defined_atoms(self) -> frozenset[int]:
+        """The base heads, then their copies, built from a dict in rule order
+        as `Definition.defined_atoms` is: past its hash table an int set's
+        iteration order, which `Solver._loop_rules` follows, depends on that."""
+        heads = [rule.head for rule in self.base.definition]
+        return frozenset(dict.fromkeys([*heads, *map(self.maps.to_just.__getitem__, heads)]))
+
 
 def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
-    """Create the justification copy of a theory's definition.
+    """Number the justification copies of a theory's defined atoms.
 
     The copies are numbered after the theory's atoms in ascending order of
     the defined atom they copy, which makes their ids reproducible.
     """
     n = theory.n_atoms
-    j_of = {atom: n + i
-            for i, atom in enumerate(sorted(theory.definition.defined_atoms), start=1)}
-
     to_just: dict[int, int] = {}
     status_change: dict[int, int] = {}
-    for atom, j_atom in j_of.items():
+    for j_atom, atom in enumerate(sorted(theory.defined), start=n + 1):
         to_just[atom] = j_atom
         to_just[-atom] = -j_atom
         status_change[j_atom] = atom
@@ -79,18 +90,6 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
     for atom in theory.opens:
         status_change[atom] = atom
         status_change[-atom] = -atom
-
-    def translate(lit: int) -> int:
-        atom = atom_of(lit)
-        if atom in j_of:
-            return j_of[atom] if lit > 0 else -j_of[atom]
-        return lit
-
-    rules = list(theory.definition)
-    rules += [
-        Rule(j_of[rule.head], rule.conjunctive, tuple(translate(l) for l in rule.body))
-        for rule in theory.definition
-    ]
-    maps = JustificationMaps(to_just, frozenset(j_of.values()), status_change)
-    return JustifiedTheory(theory, maps, Definition(rules),
-                           build_dependency_graph(theory.definition))
+    just_atoms = frozenset(range(n + 1, n + 1 + len(theory.defined)))
+    maps = JustificationMaps(to_just, just_atoms, status_change)
+    return JustifiedTheory(theory, maps, build_dependency_graph(theory.definition))

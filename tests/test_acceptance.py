@@ -119,7 +119,8 @@ def test_criterion_4_golden_examples():
     ids = {name: justdef.atoms.id_of(name) for name in "abcde"}
     j = {name: setup.maps.to_just[justdef.atoms.id_of(name)]
          for name in ("p_T", "c1", "c2", "c3", "c4", "f")}
-    by_name = {name: setup.definition.rule_for(j_atom) for name, j_atom in j.items()}
+    copy = theory_gen.combined_definition(setup)
+    by_name = {name: copy.rule_for(j_atom) for name, j_atom in j.items()}
     assert by_name["p_T"].conjunctive
     assert by_name["p_T"].body == (j["c1"], j["c2"], j["c3"], j["c4"])
     assert by_name["c1"].body == (-ids["b"], -ids["d"])

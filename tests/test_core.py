@@ -136,6 +136,31 @@ def test_definition_rejects_second_rule_for_head():
         Definition([Rule(1, True, (2,)), Rule(1, False, (3,))])
 
 
+def test_rule_rejects_zero_literal():
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        Rule(1, True, (2, 0))
+
+
+def test_atom_table_built_in_one_step():
+    table = AtomTable(["a", None, "b"])
+    assert len(table) == 3
+    assert (table.id_of("a"), table.id_of("b")) == (1, 3)
+    assert table.name_of(2) == "x2"
+    assert table.fresh("c") == 4
+    with pytest.raises(ValueError, match="'a' already in use"):
+        AtomTable(["a", None, "b", None, "a"])
+
+
+def test_theory_rejects_atoms_outside_the_table():
+    table = AtomTable([None] * 3)
+    for rules in ([Rule(1, True, (2, 5))],                 # positive body literal
+                  [Rule(1, False, (-5, 2))],               # negative body literal
+                  [Rule(1, True, (2,)), Rule(5, True, (3,))]):  # head
+        with pytest.raises(ValueError, match=r"atom 5 outside atom table \(1\.\.3\)"):
+            DefnfTheory(table, 1, Definition(rules))
+    DefnfTheory(table, 1, Definition([Rule(1, True, (3, -3, -2))]))
+
+
 def test_definition_defined_and_open_atoms():
     d = Definition([Rule(1, True, (2, -3))])
     assert d.defined_atoms == {1}

@@ -192,7 +192,7 @@ def reference_unfounded(solver):
     """The all-atoms founded-set sweep over the whole combined definition,
     repeated until nothing changes: the unfounded atoms in the iteration
     order of the defined-atom set."""
-    definition = solver.setup.definition
+    definition = theory_gen.combined_definition(solver.setup)
     defined = definition.defined_atoms
     candidates = [a for a in defined if solver.values[a] != -1]
     founded = set()
@@ -217,8 +217,9 @@ def reference_reasons(solver, unfounded):
     """External-bodies reason clauses for the unfounded atoms, and the
     literals they put on the trail, up to the first atom that is true."""
     blockers = []
+    definition = theory_gen.combined_definition(solver.setup)
     for atom in unfounded:
-        rule = solver.setup.definition.rule_for(atom)
+        rule = definition.rule_for(atom)
         for lit in rule.body:
             if solver.lit_value(lit) == -1:
                 if lit not in blockers:
@@ -374,6 +375,39 @@ def test_debug_source_checks_hold_while_solving():
             else:
                 assert oracle.is_model(witness, theory), theory.definition.rules
     assert checked > 900 and unfounded > 500, (checked, unfounded)
+
+
+def test_loop_index_and_clauses_follow_the_combined_definition():
+    # the solver renames the base clauses and loop rules into the copy
+    # instead of building the combined definition; its clauses, and its loop
+    # index with the order unfounded atoms are falsified in, must be the
+    # ones the combined definition gives.  Once ids run past the hash table
+    # of the set of heads (the first shapes: 100 loops over 1200 atoms, 20
+    # over 300), that order is not the ascending one.
+    rng = random.Random(15)
+    theories = ([theory_gen.shuffled_loops_theory(rng, count, n_atoms)
+                 for count, n_atoms in [(100, 1200), (20, 300)] * 4]
+                + LOOP_SHAPES
+                + [theory_gen.random_theory(rng, max_atoms=10) for _ in range(200)])
+    unsorted = 0
+    for theory in theories:
+        solver = Solver(theory, SolverConfig(relevance_filter=False))
+        combined = theory_gen.combined_definition(solver.setup)
+        assert solver.clauses[:solver.n_problem_clauses] == (
+            completion_clauses(combined) + [[theory.theory_atom]])
+        loop = solver.setup.graph.loop_atoms()
+        loop |= {solver.setup.maps.to_just[atom] for atom in loop}
+        order = [atom for atom in combined.defined_atoms if atom in loop]
+        assert list(solver._loop_rules) == order
+        watches = {}
+        for position, atom in enumerate(order):
+            rule = combined.rule_for(atom)
+            assert solver._loop_rules[atom] == (position, rule.conjunctive, rule.body)
+            for lit in rule.body:
+                watches.setdefault(lit, []).append(atom)
+        assert solver._loop_watches == watches
+        unsorted += order != sorted(order)
+    assert unsorted >= 8, unsorted
 
 
 def chain_theory(n):
@@ -814,11 +848,12 @@ def test_problem_clauses_keep_first_occurrences():
                     added += 1
         assert completion_clauses(definition) == expected
 
-        # the solver stores the clauses of the combined definition as they come
+        # the solver stores the clauses of the base rules and their copies
+        # as they come
         theory = DefnfTheory(AtomTable([None] * n_atoms), definition.rules[0].head,
                              definition)
         solver = Solver(theory, SolverConfig(relevance_filter=False))
-        stored = completion_clauses(solver.setup.definition)
+        stored = completion_clauses(theory_gen.combined_definition(solver.setup))
         assert solver.clauses == stored + [[theory.theory_atom]]
         assert solver.n_problem_clauses == len(solver.clauses)
         for index, clause in enumerate(solver.clauses):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from satid import (RelevanceTracker, build_dependency_graph,
+from satid import (AtomTable, RelevanceTracker, build_dependency_graph,
                    build_justification_maps, normalize_to_defnf, parse_cid,
                    parse_pcid, parse_trace, relevance_dot, solve, to_dot,
                    write_cid, write_trace)
@@ -55,6 +55,27 @@ def test_parse_undefined_theory_atom():
 def test_parse_literal_out_of_range():
     with pytest.raises(FormatError, match=r"line 3.*out of range"):
         parse_cid("p cid 2\nt 1\nr 1 d 5 0\n")
+
+
+def test_parse_reports_the_first_bad_literal():
+    for body, message in (("2 x 9", "bad literal 'x'"),
+                          ("2 9 x", "literal 9 out of range"),
+                          ("-9 2", "literal -9 out of range"),
+                          ("2 0", "literal 0 out of range")):
+        with pytest.raises(FormatError, match=rf"line 3: {message}"):
+            parse_cid(f"p cid 3\nt 1\nr 1 d {body} 0\n")
+    assert parse_cid("p cid 3\nt 1\nr 1 d 2 -3 2 0\n").definition.rules[0].body == (2, -3)
+
+
+def test_parse_sizes_the_atom_table_in_one_step(monkeypatch):
+    # the header's atoms go into the table at once, not one `fresh` call each
+    def fresh(self, name=None):
+        raise AssertionError("AtomTable.fresh called")
+
+    monkeypatch.setattr(AtomTable, "fresh", fresh)
+    theory = parse_cid("p cid 2000000\nt 1\nr 1 d 2 -2000000 0\n")
+    assert theory.n_atoms == 2_000_000
+    assert theory.definition.rules[0].body == (2, -2_000_000)
 
 
 def test_parse_malformed_rule_line():

@@ -9,7 +9,7 @@ import theory_gen
 def copy_rule(setup, name):
     """The copy rule of the base atom with this name, looked up by id."""
     atom = setup.base.atoms.id_of(name)
-    return setup.definition.rule_for(setup.maps.to_just[atom])
+    return theory_gen.combined_definition(setup).rule_for(setup.maps.to_just[atom])
 
 
 def test_justification_definition_structure(justdef):
@@ -54,16 +54,18 @@ def test_copy_is_isomorphic_to_original():
     for _ in range(30):
         theory = theory_gen.random_total_theory(rng)
         setup = build_justification_maps(theory)
-
-        def translate(lit):
-            return setup.maps.to_just.get(lit, lit)
-
-        translated = [
-            Rule(translate(rule.head), rule.conjunctive,
-                 tuple(translate(l) for l in rule.body))
-            for rule in theory.definition]
-        # the base rules first, then their copies in the same order
-        assert setup.definition.rules == theory.definition.rules + tuple(translated)
+        bodies = [rule.body for rule in theory.definition]
+        copies = setup.maps.translate(bodies)
+        assert len(copies) == len(bodies)
+        for body, copy in zip(bodies, copies):
+            assert len(copy) == len(body)
+            for lit, renamed in zip(body, copy):
+                if abs(lit) in theory.defined:
+                    # a defined atom's literal goes to its copy, same sign
+                    assert abs(renamed) in setup.maps.just_atoms
+                    assert setup.maps.status_change[renamed] == lit
+                else:
+                    assert renamed == lit  # an open literal stays
 
 
 def test_status_change_dispatch(justdef):
@@ -85,16 +87,22 @@ def test_empty_definition_has_empty_copy():
     table = AtomTable(["p"])
     theory = DefnfTheory(table, 1, Definition([Rule(1, True, ())]))
     setup = build_justification_maps(theory)
-    assert len(setup.definition) == 2
-    assert setup.definition.rule_for(setup.maps.to_just[1]).body == ()
+    assert setup.maps.translate([()]) == [[]]
+    assert setup.defined_atoms() == {1, setup.maps.to_just[1]}
 
 
 def test_combined_definition_contains_both_copies(loop):
     setup = build_justification_maps(loop)
     assert setup.n_atoms == loop.n_atoms + len(loop.defined)
-    assert len(setup.definition) == 2 * len(loop.definition)
-    assert setup.definition.defined_atoms == loop.defined | setup.maps.just_atoms
+    assert setup.defined_atoms() == loop.defined | setup.maps.just_atoms
     assert setup.just_theory_atom == setup.maps.to_just[loop.theory_atom]
+    # the combined definition's head set, in its iteration order, also where
+    # the ids run past the set's hash table and that order is not ascending
+    shuffled = theory_gen.shuffled_loops_theory(random.Random(3), 20, 300)
+    for setup in (setup, build_justification_maps(shuffled)):
+        combined = theory_gen.combined_definition(setup).defined_atoms
+        assert list(setup.defined_atoms()) == list(combined)
+    assert list(combined) != sorted(combined)
 
 
 def test_copy_needs_no_atom_names():

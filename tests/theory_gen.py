@@ -60,6 +60,23 @@ def loop_theory() -> DefnfTheory:
          ("q", "d", ["p"])])
 
 
+def shuffled_loops_theory(rng: random.Random, count: int,
+                          n_atoms: int) -> DefnfTheory:
+    """`T <- p_1 & ... & p_n`, `p_i <- q_i | o_i`, `q_i <- p_i` with open
+    `o_i`, over `n_atoms >= 3 * count + 1` atoms whose ids are shuffled, as
+    is the rule order; the atoms no rule mentions are open too."""
+    ids = list(range(1, n_atoms + 1))
+    rng.shuffle(ids)
+    top, rest = ids[0], ids[1:3 * count + 1]
+    ps, qs, opens = rest[0::3], rest[1::3], rest[2::3]
+    rules = [Rule(top, True, tuple(ps))]
+    for p, q, o in zip(ps, qs, opens):
+        rules.append(Rule(p, False, tuple(rng.sample([q, o], 2))))
+        rules.append(Rule(q, False, (p,)))
+    rng.shuffle(rules)
+    return DefnfTheory(AtomTable([None] * n_atoms), top, Definition(rules))
+
+
 def random_total_theory(rng: random.Random, max_atoms: int = 8,
                         max_rules: int = 8) -> DefnfTheory:
     """A random normal-form theory that is total by construction.
@@ -120,6 +137,19 @@ def random_verified_total_theory(rng: random.Random, max_atoms: int = 8,
     theory = random_total_theory(rng, max_atoms, max_rules)
     assert oracle.is_total(theory.definition, theory.atoms.atoms())
     return theory
+
+
+def combined_definition(setup: JustifiedTheory) -> Definition:
+    """The base rules followed by their justification copies, as one
+    definition: the reference for the clauses and the loop index that the
+    solver builds by renaming the base ones.  A copy rule renames each
+    defined atom's literal through `to_just` and keeps open literals."""
+    to_just = setup.maps.to_just
+    base = setup.base.definition
+    copies = [Rule(to_just[rule.head], rule.conjunctive,
+                   tuple(to_just.get(lit, lit) for lit in rule.body))
+              for rule in base]
+    return Definition([*base, *copies])
 
 
 def random_open_literals(rng: random.Random, theory: DefnfTheory,
