@@ -76,11 +76,12 @@ class AtomTable:
 
     def __init__(self, names: Iterable[str | None] = ()) -> None:
         self._names: list[str | None] = list(names)
-        self._ids = {name: i for i, name in enumerate(self._names, 1) if name is not None}
-        if len(self._ids) + self._names.count(None) < len(self._names):
-            table = AtomTable()
-            for name in self._names:
-                table.fresh(name)  # raises at the first repeated name
+        self._ids: dict[str, Atom] = {}
+        for atom, name in enumerate(self._names, 1):
+            if name is not None:
+                if name in self._ids:
+                    raise ValueError(f"atom name {name!r} already in use")
+                self._ids[name] = atom
 
     def fresh(self, name: str | None = None) -> Atom:
         if name is not None and name in self._ids:

@@ -76,13 +76,7 @@ def parse_cid(text: str) -> DefnfTheory:
                 raise FormatError(
                     f"atom {head} defined twice (first rule on line {heads[head]})", lineno)
             heads[head] = lineno
-            try:
-                body = list(map(int, fields[3:-1]))
-                if body and (0 in body or max(body) > n_atoms or min(body) < -n_atoms):
-                    raise ValueError
-            except ValueError:
-                # parse field by field to report the first bad one
-                body = [_parse_literal(field, n_atoms, lineno) for field in fields[3:-1]]
+            body = [_parse_literal(field, n_atoms, lineno) for field in fields[3:-1]]
             rules.append(Rule(head, fields[2] == "c", tuple(dict.fromkeys(body))))
             continue
         raise FormatError(f"unrecognized line {raw.strip()!r}", lineno)
