@@ -225,16 +225,18 @@ Formula = Union[int, Not, And, Or]
 
 def to_nnf(formula: Formula, positive: bool = True) -> Formula:
     """Negation normal form: negations pushed onto the literals."""
-    if isinstance(formula, int):
+    cls = formula.__class__
+    if cls is int:
         return formula if positive else -formula
-    if isinstance(formula, Not):
+    if cls is Not:
         return to_nnf(formula.child, not positive)
-    if isinstance(formula, And):
-        children = tuple(to_nnf(c, positive) for c in formula.children)
-        return And(children) if positive else Or(children)
-    if isinstance(formula, Or):
-        children = tuple(to_nnf(c, positive) for c in formula.children)
-        return Or(children) if positive else And(children)
+    if cls is And or cls is Or:
+        if positive:
+            return cls(tuple([c if c.__class__ is int else to_nnf(c)
+                              for c in formula.children]))
+        children = tuple([-c if c.__class__ is int else to_nnf(c, False)
+                          for c in formula.children])
+        return Or(children) if cls is And else And(children)
     raise TypeError(f"not a formula: {formula!r}")
 
 

@@ -7,8 +7,10 @@ tracker's state (`relevance_dot`).
     t <atom>
     r <head> <c|d> <lit>... 0
 
-`.pcid`: s-expressions `(theory (constraint F)* (define (rule <name> F)...)*)`
-with F ::= <name> | (not F) | (and F...) | (or F...).
+`.pcid` (`;` comments): s-expressions `(theory (constraint F)* (define (rule
+<name> F)...)*)` with F ::= <name> | (not F) | (and F...) | (or F...).  Each
+`define` block is a definition of its own: the atoms it defines are open to
+the other blocks, which may not define them too.
 
 `.trc`: `+ <lit>` (becomes true), `- <lit>` (becomes unknown), `? <lit>`
 (query relevance), `# expect <lit> <0|1>` (assert relevance).
@@ -122,9 +124,8 @@ def write_cid(theory: DefnfTheory) -> str:
 # ---------------------------------------------------------------------------
 # .pcid general theories
 
-# Deepest parenthesis nesting a `.pcid` may have.  Parsing, negation normal
-# form and flattening recurse once or twice per level, so this keeps them
-# well inside Python's default recursion limit of 1000 frames.
+# Deepest parenthesis nesting a `.pcid` may have.  It keeps the recursion of
+# negation normal form and flattening well inside Python's default limit.
 MAX_NESTING = 200
 
 
@@ -137,90 +138,84 @@ class PcidAst:
     definitions: list[list[tuple[int, Formula]]]
 
 
+# The lists of a `.pcid`, by what their tokens so far make them: a _HEAD list
+# waits for its first token, _CONSTRAINT, _RULE and _NOT take one formula and
+# _AND and _OR any number.  _START and _DONE are the top level around the theory.
+(_DONE, _START, _THEORY_HEAD, _THEORY, _ITEM_HEAD, _DEFINE, _RULE_HEAD, _FORMULA_HEAD,
+ _RULE_NAME, _CONSTRAINT, _RULE, _NOT, _AND, _OR) = range(14)
+_HEADS = {(_THEORY_HEAD, "theory"): _THEORY, (_ITEM_HEAD, "constraint"): _CONSTRAINT,
+          (_ITEM_HEAD, "define"): _DEFINE, (_RULE_HEAD, "rule"): _RULE_NAME,
+          (_FORMULA_HEAD, "not"): _NOT, (_FORMULA_HEAD, "and"): _AND,
+          (_FORMULA_HEAD, "or"): _OR}
+_SUBLISTS = {_START: _THEORY_HEAD, _THEORY: _ITEM_HEAD, _DEFINE: _RULE_HEAD}
+# The error for a token that a list cannot take, by kind and token or by kind.
+_ERRORS = {_DONE: "trailing input after theory", _START: "expected '(theory ...)'",
+           (_START, ")"): "unbalanced ')'", _THEORY_HEAD: "expected '(theory ...)'",
+           _THEORY: "expected (constraint ...) or (define ...), got {!r}",
+           _ITEM_HEAD: "unknown theory item {!r}", _FORMULA_HEAD: "unknown formula head {!r}",
+           (_FORMULA_HEAD, ")"): "empty formula '()'", _NOT: "'not' takes exactly one argument",
+           _CONSTRAINT: "'constraint' takes exactly one formula"}
+_RULE_ERROR = "expected (rule <name> F), got {!r}"
+
+
 def parse_pcid(text: str) -> PcidAst:
-    sexpr = _parse_sexpr(text)
-    if not isinstance(sexpr, list) or not sexpr or sexpr[0] != "theory":
-        raise FormatError("expected '(theory ...)'")
-    atoms = AtomTable()
-
-    def atom_id(name: str) -> int:
-        if name in atoms:
-            return atoms.id_of(name)
-        return atoms.fresh(name)
-
-    def formula(node) -> Formula:
-        if isinstance(node, str):
-            return atom_id(node)
-        if not node:
-            raise FormatError("empty formula '()'")
-        tag = node[0]
-        if tag == "not":
-            if len(node) != 2:
-                raise FormatError("'not' takes exactly one argument")
-            child = formula(node[1])
-            return -child if isinstance(child, int) else Not(child)
-        if tag == "and":
-            return And(tuple(formula(c) for c in node[1:]))
-        if tag == "or":
-            return Or(tuple(formula(c) for c in node[1:]))
-        raise FormatError(f"unknown formula head {tag!r}")
-
-    constraints: list[Formula] = []
-    definitions: list[list[tuple[int, Formula]]] = []
-    for item in sexpr[1:]:
-        if not isinstance(item, list) or not item:
-            raise FormatError(f"expected (constraint ...) or (define ...), got {item!r}")
-        if item[0] == "constraint":
-            if len(item) != 2:
-                raise FormatError("'constraint' takes exactly one formula")
-            constraints.append(formula(item[1]))
-        elif item[0] == "define":
-            rules = []
-            for rule_node in item[1:]:
-                if (not isinstance(rule_node, list) or len(rule_node) != 3
-                        or rule_node[0] != "rule" or not isinstance(rule_node[1], str)):
-                    raise FormatError(f"expected (rule <name> F), got {rule_node!r}")
-                rules.append((atom_id(rule_node[1]), formula(rule_node[2])))
-            definitions.append(rules)
-        else:
-            raise FormatError(f"unknown theory item {item[0]!r}")
-    return PcidAst(atoms, constraints, definitions)
-
-
-def _parse_sexpr(text: str):
-    tokens = []
+    """Parse a `.pcid` theory in one pass, with the open lists on a stack.
+    Atom ids follow the order in which names first appear, and the first
+    error in text order is raised, with its line."""
+    ids: dict[str, int] = {}
+    block_of: dict[int, list] = {}  # defined atom -> the rules of its define block
+    stack: list[tuple[int, list, int]] = []  # the enclosing lists
+    kind, items, opened, head, theory = _START, [], 0, 0, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0]
-        for token in line.replace("(", " ( ").replace(")", " ) ").split():
-            tokens.append((token, lineno))
-    if not tokens:
-        raise FormatError("empty input")
+        for token in raw.split(";", 1)[0].replace("(", " ( ").replace(")", " ) ").split():
+            if token == "(":
+                if len(stack) == MAX_NESTING:
+                    raise FormatError(f"nesting deeper than {MAX_NESTING} levels", lineno)
+                new = (_FORMULA_HEAD if kind >= _AND or (kind >= _CONSTRAINT and not items)
+                       else _SUBLISTS.get(kind))
+                if new is None:
+                    raise _misplaced(kind, token, lineno)
+                stack.append((kind, items, opened))
+                kind, items, opened = new, [], lineno
+            elif token == ")":
+                if kind >= _AND:
+                    value = (And if kind == _AND else Or)(tuple(items))
+                elif kind >= _CONSTRAINT and items:
+                    value = items[0]
+                    if kind == _NOT:
+                        value = -value if value.__class__ is int else Not(value)
+                    elif kind == _RULE:
+                        value = (head, value)
+                elif kind == _DEFINE:
+                    value = items
+                elif kind == _THEORY:
+                    kind, theory = _DONE, items
+                    continue
+                else:
+                    raise _misplaced(kind, token, lineno)
+                kind, items, opened = stack.pop()
+                items.append(value)
+            elif kind >= _AND or (kind >= _RULE_NAME and not items):
+                atom = ids.setdefault(token, len(ids) + 1)
+                if kind != _RULE_NAME:
+                    items.append(atom)
+                elif block_of.setdefault(atom, stack[-1][1]) is stack[-1][1]:
+                    kind, head = _RULE, atom
+                else:
+                    raise FormatError(f"atom {token!r} is defined in two define blocks", lineno)
+            elif (kind, token) in _HEADS:
+                kind = _HEADS[kind, token]
+            else:
+                raise _misplaced(kind, token, lineno)
+    if kind != _DONE:
+        raise FormatError("empty input" if kind == _START else "unbalanced '('", opened or None)
+    return PcidAst(AtomTable(ids), [item for item in theory if item.__class__ is not list],
+                   [item for item in theory if item.__class__ is list])
 
-    pos = 0
 
-    def parse(depth: int):
-        nonlocal pos
-        token, lineno = tokens[pos]
-        pos += 1
-        if token == "(":
-            if depth == MAX_NESTING:
-                raise FormatError(f"nesting deeper than {MAX_NESTING} levels", lineno)
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise FormatError("unbalanced '('", lineno)
-                if tokens[pos][0] == ")":
-                    pos += 1
-                    return items
-                items.append(parse(depth + 1))
-        if token == ")":
-            raise FormatError("unbalanced ')'", lineno)
-        return token
-
-    result = parse(0)
-    if pos != len(tokens):
-        raise FormatError("trailing input after theory", tokens[pos][1])
-    return result
+def _misplaced(kind: int, token: str, lineno: int) -> FormatError:
+    message = _ERRORS.get((kind, token)) or _ERRORS.get(kind, _RULE_ERROR)
+    return FormatError(message.format(token), lineno)
 
 
 # ---------------------------------------------------------------------------

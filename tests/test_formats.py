@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -145,6 +146,34 @@ def test_parse_pcid_rejects_unbalanced():
 def test_parse_pcid_rejects_unknown_forms():
     with pytest.raises(FormatError, match="unknown theory item"):
         parse_pcid("(theory (assert a))")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("(theory\n  (constraint (xor a b)))", 2, "unknown formula head 'xor'"),
+    ("(theory\n  (constraint\n    (not a b)))", 3, "'not' takes exactly one argument"),
+    ("(theory (constraint (or (not))))", 1, "'not' takes exactly one argument"),
+    ("(theory\n  (constraint a\n    b))", 3, "'constraint' takes exactly one formula"),
+    ("(theory\n  (constraint))", 2, "'constraint' takes exactly one formula"),
+    ("(theory (define\n  (rule p)))", 2, "expected (rule <name> F), got ')'"),
+    ("(theory (define\n  p))", 2, "expected (rule <name> F), got 'p'"),
+    ("(theory\n\n  (assert a))", 3, "unknown theory item 'assert'"),
+    ("; comment\n(formula a)", 2, "expected '(theory ...)'"),
+    ("(theory\n  (constraint ()))", 2, "empty formula '()'"),
+    ("(theory\n  (constraint a)", 1, "unbalanced '('"),
+    (")", 1, "unbalanced ')'"),
+    ("(theory (constraint a))\n(theory)", 2, "trailing input after theory"),
+    ("(theory (define (rule p q))\n  (define (rule p r)))", 2,
+     "atom 'p' is defined in two define blocks"),
+])
+def test_parse_pcid_errors_carry_their_line(text, line, message):
+    with pytest.raises(FormatError, match="^" + re.escape(f"line {line}: {message}") + "$"):
+        parse_pcid(text)
+
+
+def test_parse_pcid_reports_the_first_error_in_text_order():
+    # the unknown head comes before the missing ')' at the end of the text
+    with pytest.raises(FormatError, match=r"^line 2: unknown formula head 'xor'$"):
+        parse_pcid("(theory (constraint a)\n  (constraint (xor a b))")
 
 
 def test_parse_pcid_semicolon_comments():

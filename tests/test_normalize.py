@@ -1,8 +1,12 @@
+import hashlib
+import json
 import random
 
-from satid import (And, Not, Or, normalize_to_defnf, parse_pcid, write_cid,
+import pytest
+
+from satid import (And, Not, Or, normalize_to_defnf, parse_pcid, solve, write_cid,
                    parse_cid)
-from satid.formats import PcidAst
+from satid.formats import FormatError, PcidAst
 from satid.core import AtomTable
 from satid import oracle
 
@@ -118,20 +122,95 @@ def test_output_is_in_normal_form():
 
 
 def test_normalization_preserves_models():
-    rng = random.Random(8)
+    # in the second pass, 45 of the 60 theories have two define blocks, and 42
+    # of those read an atom of one block in the other
     checked = 0
-    for _ in range(60):
-        ast = _random_ast(rng)
-        want = oracle.pcid_models(ast)
-        theory, _ = normalize_to_defnf(ast)
-        originals = list(ast.atoms.atoms())
-        got = sorted(
-            {frozenset(a for a in originals if model.value(a) is oracle.TRUE)
-             for model in oracle.enumerate_models(theory)},
-            key=sorted)
-        assert got == want
-        checked += 1
-    assert checked == 60
+    for blocks in (1, 2):
+        rng = random.Random(8)
+        for _ in range(60):
+            ast = _random_ast(rng, blocks)
+            want = oracle.pcid_models(ast)
+            theory, _ = normalize_to_defnf(ast)
+            originals = list(ast.atoms.atoms())
+            got = sorted(
+                {frozenset(a for a in originals if model.value(a) is oracle.TRUE)
+                 for model in oracle.enumerate_models(theory)},
+                key=sorted)
+            assert got == want, (blocks, ast)
+            checked += 1
+    assert checked == 120
+
+
+def test_define_blocks_are_separate_definitions():
+    # merged, p <- q and q <- p would be a positive loop forcing both false;
+    # as two definitions, each reads the other's atom as open
+    ast = parse_pcid("(theory (constraint p) (define (rule p q)) (define (rule q p)))")
+    assert oracle.pcid_models(ast) == [frozenset({1, 2})]
+    theory, names = normalize_to_defnf(ast)
+    result = solve(theory)
+    assert result.status == "sat"
+    assert result.witness.value(names["p"]) is oracle.TRUE
+    assert result.witness.value(names["q"]) is oracle.TRUE
+
+
+def test_an_atom_defined_in_two_blocks_is_rejected():
+    ast = PcidAst(AtomTable(["p", "q"]), [], [[(1, 2)], [(1, -2)]])
+    with pytest.raises(FormatError, match="atom 'p' is defined in two define blocks"):
+        normalize_to_defnf(ast)
+
+
+# sha256 of the normalized theories and name maps of `_pinned_corpus()`.  A
+# change here means that parse or normalize moved an atom id, a rule or a name.
+PINNED_DIGEST = "72acd252b3b39d492ec06cc10aaa177cc0d1480d95212adaebb1e9e6b1521def"
+
+
+def test_parse_and_normalize_output_is_pinned():
+    digest = hashlib.sha256()
+    for text in _pinned_corpus():
+        theory, names = normalize_to_defnf(parse_pcid(text))
+        digest.update(write_cid(theory).encode())
+        digest.update(json.dumps(sorted(names.items())).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _pinned_corpus():
+    """Seeded `.pcid` texts: `_random_formula` shapes, 3-SAT clauses, comments,
+    line breaks, and user names that collide with normalization's fresh ones."""
+    rng = random.Random(16)
+    pool = ["a", "b", "p", "q7", "_t1", "_t3", "_pT", "not", "rule"]
+    texts = []
+    for _ in range(300):
+        names = rng.sample(pool, rng.randint(2, 6))
+        n = len(names)
+        items = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.3:
+                clause = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)]
+                items.append(f"(constraint {_render(Or(tuple(clause)), names)})")
+            else:
+                formula = _random_formula(rng, n, 3)
+                items.append(f"(constraint {_render(formula, names)})")
+        if rng.random() < 0.8:
+            rules = [f"(rule {names[head - 1]} {_render(_random_formula(rng, n, 3), names)})"
+                     for head in rng.sample(range(1, n + 1), rng.randint(1, n))
+                     for _ in range(rng.randint(1, 2))]
+            items.append("(define " + "\n  ".join(rules) + ")")
+        lines = ["; generated"] if rng.random() < 0.5 else []
+        lines.append("(theory")
+        lines += [f"  {item}" + (" ; note" if rng.random() < 0.3 else "") for item in items]
+        lines.append(")")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def _render(formula, names):
+    if isinstance(formula, int):
+        name = names[abs(formula) - 1]
+        return name if formula > 0 else f"(not {name})"
+    if isinstance(formula, Not):
+        return f"(not {_render(formula.child, names)})"
+    tag = "and" if isinstance(formula, And) else "or"
+    return f"({tag} {' '.join(_render(c, names) for c in formula.children)})"
 
 
 def _random_formula(rng, n_atoms, depth):
@@ -146,16 +225,20 @@ def _random_formula(rng, n_atoms, depth):
     return And(children) if kind == 1 else Or(children)
 
 
-def _random_ast(rng):
+def _random_ast(rng, blocks=1):
+    """A random theory over a2..a5; with `blocks` 2, its defined atoms are
+    split between two define blocks."""
     n = rng.randint(2, 5)
     atoms = AtomTable([f"a{i}" for i in range(1, n + 1)])
     constraints = [_random_formula(rng, n, 2) for _ in range(rng.randint(0, 2))]
     definitions = []
     if rng.random() < 0.8:
-        heads = rng.sample(range(1, n + 1), rng.randint(1, n))
-        rules = []
-        for head in heads:
-            for _ in range(rng.randint(1, 2)):
-                rules.append((head, _random_formula(rng, n, 2)))
-        definitions.append(rules)
+        heads = rng.sample(range(1, n + 1), rng.randint(blocks, n))
+        cut = rng.randint(1, len(heads) - 1) if blocks == 2 else len(heads)
+        for part in (heads[:cut], heads[cut:])[:blocks]:
+            rules = []
+            for head in part:
+                for _ in range(rng.randint(1, 2)):
+                    rules.append((head, _random_formula(rng, n, 2)))
+            definitions.append(rules)
     return PcidAst(atoms, constraints, definitions)
