@@ -139,23 +139,31 @@ class PcidAst:
 
 
 # The lists of a `.pcid`, by what their tokens so far make them: a _HEAD list
-# waits for its first token, _CONSTRAINT, _RULE and _NOT take one formula and
-# _AND and _OR any number.  _START and _DONE are the top level around the theory.
+# waits for its first token, _ONE_FORMULA lists take one formula and
+# _MANY_FORMULAS lists any number.  _START and _DONE are the top level around
+# the theory.
 (_DONE, _START, _THEORY_HEAD, _THEORY, _ITEM_HEAD, _DEFINE, _RULE_HEAD, _FORMULA_HEAD,
  _RULE_NAME, _CONSTRAINT, _RULE, _NOT, _AND, _OR) = range(14)
+_ONE_FORMULA = frozenset((_CONSTRAINT, _RULE, _NOT))
+_MANY_FORMULAS = frozenset((_AND, _OR))
 _HEADS = {(_THEORY_HEAD, "theory"): _THEORY, (_ITEM_HEAD, "constraint"): _CONSTRAINT,
           (_ITEM_HEAD, "define"): _DEFINE, (_RULE_HEAD, "rule"): _RULE_NAME,
           (_FORMULA_HEAD, "not"): _NOT, (_FORMULA_HEAD, "and"): _AND,
           (_FORMULA_HEAD, "or"): _OR}
 _SUBLISTS = {_START: _THEORY_HEAD, _THEORY: _ITEM_HEAD, _DEFINE: _RULE_HEAD}
-# The error for a token that a list cannot take, by kind and token or by kind.
-_ERRORS = {_DONE: "trailing input after theory", _START: "expected '(theory ...)'",
-           (_START, ")"): "unbalanced ')'", _THEORY_HEAD: "expected '(theory ...)'",
-           _THEORY: "expected (constraint ...) or (define ...), got {!r}",
-           _ITEM_HEAD: "unknown theory item {!r}", _FORMULA_HEAD: "unknown formula head {!r}",
-           (_FORMULA_HEAD, ")"): "empty formula '()'", _NOT: "'not' takes exactly one argument",
-           _CONSTRAINT: "'constraint' takes exactly one formula"}
+# The error for a token that a list cannot take, by kind (_AND and _OR take
+# every token), and the few that depend on the token too.
 _RULE_ERROR = "expected (rule <name> F), got {!r}"
+_ITEM_ERROR = "expected (constraint ...) or (define ...), got {!r}"
+_ERRORS = {_DONE: "trailing input after theory", _START: "expected '(theory ...)'",
+           _THEORY_HEAD: "expected '(theory ...)'", _THEORY: _ITEM_ERROR,
+           _ITEM_HEAD: "unknown theory item {!r}", _DEFINE: _RULE_ERROR,
+           _RULE_HEAD: _RULE_ERROR, _FORMULA_HEAD: "unknown formula head {!r}",
+           _RULE_NAME: _RULE_ERROR, _CONSTRAINT: "'constraint' takes exactly one formula",
+           _RULE: _RULE_ERROR, _NOT: "'not' takes exactly one argument"}
+_TOKEN_ERRORS = {(_START, ")"): "unbalanced ')'", (_ITEM_HEAD, "("): _ITEM_ERROR,
+                 (_ITEM_HEAD, ")"): "empty theory item '()'",
+                 (_FORMULA_HEAD, ")"): "empty formula '()'"}
 
 
 def parse_pcid(text: str) -> PcidAst:
@@ -163,7 +171,6 @@ def parse_pcid(text: str) -> PcidAst:
     Atom ids follow the order in which names first appear, and the first
     error in text order is raised, with its line."""
     ids: dict[str, int] = {}
-    block_of: dict[int, list] = {}  # defined atom -> the rules of its define block
     stack: list[tuple[int, list, int]] = []  # the enclosing lists
     kind, items, opened, head, theory = _START, [], 0, 0, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -171,16 +178,16 @@ def parse_pcid(text: str) -> PcidAst:
             if token == "(":
                 if len(stack) == MAX_NESTING:
                     raise FormatError(f"nesting deeper than {MAX_NESTING} levels", lineno)
-                new = (_FORMULA_HEAD if kind >= _AND or (kind >= _CONSTRAINT and not items)
-                       else _SUBLISTS.get(kind))
+                new = (_FORMULA_HEAD if kind in _MANY_FORMULAS
+                       or (kind in _ONE_FORMULA and not items) else _SUBLISTS.get(kind))
                 if new is None:
                     raise _misplaced(kind, token, lineno)
                 stack.append((kind, items, opened))
                 kind, items, opened = new, [], lineno
             elif token == ")":
-                if kind >= _AND:
+                if kind in _MANY_FORMULAS:
                     value = (And if kind == _AND else Or)(tuple(items))
-                elif kind >= _CONSTRAINT and items:
+                elif kind in _ONE_FORMULA and items:
                     value = items[0]
                     if kind == _NOT:
                         value = -value if value.__class__ is int else Not(value)
@@ -195,14 +202,10 @@ def parse_pcid(text: str) -> PcidAst:
                     raise _misplaced(kind, token, lineno)
                 kind, items, opened = stack.pop()
                 items.append(value)
-            elif kind >= _AND or (kind >= _RULE_NAME and not items):
-                atom = ids.setdefault(token, len(ids) + 1)
-                if kind != _RULE_NAME:
-                    items.append(atom)
-                elif block_of.setdefault(atom, stack[-1][1]) is stack[-1][1]:
-                    kind, head = _RULE, atom
-                else:
-                    raise FormatError(f"atom {token!r} is defined in two define blocks", lineno)
+            elif kind in _MANY_FORMULAS or (kind in _ONE_FORMULA and not items):
+                items.append(ids.setdefault(token, len(ids) + 1))
+            elif kind == _RULE_NAME:
+                kind, head = _RULE, ids.setdefault(token, len(ids) + 1)
             elif (kind, token) in _HEADS:
                 kind = _HEADS[kind, token]
             else:
@@ -214,7 +217,7 @@ def parse_pcid(text: str) -> PcidAst:
 
 
 def _misplaced(kind: int, token: str, lineno: int) -> FormatError:
-    message = _ERRORS.get((kind, token)) or _ERRORS.get(kind, _RULE_ERROR)
+    message = _TOKEN_ERRORS.get((kind, token)) or _ERRORS[kind]
     return FormatError(message.format(token), lineno)
 
 

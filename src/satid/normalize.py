@@ -18,7 +18,7 @@ defines is open to the others.  Merged into one definition, their rules
 could support each other (`p <- q` in one block and `q <- p` in another
 would become a positive loop), so a body atom defined in another block is
 read through a fresh open copy, and two constraints hold the copy equal to
-the atom.
+the atom.  An atom that two blocks define is a `FormatError`.
 """
 
 from __future__ import annotations
@@ -107,11 +107,10 @@ def normalize_to_defnf(ast: PcidAst) -> tuple[DefnfTheory, dict[str, int]]:
 
     # Group input rules per head (several rules for one head act as a
     # disjunction of their bodies), then flatten each body.
-    several = len(ast.definitions) > 1
     grouped: dict[int, list[Formula]] = {}
     for index, definition in enumerate(ast.definitions):
         for head, body in definition:
-            grouped.setdefault(head, []).append(detach(body, index) if several else body)
+            grouped.setdefault(head, []).append(detach(body, index))
     for head, bodies in grouped.items():
         bodies = [to_nnf(b) for b in bodies]
         define_as(head, bodies[0] if len(bodies) == 1 else Or(tuple(bodies)))

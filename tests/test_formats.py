@@ -162,8 +162,8 @@ def test_parse_pcid_rejects_unknown_forms():
     ("(theory\n  (constraint a)", 1, "unbalanced '('"),
     (")", 1, "unbalanced ')'"),
     ("(theory (constraint a))\n(theory)", 2, "trailing input after theory"),
-    ("(theory (define (rule p q))\n  (define (rule p r)))", 2,
-     "atom 'p' is defined in two define blocks"),
+    ("(theory\n  ())", 2, "empty theory item '()'"),
+    ("(theory\n  ((constraint a)))", 2, "expected (constraint ...) or (define ...), got '('"),
 ])
 def test_parse_pcid_errors_carry_their_line(text, line, message):
     with pytest.raises(FormatError, match="^" + re.escape(f"line {line}: {message}") + "$"):

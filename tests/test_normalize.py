@@ -153,9 +153,12 @@ def test_define_blocks_are_separate_definitions():
     assert result.witness.value(names["q"]) is oracle.TRUE
 
 
-def test_an_atom_defined_in_two_blocks_is_rejected():
-    ast = PcidAst(AtomTable(["p", "q"]), [], [[(1, 2)], [(1, -2)]])
-    with pytest.raises(FormatError, match="atom 'p' is defined in two define blocks"):
+@pytest.mark.parametrize("ast", [
+    PcidAst(AtomTable(["p", "q"]), [], [[(1, 2)], [(1, -2)]]),
+    parse_pcid("(theory (define (rule p q))\n  (define (rule p r)))"),
+])
+def test_an_atom_defined_in_two_blocks_is_rejected(ast):
+    with pytest.raises(FormatError, match="^atom 'p' is defined in two define blocks$"):
         normalize_to_defnf(ast)
 
 
