@@ -42,12 +42,12 @@ STATS_SCHEMA = {
         "restarts": {"type": "integer", "minimum": 0},
         "relevance_queries": {"type": "integer", "minimum": 0},
         "stopped_early": {"type": "boolean"},
-        "models_represented": {"type": ["integer", "null"]},
+        "models_represented_log2": {"type": ["integer", "null"], "minimum": 0},
         "wall_ms": {"type": "integer", "minimum": 0},
     },
     "required": ["result", "decisions", "conflicts", "propagations",
                  "unfounded_sets", "learned_clauses", "restarts",
-                 "relevance_queries", "stopped_early", "models_represented",
+                 "relevance_queries", "stopped_early", "models_represented_log2",
                  "wall_ms"],
     "additionalProperties": False,
 }
@@ -94,7 +94,13 @@ def _config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _stats_payload(status: str, stats: SolveStats) -> dict:
-    return {"result": status, **dataclasses.asdict(stats)}
+    """The stats as JSON, with the model count 2^k given as k."""
+    payload: dict = {"result": status}
+    for key, value in dataclasses.asdict(stats).items():
+        if key == "models_represented":
+            key, value = "models_represented_log2", stats.models_represented_log2
+        payload[key] = value
+    return payload
 
 
 def _write_stats(args: argparse.Namespace, status: str, stats: SolveStats) -> None:
@@ -123,7 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         lits = " ".join(str(l) for l in witness.true_literals())
         print(f"v{' ' + lits if lits else ''} 0")
         if result.stats.stopped_early:
-            print(f"models_represented: {result.stats.models_represented}")
+            print(f"models_represented: 2^{result.stats.models_represented_log2}")
         return EXIT_SAT
     print("UNSATISFIABLE")
     return EXIT_UNSAT

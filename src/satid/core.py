@@ -421,6 +421,11 @@ class DependencyGraph:
     def parents_of(self, lit: Literal) -> KeysView[Literal]:
         return self._parents.get(lit, _NO_LITERALS).keys()
 
+    def inner_literals(self) -> KeysView[Literal]:
+        """The literals that have children: the head of each rule with a
+        body, and its negation.  A live view, cheap to test membership in."""
+        return self._children.keys()
+
     def edges(self) -> list[tuple[Literal, Literal]]:
         result = [(src, dst) for src, kids in self._children.items() for dst in kids]
         result.sort(key=lambda e: (atom_of(e[0]), e[0] < 0, atom_of(e[1]), e[1] < 0))

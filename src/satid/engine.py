@@ -11,24 +11,29 @@ one polarity, and search can stop as soon as the theory atom's justification
 atom becomes true.
 
 The relevance tracker hears about assignments only right before a filtered
-decision.  `_enqueue`, `propagate_unit` and `_backtrack` just note which
-tracked atoms changed value since the last sync, and the value the tracker
-last heard.  The tracked atoms are those whose assignments carry
-justification information: their literals are the keys of the justifier's
-event-to-status map (`JustificationMaps.status_change`), which the tracker
-reads too.  `_sync_tracker` then sends each net change: the old literal
-becomes unknown, then the new one true.  An assignment undone and redone
+decision, and nothing is recorded per assignment.  The tracked literals are
+those whose assignments carry justification information: the keys of the
+justifier's event-to-status map (`JustificationMaps.status_change`), which
+the tracker reads too.  `_heard` is the trail length at the last sync, and
+the trail below it has not changed since.  A backtrack below it moves the
+heard literals it undoes to `_unheard`, with one slice, and lowers `_heard`;
+no literal enters twice, so `_unheard` holds at most one literal per atom.
+`_sync_tracker` then diffs the trail: each tracked literal of `_unheard`
+that is not true again becomes unknown, and each tracked literal on the
+trail from `_heard` on that was not already heard becomes true.  These are
+the net changes since the last sync.  An assignment undone and redone
 between two decisions, by a backjump, a restart or a chronological flip, is
-never sent, and neither is anything assigned after the last decision.  At
-each filtered decision the tracker's justified set is exactly the one the
-current assignment implies, and the tracker's next read settles the whole
-sync as one batch.  After a settle the tracker is exact (see `relevance`):
-its relevant set is the set of literals reachable from the unjustified
-theory atom through unjustified literals, a function of the justified set
-alone, even though its watches depend on the order and batching of events.
-So at every filtered decision deferred and eager notification give the same
-relevant set, every relevance query gets the same answer, and the two make
-the same decisions.
+never sent, and neither is anything assigned after the last decision.  An
+unfiltered solver never syncs, so `_heard` stays 0 and it records nothing.
+At each filtered decision the tracker's justified set is exactly the one
+the current assignment implies, and the tracker's next read settles the
+whole sync as one batch.  After a settle the tracker is exact (see
+`relevance`): its relevant set is the set of literals reachable from the
+unjustified theory atom through unjustified literals, a function of the
+justified set alone, even though its watches depend on the order and
+batching of events.  So at every filtered decision deferred and eager
+notification give the same relevant set, every relevance query gets the
+same answer, and the two make the same decisions.
 
 Decisions come from an activity heap, as in MiniSat (Eén and Sörensson, SAT
 2003): the most active unassigned atom that is not a justification atom,
@@ -131,6 +136,13 @@ class SolveStats:
     stopped_early: bool = False
     models_represented: int | None = None
     wall_ms: int = 0
+
+    @property
+    def models_represented_log2(self) -> int | None:
+        """The k of `models_represented` = 2^k.  Printing the count itself
+        fails past 4300 digits (CPython's int-to-string limit)."""
+        count = self.models_represented
+        return None if count is None else count.bit_length() - 1
 
 
 @dataclass
@@ -285,12 +297,11 @@ class Solver:
         self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
                                                     debug=self.cfg.debug)
                         if self.cfg.relevance_filter else None)
-        # literals whose assignments carry justification information
-        self._tracked = (self.setup.maps.status_change
-                         if self.tracker is not None else {})
-        # for each tracked atom that changed since the tracker last heard,
-        # the value it last heard (0 for unknown)
-        self._unsent: dict[int, int] = {}
+        # the trail length at the last sync: `trail[:_heard]` has not changed
+        # since, and `_unheard` holds the literals the tracker heard as true
+        # that a backtrack has undone since
+        self._heard = 0
+        self._unheard: list[int] = []
 
     # -- assignment primitives ----------------------------------------------
 
@@ -321,13 +332,16 @@ class Solver:
         self.trail.append(lit)
         if reason is not None:
             self.stats.propagations += 1
-        if lit in self._tracked:
-            self._unsent.setdefault(atom, 0)
         return True
 
     def _backtrack(self, target_level: int) -> None:
+        # the heard literals this undoes wait in `_unheard` for the next sync
+        if target_level < len(self.trail_lim):
+            start = self.trail_lim[target_level]
+            if start < self._heard:
+                self._unheard += self.trail[start:self._heard]
+                self._heard = start
         values = self.values
-        tracked = self._tracked
         order = self.order
         order.restore_side()
         key = order.key
@@ -341,8 +355,6 @@ class Solver:
                 lit = self.trail.pop()
                 atom = abs(lit)
                 value = values[atom]
-                if lit in tracked:
-                    self._unsent.setdefault(atom, value)
                 if key[atom] is None and atom not in just_atoms:
                     key[atom] = -activity[atom]
                     heappush(heap, (key[atom], atom))
@@ -352,19 +364,27 @@ class Solver:
         self.qhead = self.uhead = len(self.trail)
 
     def _sync_tracker(self) -> None:
-        """Tell the tracker the net change of every tracked atom since the
-        last sync: the old literal becomes unknown, then the new one true.
+        """Tell the tracker the net change of every tracked literal since the
+        last sync, read off the trail.  First each literal of `_unheard`
+        becomes unknown unless it is true again; then each literal on the
+        trail from `_heard` on becomes true unless it is one of those.
         Assignments undone before a sync are never sent."""
         tracker = self.tracker
+        tracked = self.setup.maps.status_change
         values = self.values
-        for atom, sent in self._unsent.items():
-            value = values[atom]
-            if value != sent:
-                if sent:
-                    tracker.notify_becomes_unknown(sent * atom)
-                if value:
-                    tracker.notify_becomes_true(value * atom)
-        self._unsent.clear()
+        again: set[int] = set()
+        for lit in self._unheard:
+            if lit in tracked:
+                if (values[lit] if lit > 0 else -values[-lit]) == 1:
+                    again.add(lit)
+                else:
+                    tracker.notify_becomes_unknown(lit)
+        trail = self.trail
+        for lit in trail[self._heard:]:
+            if lit in tracked and lit not in again:
+                tracker.notify_becomes_true(lit)
+        self._heard = len(trail)
+        self._unheard.clear()
 
     # -- clause database ------------------------------------------------------
 
@@ -394,8 +414,6 @@ class Solver:
         values = self.values
         levels = self.levels
         reasons = self.reasons
-        tracked = self._tracked
-        unsent = self._unsent
         level = len(self.trail_lim)
         conflict = None
         while qhead < len(trail):
@@ -433,8 +451,6 @@ class Solver:
                     levels[atom] = level
                     reasons[atom] = ci
                     trail.append(first)
-                    if first in tracked:
-                        unsent.setdefault(atom, 0)
             watches[falsified] = kept
             if conflict is not None:
                 break

@@ -18,7 +18,6 @@ from .core import (FALSE, TRUE, UNKNOWN, And, DefnfTheory, Definition, Formula,
                    direct_justifications, eval_formula, to_nnf)
 from .formats import PcidAst
 
-MAX_ENUM_ATOMS = 20
 MAX_ENUM_OPENS = 20
 MAX_PCID_ATOMS = 16
 MAX_SEARCH_DEFINED = 12
@@ -142,9 +141,9 @@ def enumerate_models(theory: DefnfTheory) -> list[PartialInterpretation]:
     A model is determined by its open part (the definition fixes the rest),
     so enumeration walks the open contexts only.
     """
-    if theory.n_atoms > MAX_ENUM_ATOMS:
-        raise GuardExceeded(f"{theory.n_atoms} atoms exceed the enumeration guard")
     opens = sorted(theory.opens)
+    if len(opens) > MAX_ENUM_OPENS:
+        raise GuardExceeded(f"{len(opens)} open atoms exceed the enumeration guard")
     defined = theory.definition.defined_atoms
     models = []
     for context in _open_contexts(opens):

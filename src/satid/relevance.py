@@ -19,26 +19,31 @@ A literal is relevant when it is not justified and can still contribute to
 justifying the theory atom: the theory atom itself while unjustified, plus
 unjustified literals reachable from a relevant literal.  Instead of storing
 the full set of candidate parents per literal, the tracker keeps one watched
-parent; a literal is relevant exactly when it has a watch (or is the
-unjustified theory atom, whose relevance is a stored base case, never a
-watch).  Watch chains always end at the theory atom, so the watch graph
-stays acyclic.
+parent per literal that has children in the graph; such a literal is
+relevant exactly when it has a watch (or is the unjustified theory atom,
+whose relevance is a stored base case, never a watch).  Watch chains always
+end at the theory atom, so the watch graph stays acyclic.  A leaf, a
+literal with no children such as an open literal, is nobody's parent, so
+nothing but its own queries would read a watch of it, and it gets none: it
+is relevant when it is unjustified and one of its parents is, and its
+`watched_parent` is the first such parent in `parents_of` order.
 
-A notification only updates the justified set and notes the flipped
-literal.  The watches catch up in one settle, which every read of them runs
-first when literals changed since the last one (`is_relevant`,
-`relevant_literals`, `watched_parent` and `validate`), so observers only
-ever see settled states.  Construction runs the first settle, with nothing
-justified and the theory atom as the one changed literal; it builds the
-initial watches.  A settle takes the changed literals as one batch:
+A notification only updates the justified set and, when the flipped
+literal has children, notes it; a leaf's flip moves no watch.  The watches
+catch up in one settle, which every read of them runs first when literals
+changed since the last one (`is_relevant`, `relevant_literals`,
+`watched_parent` and `validate`), so observers only ever see settled
+states.  Construction runs the first settle, with nothing justified and the
+theory atom as the one changed literal; it builds the initial watches.  A settle takes the changed literals as one batch:
 
 - shrink: each changed literal that is now justified and has a watch, or is
   the now justified theory atom, loses it, and so does every literal whose
   watch chain runs through it;
-- regrow: each changed or dropped literal that is unjustified, unwatched and
-  not the theory atom takes its first relevant parent, if it has one.  A
-  breadth-first walk then attaches the unjustified, unwatched children of each
-  literal that got a watch, and of the theory atom if it became unjustified.
+- regrow: each changed or dropped literal that is unjustified, unwatched
+  and not the theory atom takes its first relevant parent, if it has one.
+  A breadth-first walk then attaches the unjustified, unwatched children
+  that have children of their own, of each literal that got a watch, and of
+  the theory atom if it became unjustified.
 
 A new watch points at a relevant parent, whose chain reaches the theory atom
 without passing the unwatched literal, so no watch closes a cycle.
@@ -46,9 +51,18 @@ without passing the unwatched literal, so no watch closes a cycle.
 After a settle the relevant set is exact: it is the set of literals
 reachable from the unjustified theory atom through unjustified literals, so
 it depends on the justified set alone, not on the order or batching of the
-events.  The first settle is exact: nothing is justified, and its walk
-starts at the theory atom and attaches every child of each literal it
-reaches, so it attaches exactly the literals reachable from the theory
+events.  Every literal on a path before its last one has a child, the next
+one, so the paths from the theory atom to a literal with children pass only
+through literals with children.  The argument below therefore runs on the
+graph of the literals with children alone, where watches live, and shows
+that the watched literals, with the unjustified theory atom, are exactly
+the reachable literals that have children.  A leaf other than the theory
+atom is reachable exactly when it is unjustified and one of its parents,
+which all have children, is reachable: that is the leaf rule.
+
+The first settle is exact: nothing is justified, and its walk starts at the
+theory atom and attaches every child with children of each literal it
+reaches, so it attaches exactly such literals reachable from the theory
 atom.  For a later settle, assume the one before it left the watches exact.
 There are no extras: shrink leaves only chains of unjustified literals that
 end at the theory atom, and regrow adds only edges from relevant parents to
@@ -59,7 +73,8 @@ If `p` got its watch in regrow, or is the theory atom and became
 unjustified, the walk from `p` gave `m` a watch, since regrow removes none.
 So `p` was relevant before the batch and stayed so throughout.  If `m` was
 relevant before too, shrink dropped it; if not, it was unreachable then
-while its parent `p` was relevant, so it was justified and has changed.
+while its parent `p` was relevant, so it was justified and has changed,
+and its flip was noted, since it has children.
 Either way regrow offered `m` its parents while `p` was relevant, and `m`
 got a watch, a contradiction.
 """
@@ -89,6 +104,7 @@ class RelevanceTracker:
         self._pt = theory_atom
         self.graph = graph
         self._status_change = status_change
+        self._inner = graph.inner_literals()
         self._debug = debug
         self._watched: dict[int, int] = {}
         self._justified: set[int] = set()
@@ -115,9 +131,12 @@ class RelevanceTracker:
         return self._relevant(lit)
 
     def watched_parent(self, lit: int) -> int | None:
+        """The watch of a literal with children; for a leaf, its first
+        relevant parent.  None when the literal is not relevant, and for
+        the theory atom."""
         if self._changed:
             self._settle()
-        return self._watched.get(lit)
+        return self._parent(lit)
 
     def relevant_literals(self) -> set[int]:
         if self._changed:
@@ -125,6 +144,12 @@ class RelevanceTracker:
         result = set(self._watched)
         if self._pt not in self._justified:
             result.add(self._pt)
+        children_of = self.graph.children_of
+        justified = self._justified
+        inner = self._inner
+        leaves = [child for lit in result for child in children_of(lit)
+                  if child not in justified and child not in inner]
+        result.update(leaves)
         return result
 
     def justified_literals(self) -> set[int]:
@@ -133,7 +158,20 @@ class RelevanceTracker:
     def _relevant(self, lit: int) -> bool:
         if lit == self._pt:
             return lit not in self._justified
-        return lit in self._watched
+        return self._parent(lit) is not None
+
+    def _parent(self, lit: int) -> int | None:
+        watched = self._watched
+        if lit in watched:
+            return watched[lit]
+        justified = self._justified
+        if lit in justified or lit in self._inner:
+            return None
+        pt = self._pt
+        for parent in self.graph.parents_of(lit):
+            if parent in watched or parent == pt and pt not in justified:
+                return parent
+        return None
 
     # -- solver events ------------------------------------------------------
 
@@ -146,7 +184,8 @@ class RelevanceTracker:
             if flipped in self._justified:
                 raise ValueError(f"literal {flipped} is already justified")
             self._justified.add(flipped)
-            self._changed.append(flipped)
+            if flipped in self._inner:
+                self._changed.append(flipped)
 
     def notify_becomes_unknown(self, lit: int) -> None:
         """The mirror of notify_becomes_true for backtracked literals."""
@@ -155,23 +194,27 @@ class RelevanceTracker:
             if flipped not in self._justified:
                 raise ValueError(f"literal {flipped} is not justified")
             self._justified.remove(flipped)
-            self._changed.append(flipped)
+            if flipped in self._inner:
+                self._changed.append(flipped)
 
     # -- settling -----------------------------------------------------------
 
     def _settle(self) -> None:
         """Bring the watches up to date with the changed literals: shrink,
-        then regrow (see the module docstring)."""
+        then regrow (see the module docstring).  Only literals with children
+        get watches."""
         changed = self._changed
         watched = self._watched
         justified = self._justified
+        inner = self._inner
         children_of = self.graph.children_of
         pt = self._pt
         dropped: list[int] = []
+        stack: list[int] = []
         for lit in changed:
             if lit in justified and (lit in watched or lit == pt):
                 watched.pop(lit, None)
-                stack = [lit]
+                stack.append(lit)
                 while stack:
                     node = stack.pop()
                     for child in children_of(node):
@@ -197,7 +240,8 @@ class RelevanceTracker:
                 node = queue[head]
                 head += 1
                 for child in children_of(node):
-                    if child not in watched and child not in justified and child != pt:
+                    if (child in inner and child not in watched
+                            and child not in justified and child != pt):
                         watched[child] = node
                         queue.append(child)
         changed.clear()
@@ -216,6 +260,8 @@ class RelevanceTracker:
         for lit, parent in watched.items():
             if lit in self._justified:
                 raise AssertionError(f"justified literal {lit} has a watch")
+            if lit not in self._inner:
+                raise AssertionError(f"leaf {lit} has a watch")
             if not self._relevant(parent):
                 raise AssertionError(f"watch {lit} -> {parent} has an irrelevant parent")
             if parent not in self.graph.parents_of(lit):

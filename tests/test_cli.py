@@ -31,7 +31,7 @@ def test_solve_sat_exit_code_and_witness(loop_path, capsys):
     assert "SATISFIABLE" in out
     v_line = next(l for l in out.splitlines() if l.startswith("v"))
     assert " 2 " in v_line and v_line.endswith(" 0")
-    assert "models_represented: 1" in out
+    assert "models_represented: 2^0" in out.splitlines()
 
 
 def test_solve_unsat_exit_code(tmp_path, capsys):
@@ -63,8 +63,23 @@ def test_stats_json_schema(loop_path, tmp_path, capsys):
     assert list(payload) == STATS_SCHEMA["required"]  # the README's key order
     assert payload["result"] == "sat"
     assert payload["stopped_early"] is True
-    assert payload["models_represented"] == 1
+    assert payload["models_represented_log2"] == 0
     capsys.readouterr()
+
+
+def test_a_model_count_past_the_int_print_limit_is_given_as_its_exponent(tmp_path, capsys):
+    # 19,998 open atoms stay unassigned: 2^19998 has 6021 digits, past the
+    # 4300 that CPython turns into a string
+    source = tmp_path / "wide.cid"
+    source.write_text("p cid 20000\nt 1\nr 1 d 2 0\n")
+    stats_path = tmp_path / "stats.json"
+    assert main(["solve", str(source), "--stats-json", str(stats_path)]) == 10
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["SATISFIABLE", "v 1 2 0", "models_represented: 2^19998"]
+    payload = json.loads(stats_path.read_text())
+    jsonschema.validate(payload, STATS_SCHEMA)
+    assert payload["stopped_early"] is True
+    assert payload["models_represented_log2"] == 19998
 
 
 def test_stats_json_counts_learned_clauses_and_restarts(tmp_path, capsys):
@@ -91,7 +106,7 @@ def test_budget_exhausted_exit_code_and_stats(tmp_path, capsys):
     jsonschema.validate(payload, STATS_SCHEMA)
     assert payload["result"] == "unknown"
     assert payload["conflicts"] == 1
-    assert payload["models_represented"] is None
+    assert payload["models_represented_log2"] is None
     assert EXIT_UNKNOWN not in (EXIT_SAT, EXIT_UNSAT, EXIT_PARSE, EXIT_MISMATCH,
                                 EXIT_GUARD)
 

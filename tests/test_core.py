@@ -222,6 +222,13 @@ def test_reachable_through_unblocked_literals(loop):
 def test_empty_definition_graph():
     g = build_dependency_graph(Definition([]))
     assert g.edges() == []
+    assert not g.inner_literals()
+
+
+def test_an_empty_body_gives_no_inner_literal():
+    # 2 <- (empty conjunction) has no edges, so 2 is a leaf like the open 3
+    g = build_dependency_graph(Definition([Rule(1, False, (2, -3)), Rule(2, True, ())]))
+    assert list(g.inner_literals()) == [1, -1]
 
 
 def test_parents_children_are_inverse():
@@ -237,6 +244,8 @@ def test_parents_children_are_inverse():
                 assert lit in g.parents_of(child)
             for parent in g.parents_of(lit):
                 assert lit in g.children_of(parent)
+        assert set(g.inner_literals()) == {
+            lit for lit in g.literals() if g.children_of(lit)}
 
 
 # -- direct justifications ---------------------------------------------------------

@@ -69,6 +69,7 @@ def checked_propagate_unit(solver):
     watch, reason, level, counter and notification bookkeeping."""
     before = len(solver.trail)
     propagations = solver.stats.propagations
+    heard, unheard = solver._heard, list(solver._unheard)
     want = reference_unit_fixpoint(solver.clauses, solver.trail)
     conflict = solver.propagate_unit()
     assert (conflict is None) == (want is not None)
@@ -84,8 +85,9 @@ def checked_propagate_unit(solver):
         assert lit in reason
         assert all(solver.lit_value(other) == -1 for other in reason if other != lit)
         assert solver.levels[atom] == solver.level
-        if lit in solver._tracked:
-            assert atom in solver._unsent
+    # nothing is recorded per assignment: the implied literals lie past the
+    # heard part of the trail, where the next sync reads them
+    assert solver._heard == heard <= before and solver._unheard == unheard
     watchers = [ci for watchlist in solver.watches.values() for ci in watchlist]
     assert len(watchers) == 2 * sum(len(clause) >= 2 for clause in solver.clauses)
     for ci, clause in enumerate(solver.clauses):
@@ -101,7 +103,8 @@ def test_unit_propagation_matches_the_reference_fixpoint():
     theories = ([theory_gen.random_theory(rng, 10, 10) for _ in range(150)]
                 + [theory_gen.random_total_theory(rng, 10, 10) for _ in range(150)]
                 + [three_sat_theory(rng, 14, 60) for _ in range(20)])
-    calls = propagated = conflicts = 0
+    calls = propagated = conflicts = syncs = 0
+    sync_rng = random.Random(44)  # apart, so that the search is the same
     for theory in theories:
         solver = Solver(theory, SolverConfig(relevance_filter=rng.random() < 0.7))
         if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
@@ -125,6 +128,12 @@ def test_unit_propagation_matches_the_reference_fixpoint():
             elif solver.level and rng.random() < 0.2:
                 solver._backtrack(rng.randrange(solver.level))
             else:
+                if solver.tracker is not None and sync_rng.random() < 0.5:
+                    # the sync reads the trail and what backtracks undid
+                    solver._sync_tracker()
+                    syncs += 1
+                    assert solver._heard == len(solver.trail)
+                    assert solver.tracker.justified_literals() == implied_justified(solver)
                 free = [atom for atom in range(1, solver.n_atoms + 1)
                         if not solver.values[atom] and atom not in solver._just_atoms]
                 if not free:
@@ -133,6 +142,7 @@ def test_unit_propagation_matches_the_reference_fixpoint():
                 solver._decide(rng.choice((atom, -atom)))
     assert calls > 1200 and propagated > 6000 and conflicts > 200, (
         calls, propagated, conflicts)
+    assert syncs > 300, syncs
 
 
 def test_justification_rule_propagates(justdef):
@@ -492,6 +502,12 @@ def test_loop_peel_handles_empty_bodies_and_repeated_literals(rules, want):
 
 # -- deferred tracker notifications ----------------------------------------------------
 
+def implied_justified(solver):
+    """The justified set that the solver's current assignment implies."""
+    status_change = solver.setup.maps.status_change
+    return {status_change[lit] for lit in solver.trail if lit in status_change}
+
+
 class DecisionProbe:
     """Records decision literals, and at every filtered decision checks that
     the tracker's justified set is the one the current assignment implies."""
@@ -508,14 +524,7 @@ class DecisionProbe:
     def _pick_atom(self, restrict_relevant):
         if restrict_relevant:
             self.filtered_picks += 1
-            expected = set()
-            for atom in range(1, self.n_atoms + 1):
-                if self.values[atom]:
-                    change = self.setup.maps.status_change.get(
-                        atom if self.values[atom] > 0 else -atom)
-                    if change is not None:
-                        expected.add(change)
-            assert self.tracker.justified_literals() == expected
+            assert self.tracker.justified_literals() == implied_justified(self)
         return super()._pick_atom(restrict_relevant)
 
 
@@ -533,7 +542,7 @@ class EagerSolver(DecisionProbe, Solver):
             return False
         if assigned:
             self.tracker.notify_becomes_true(lit)
-        self._unsent.clear()
+        self._heard = len(self.trail)
         return True
 
     def propagate_unit(self):
@@ -542,16 +551,22 @@ class EagerSolver(DecisionProbe, Solver):
         conflict = super().propagate_unit()
         for lit in self.trail[before:]:
             self.tracker.notify_becomes_true(lit)
-        self._unsent.clear()
+        self._heard = len(self.trail)
         return conflict
 
     def _backtrack(self, target_level):
         undone = (self.trail[self.trail_lim[target_level]:]
                   if self.level > target_level else [])
         super()._backtrack(target_level)
-        self._unsent.clear()
+        assert self._unheard == undone and self._heard == len(self.trail)
+        self._unheard.clear()
         for lit in reversed(undone):
             self.tracker.notify_becomes_unknown(lit)
+
+    def _sync_tracker(self):
+        # the tracker has heard everything already
+        assert self._heard == len(self.trail) and not self._unheard
+        super()._sync_tracker()
 
 
 def three_sat_theory(rng, n_vars, n_clauses):
@@ -622,17 +637,17 @@ def test_unfiltered_solver_records_nothing():
     class QuietSolver(Solver):
         def _enqueue(self, lit, reason):
             assigned = super()._enqueue(lit, reason)
-            assert not self._unsent
+            assert self._heard == 0 and not self._unheard
             return assigned
 
         def propagate_unit(self):
             conflict = super().propagate_unit()
-            assert not self._unsent
+            assert self._heard == 0 and not self._unheard
             return conflict
 
         def _backtrack(self, target_level):
             super()._backtrack(target_level)
-            assert not self._unsent
+            assert self._heard == 0 and not self._unheard
 
     for theory in deferral_corpus()[::10]:
         for config in ALL_CONFIGS:
@@ -640,6 +655,34 @@ def test_unfiltered_solver_records_nothing():
                 solver = QuietSolver(theory, config)
                 solver.solve()
                 assert solver.tracker is None
+
+
+def test_unheard_holds_at_most_one_literal_per_atom():
+    # between two syncs each backtrack records only the heard part of the
+    # trail it undoes, so `_unheard` holds literals of distinct atoms.  With
+    # stop_on_justified off, syncs pause once the theory atom is justified
+    # while backtracks go on; an unfiltered solver never syncs and records
+    # nothing
+    class BoundedSolver(Solver):
+        most = 0
+
+        def _backtrack(self, target_level):
+            super()._backtrack(target_level)
+            atoms = {abs(lit) for lit in self._unheard}
+            assert len(atoms) == len(self._unheard) <= self.n_atoms
+            if self.tracker is None:
+                assert self._heard == 0 and not self._unheard
+            self.most = max(self.most, len(self._unheard))
+
+    most = 0
+    for theory in deferral_corpus():
+        for filtered in (True, False):
+            solver = BoundedSolver(theory, SolverConfig(relevance_filter=filtered,
+                                                        stop_on_justified=False))
+            solver.solve()
+            if filtered:
+                most = max(most, solver.most)
+    assert most > 50, most
 
 
 def test_no_sync_after_the_last_decision():

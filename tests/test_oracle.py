@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from satid import (FALSE, TRUE, UNKNOWN, AtomTable, DefnfTheory, Definition,
-                   PartialInterpretation, Rule)
+                   PartialInterpretation, Rule, normalize_to_defnf, parse_pcid)
 from satid.oracle import (GuardExceeded, count_models_extending,
                           enumerate_models, is_model, is_total, justified,
                           justified_literals, justified_status, relevant_set,
@@ -130,6 +131,27 @@ def test_enumerate_models_guard():
     theory = DefnfTheory(table, 1, Definition([Rule(1, True, ())]))
     with pytest.raises(GuardExceeded):
         enumerate_models(theory)
+
+
+def test_enumerate_models_guards_only_the_open_atoms():
+    # normalization gives each connective its own defined atom: 6 opens, 28
+    # atoms in all.  Every model is one of the open contexts' well-founded
+    # models, so counting those that `is_model` accepts counts the models
+    clauses = " ".join(f"(constraint (or (and {x} {y}) (not {z}) (and {y} (not {x}))))"
+                       for x, y, z in itertools.permutations("abc", 3))
+    theory, _ = normalize_to_defnf(parse_pcid(
+        f"(theory {clauses} (define (rule p (or d (and e q))) (rule q (and f p))))"))
+    opens = sorted(theory.opens)
+    assert theory.n_atoms > 20 and len(opens) <= 8
+    models = enumerate_models(theory)
+    count = 0
+    for signs in itertools.product((1, -1), repeat=len(opens)):
+        context = interp(*(sign * atom for sign, atom in zip(signs, opens)))
+        wfm = well_founded_model(theory.definition, context)
+        count += (wfm.two_valued_on(theory.atoms.atoms())
+                  and is_model(wfm, theory))
+    assert len(models) == count > 0
+    assert all(is_model(model, theory) for model in models)
 
 
 # -- justified status -----------------------------------------------------------------

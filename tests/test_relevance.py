@@ -94,22 +94,35 @@ def diamond_theory():
 
 
 def fork_theory():
-    # p_T <- x | w | z and z, x, w <- y: breadth-first from p_T, y first
-    # watches x, but its parents come in rule order z, x, w
+    # p_T <- x | w | z, z, x, w <- y and y <- v: breadth-first from p_T, y
+    # first watches x, but its parents come in rule order z, x, w.  y needs
+    # its child v to get a watch at all; the leaf v has none and takes its
+    # one parent y whenever y is relevant
     return theory_gen.build_theory(
-        "p_T x y z w", "p_T",
+        "p_T x y z w v", "p_T",
         [("z", "d", ["y"]), ("x", "d", ["y"]), ("w", "d", ["y"]),
-         ("p_T", "d", ["x", "w", "z"])])
+         ("p_T", "d", ["x", "w", "z"]), ("y", "d", ["v"])])
 
 
 def test_watch_swaps_to_alternative_parent():
     theory = fork_theory()
     tracker, setup = fresh_tracker(theory)
-    p_T, x, y, z, w = 1, 2, 3, 4, 5
+    p_T, x, y, z, w, v = 1, 2, 3, 4, 5, 6
     assert tracker.watched_parent(y) == x
+    assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
     tracker.notify_becomes_true(setup.maps.to_just[x])   # x justified
     assert tracker.watched_parent(y) == z
-    assert tracker.relevant_literals() == {p_T, w, z, y}
+    assert tracker.watched_parent(v) == y
+    assert tracker.relevant_literals() == {p_T, w, z, y, v}
+    tracker.notify_becomes_true(setup.maps.to_just[y])   # y justified
+    assert tracker.watched_parent(v) is None and not tracker.is_relevant(v)
+    assert tracker.relevant_literals() == {p_T, w, z}
+    tracker.notify_becomes_true(v)                       # the leaf justified
+    tracker.notify_becomes_unknown(setup.maps.to_just[y])
+    assert tracker.watched_parent(y) == z
+    assert tracker.watched_parent(v) is None and not tracker.is_relevant(v)
+    tracker.notify_becomes_unknown(v)
+    assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
 
 
 def test_lost_watches_regrow_without_cycles():
@@ -165,10 +178,11 @@ def test_add_criteria_no_ops():
 def test_remove_of_non_watch_is_no_op():
     theory = fork_theory()
     tracker, setup = fresh_tracker(theory)
-    x, y, w = 2, 3, 5
+    x, y, w, v = 2, 3, 5, 6
     tracker.notify_becomes_true(setup.maps.to_just[w])   # w withdrawn from y
     # y keeps x; a repair would have picked z, its first relevant parent
     assert tracker.watched_parent(y) == x
+    assert tracker.watched_parent(v) == y
 
 
 def test_relevant_offers_to_watched_children_are_ignored(loop):
@@ -319,6 +333,49 @@ def test_tracker_against_reachability_under_batched_events():
     assert flipped_back > 10_000 and theory_atom_flips > 5_000, (
         flipped_back, theory_atom_flips)
     assert (missed_states, extra_states) == (0, 0)
+
+
+def test_every_literal_is_relevant_exactly_when_reachable():
+    # `is_relevant` and `watched_parent` on every literal, not only the
+    # relevant set: a leaf, which has no watch, is relevant exactly when it
+    # is unjustified and some parent is relevant, and `watched_parent` names
+    # its first such parent.  Counted are the checks of a relevant leaf with
+    # two or more parents whose first parent is irrelevant, and of an
+    # irrelevant unjustified leaf with two or more parents.
+    rng = random.Random(2)
+    states = skipped_first = all_parents_irrelevant = 0
+    for _ in range(600):
+        theory = theory_gen.random_theory(rng, max_atoms=10, max_rules=8)
+        tracker, setup = fresh_tracker(theory)
+        graph = tracker.graph
+        tracked = sorted({abs(lit) for lit in setup.maps.status_change})
+        literals = [lit for atom in range(1, theory.n_atoms + 1) for lit in (atom, -atom)]
+        assigned = {}
+        for _ in range(15):
+            for _ in range(rng.randint(1, 4)):
+                send_random_event(rng, tracker, tracked, assigned)
+            justified = tracker.justified_literals()
+            want = graph.reachable(theory.theory_atom, justified)
+            for lit in literals:
+                assert tracker.is_relevant(lit) == (lit in want), (
+                    theory.definition.rules, sorted(justified), lit)
+                parent = tracker.watched_parent(lit)
+                if lit in want and lit != theory.theory_atom:
+                    assert parent in graph.parents_of(lit) and parent in want
+                else:
+                    assert parent is None
+                parents = list(graph.parents_of(lit))
+                if graph.children_of(lit) or len(parents) < 2:
+                    continue
+                if lit in want:
+                    assert parent == next(p for p in parents if p in want)
+                    skipped_first += parent != parents[0]
+                elif lit not in justified:
+                    all_parents_irrelevant += 1
+            states += 1
+    assert states == 9000
+    assert skipped_first > 400 and all_parents_irrelevant > 2500, (
+        skipped_first, all_parents_irrelevant)
 
 
 # -- performance shape ------------------------------------------------------------------
