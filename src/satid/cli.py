@@ -93,21 +93,11 @@ def _config(args: argparse.Namespace) -> SolverConfig:
                         time_limit=args.time_limit)
 
 
-def _stats_payload(status: str, stats: SolveStats) -> dict:
-    """The stats as JSON, with the model count 2^k given as k."""
-    payload: dict = {"result": status}
-    for key, value in dataclasses.asdict(stats).items():
-        if key == "models_represented":
-            key, value = "models_represented_log2", stats.models_represented_log2
-        payload[key] = value
-    return payload
-
-
 def _write_stats(args: argparse.Namespace, status: str, stats: SolveStats) -> None:
     if args.stats_json:
-        Path(args.stats_json).write_text(
-            json.dumps(_stats_payload(status, stats), indent=2) + "\n",
-            encoding="utf-8")
+        payload = {"result": status, **dataclasses.asdict(stats)}
+        Path(args.stats_json).write_text(json.dumps(payload, indent=2) + "\n",
+                                         encoding="utf-8")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -312,8 +312,7 @@ class Definition:
 
     @property
     def defined_atoms(self) -> frozenset[Atom]:
-        """The heads, built once from a dict in rule order, as the set that
-        `Solver._loop_rules` follows is (`JustifiedTheory.defined_atoms`)."""
+        """The heads, built once."""
         return self._defined
 
     def open_atoms(self, universe: Iterable[Atom] | None = None) -> frozenset[Atom]:

@@ -134,15 +134,16 @@ class SolveStats:
     restarts: int = 0
     relevance_queries: int = 0
     stopped_early: bool = False
-    models_represented: int | None = None
+    # the k of the 2^k models an early stop represents; printing 2^k itself
+    # fails past 4300 digits (CPython's int-to-string limit)
+    models_represented_log2: int | None = None
     wall_ms: int = 0
 
     @property
-    def models_represented_log2(self) -> int | None:
-        """The k of `models_represented` = 2^k.  Printing the count itself
-        fails past 4300 digits (CPython's int-to-string limit)."""
-        count = self.models_represented
-        return None if count is None else count.bit_length() - 1
+    def models_represented(self) -> int | None:
+        """The count 2^k of `models_represented_log2`, or None."""
+        k = self.models_represented_log2
+        return None if k is None else 1 << k
 
 
 @dataclass
@@ -463,12 +464,13 @@ class Solver:
 
         `_loop_rules` maps each defined atom that is loop-dependent in the
         original definition, and its copy (whose body is the base body
-        renamed), to (position, conjunctive, body).  Its order, the iteration
-        order of `JustifiedTheory.defined_atoms`, fixes the order in which
-        unfounded atoms are falsified and their reason clauses added.
-        `_loop_watches` maps each body literal of these rules to their
-        heads, once per occurrence: the heads whose source can hold the
-        literal.  The sources themselves are found by the first pass.
+        renamed), to (position, conjunctive, body).  Its order is rule
+        order: the base loop rules, then their copies in the same order.
+        That order fixes the order in which unfounded atoms are falsified
+        and their reason clauses added.  `_loop_watches` maps each body
+        literal of these rules to their heads, once per occurrence: the
+        heads whose source can hold the literal.  The sources themselves are
+        found by the first pass.
         """
         self._loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]] = {}
         self._loop_watches: dict[int, list[int]] = {}
@@ -479,18 +481,17 @@ class Solver:
         loop = self.setup.graph.loop_atoms()
         if not loop:
             return
-        base = list(map(self.setup.base.definition.rule_for, loop))
-        found: dict[int, tuple[bool, tuple[int, ...]]] = {}
-        for rule, copy in zip(base, self.setup.maps.translate(r.body for r in base)):
-            found[rule.head] = rule.conjunctive, rule.body
-            found[self.setup.maps.to_just[rule.head]] = rule.conjunctive, tuple(copy)
+        base = [rule for rule in self.setup.base.definition if rule.head in loop]
         rules = self._loop_rules
+        for rule in base:
+            rules[rule.head] = (len(rules), rule.conjunctive, rule.body)
+        to_just = self.setup.maps.to_just
+        for rule, copy in zip(base, self.setup.maps.translate(r.body for r in base)):
+            rules[to_just[rule.head]] = (len(rules), rule.conjunctive, tuple(copy))
         watches = self._loop_watches
-        for head in self.setup.defined_atoms():
-            if head in found:
-                rules[head] = (len(rules), *found[head])
-                for lit in found[head][1]:
-                    watches.setdefault(lit, []).append(head)
+        for head, (_, _, body) in rules.items():
+            for lit in body:
+                watches.setdefault(lit, []).append(head)
 
     def propagate_unfounded(self) -> list[int] | None:
         """Falsify one maximal unfounded set, with external-bodies reasons.
@@ -499,7 +500,8 @@ class Solver:
         it from outside the unfounded candidates: a conjunctive body with no
         false literal and every positive defined atom itself founded, or some
         such disjunct.  Everything left over is propagated false together,
-        in `_loop_rules` order.
+        in `_loop_rules` order: the base rules', then the copies', each in
+        rule order.
 
         Only the loop part of the definition is checked, and only where a
         source literal turned false (see the module docstring for the
@@ -773,13 +775,12 @@ class Solver:
                 return True
         return False
 
-    def report_justified_count(self) -> int:
-        """2^n models represented by the current justifying assignment, with
-        n the number of unassigned open atoms."""
+    def report_justified_log2(self) -> int:
+        """The n of the 2^n models represented by the current justifying
+        assignment: the number of unassigned open atoms."""
         if self.lit_value(self.setup.just_theory_atom) != 1:
             raise ValueError("theory atom is not justified in the current state")
-        unassigned = sum(1 for atom in self.theory.opens if self.values[atom] == 0)
-        return 2 ** unassigned
+        return sum(1 for atom in self.theory.opens if self.values[atom] == 0)
 
     # -- main loop ------------------------------------------------------------------
 
@@ -830,7 +831,7 @@ class Solver:
                 raise BudgetExhausted("time budget exhausted", self.stats)
             if cfg.stop_on_justified and self.lit_value(j_theory_atom) == 1:
                 self.stats.stopped_early = True
-                self.stats.models_represented = self.report_justified_count()
+                self.stats.models_represented_log2 = self.report_justified_log2()
                 return "sat", self.interpretation()
             justified_already = self.lit_value(j_theory_atom) == 1
             use_filter = cfg.relevance_filter and not justified_already

@@ -65,13 +65,6 @@ class JustifiedTheory:
     def just_theory_atom(self) -> int:
         return self.maps.to_just[self.base.theory_atom]
 
-    def defined_atoms(self) -> frozenset[int]:
-        """The base heads, then their copies, built from a dict in rule order
-        as `Definition.defined_atoms` is: past its hash table an int set's
-        iteration order, which `Solver._loop_rules` follows, depends on that."""
-        heads = [rule.head for rule in self.base.definition]
-        return frozenset(dict.fromkeys([*heads, *map(self.maps.to_just.__getitem__, heads)]))
-
 
 def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
     """Number the justification copies of a theory's defined atoms.

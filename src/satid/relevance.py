@@ -33,8 +33,11 @@ literal has children, notes it; a leaf's flip moves no watch.  The watches
 catch up in one settle, which every read of them runs first when literals
 changed since the last one (`is_relevant`, `relevant_literals`,
 `watched_parent` and `validate`), so observers only ever see settled
-states.  Construction runs the first settle, with nothing justified and the
-theory atom as the one changed literal; it builds the initial watches.  A settle takes the changed literals as one batch:
+states.  Construction only records state: no watches, nothing justified,
+and the theory atom as the first changed literal.  The first read then
+settles the theory atom together with every event sent before it, and a
+tracker that is never read never settles.  A settle takes the changed
+literals as one batch:
 
 - shrink: each changed literal that is now justified and has a watch, or is
   the now justified theory atom, loses it, and so does every literal whose
@@ -60,10 +63,17 @@ the reachable literals that have children.  A leaf other than the theory
 atom is reachable exactly when it is unjustified and one of its parents,
 which all have children, is reachable: that is the leaf rule.
 
-The first settle is exact: nothing is justified, and its walk starts at the
-theory atom and attaches every child with children of each literal it
-reaches, so it attaches exactly such literals reachable from the theory
-atom.  For a later settle, assume the one before it left the watches exact.
+The first settle is exact.  It starts with no watches, so shrink drops
+none, and the theory atom comes first in its batch.  If that atom is
+unjustified, the walk from it attaches the unjustified children with
+children of each literal it reaches: exactly the reachable literals that
+have children.  The rest of the batch then finds no relevant parent for an
+unwatched literal, since such a parent would make the literal reachable,
+and a reachable literal with children already has a watch.  If the theory
+atom is justified, nothing is reachable, and no literal finds a relevant
+parent to watch.
+
+For a later settle, assume the one before it left the watches exact.
 There are no extras: shrink leaves only chains of unjustified literals that
 end at the theory atom, and regrow adds only edges from relevant parents to
 unjustified literals (`validate` checks both).  Nothing is missed.
@@ -93,10 +103,10 @@ class RelevanceTracker:
 
     It is built from the theory atom, the theory's `DependencyGraph` and the
     event-to-status map (`JustificationMaps.status_change`), and has no API
-    for adding rules later.  Construction settles once, from the unjustified
-    theory atom, to build the initial watches.  Notifications are batched
-    until the next read, which settles them; the result does not depend on
-    how the caller batches its calls.
+    for adding rules later.  Construction settles nothing: the first read
+    builds the watches.  Notifications are batched until the next read,
+    which settles them; the result does not depend on how the caller
+    batches its calls.
     """
 
     def __init__(self, theory_atom: int, graph: DependencyGraph,
@@ -109,10 +119,9 @@ class RelevanceTracker:
         self._watched: dict[int, int] = {}
         self._justified: set[int] = set()
         self.query_count = 0
-        # literals flipped since the last settle; the first settle runs from
-        # the unjustified theory atom alone and builds the initial watches
+        # literals flipped since the last settle; the first settle, at the
+        # first read, starts from the theory atom and builds the watches
         self._changed = [theory_atom]
-        self._settle()
 
     @classmethod
     def for_theory(cls, theory: DefnfTheory, setup: JustifiedTheory | None = None,

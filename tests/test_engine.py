@@ -5,8 +5,8 @@ import random
 import pytest
 
 from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
-                   PartialInterpretation, Rule, Solver, SolverConfig,
-                   build_dependency_graph, build_justification_maps,
+                   PartialInterpretation, RelevanceTracker, Rule, Solver,
+                   SolverConfig, build_dependency_graph, build_justification_maps,
                    completion_clauses, defined_fixpoint, normalize_to_defnf,
                    parse_cid, parse_pcid, solve)
 from satid.core import cyclic_literals
@@ -200,11 +200,10 @@ def test_no_unfounded_set_without_positive_loops(intro):
 
 def reference_unfounded(solver):
     """The all-atoms founded-set sweep over the whole combined definition,
-    repeated until nothing changes: the unfounded atoms in the iteration
-    order of the defined-atom set."""
+    repeated until nothing changes: the unfounded atoms in rule order."""
     definition = theory_gen.combined_definition(solver.setup)
     defined = definition.defined_atoms
-    candidates = [a for a in defined if solver.values[a] != -1]
+    candidates = [rule.head for rule in definition if solver.values[rule.head] != -1]
     founded = set()
 
     def support(lit):
@@ -391,9 +390,9 @@ def test_loop_index_and_clauses_follow_the_combined_definition():
     # the solver renames the base clauses and loop rules into the copy
     # instead of building the combined definition; its clauses, and its loop
     # index with the order unfounded atoms are falsified in, must be the
-    # ones the combined definition gives.  Once ids run past the hash table
-    # of the set of heads (the first shapes: 100 loops over 1200 atoms, 20
-    # over 300), that order is not the ascending one.
+    # ones the combined definition gives, in its rule order.  On the
+    # shuffled shapes (100 loops over 1200 atoms, 20 over 300) that order is
+    # not the ascending one.
     rng = random.Random(15)
     theories = ([theory_gen.shuffled_loops_theory(rng, count, n_atoms)
                  for count, n_atoms in [(100, 1200), (20, 300)] * 4]
@@ -407,7 +406,7 @@ def test_loop_index_and_clauses_follow_the_combined_definition():
             completion_clauses(combined) + [[theory.theory_atom]])
         loop = solver.setup.graph.loop_atoms()
         loop |= {solver.setup.maps.to_just[atom] for atom in loop}
-        order = [atom for atom in combined.defined_atoms if atom in loop]
+        order = [rule.head for rule in combined if rule.head in loop]
         assert list(solver._loop_rules) == order
         watches = {}
         for position, atom in enumerate(order):
@@ -441,6 +440,22 @@ def test_loop_free_chain_skips_unfounded_pass():
     assert result.stats.stopped_early
     assert result.stats.decisions == 0
     assert calls == []
+
+
+def test_a_filtered_solver_that_never_syncs_runs_no_settle(monkeypatch):
+    # the tracker settles at its first read, not when it is built; the
+    # chain is justified by propagation alone, so the filtered solver makes
+    # no decision, never syncs and never reads the tracker
+    settles = []
+    settle = RelevanceTracker._settle
+    monkeypatch.setattr(RelevanceTracker, "_settle",
+                        lambda tracker: settles.append(tracker) or settle(tracker))
+    solver = Solver(chain_theory(200))
+    assert settles == [] and solver.tracker._watched == {}
+    result = solver.solve()
+    assert result.stats.stopped_early and result.stats.decisions == 0
+    assert result.stats.relevance_queries == 0
+    assert settles == [] and solver.tracker._watched == {}
 
 
 def test_positive_loop_runs_unfounded_pass(loop):
@@ -950,13 +965,13 @@ def test_report_justified_count_all_opens_assigned(intro):
     solver = Solver(intro, config)
     result = solver.solve()
     assert result.status == "sat"
-    assert solver.report_justified_count() == 1
+    assert solver.report_justified_log2() == 0
 
 
 def test_report_justified_count_requires_justification(loop):
     solver = Solver(loop)
     with pytest.raises(ValueError, match="not justified"):
-        solver.report_justified_count()
+        solver.report_justified_log2()
 
 
 # -- conflict analysis corner cases ------------------------------------------------------

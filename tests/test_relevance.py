@@ -189,6 +189,7 @@ def test_relevant_offers_to_watched_children_are_ignored(loop):
     tracker, setup = fresh_tracker(loop)
     p_T, p, q = 1, 3, 4
     j_p = setup.maps.to_just[p]
+    assert tracker.watched_parent(q) == p   # the first read builds the watches
     before = dict(tracker._watched)
     tracker.notify_becomes_true(j_p)
     assert tracker.watched_parent(p) is None and tracker.watched_parent(q) is None
@@ -333,6 +334,43 @@ def test_tracker_against_reachability_under_batched_events():
     assert flipped_back > 10_000 and theory_atom_flips > 5_000, (
         flipped_back, theory_atom_flips)
     assert (missed_states, extra_states) == (0, 0)
+
+
+def test_first_read_settles_the_events_sent_before_it(monkeypatch):
+    # Building a tracker runs no settle: its first read settles the theory
+    # atom together with every event sent before that read, as one batch.
+    # After that read every literal is relevant exactly when reachable.
+    # Counted are the batches that flip a status and flip it back, that flip
+    # the theory atom's status, and that leave the theory atom justified.
+    settles = []
+    settle = RelevanceTracker._settle
+    monkeypatch.setattr(RelevanceTracker, "_settle",
+                        lambda tracker: settles.append(tracker) or settle(tracker))
+    rng = random.Random(4)
+    flipped_back = theory_atom_flips = theory_atom_justified = 0
+    for _ in range(1500):
+        theory = theory_gen.random_theory(rng, max_atoms=10, max_rules=8)
+        tracker, setup = fresh_tracker(theory)
+        status_change = setup.maps.status_change
+        tracked = sorted({abs(lit) for lit in status_change})
+        assigned = {}
+        flips = [status_change[send_random_event(rng, tracker, tracked, assigned)]
+                 for _ in range(rng.randint(1, 12))]
+        assert settles == []
+        justified = tracker.justified_literals()
+        want = tracker.graph.reachable(theory.theory_atom, justified)
+        for atom in range(1, theory.n_atoms + 1):
+            for lit in (atom, -atom):
+                assert tracker.is_relevant(lit) == (lit in want), (
+                    theory.definition.rules, flips, lit)
+        assert settles == [tracker]
+        settles.clear()
+        flipped_back += len(set(flips)) < len(flips)
+        theory_atom_flips += theory.theory_atom in flips
+        theory_atom_justified += theory.theory_atom in justified
+    assert (flipped_back > 1000 and theory_atom_flips > 400
+            and theory_atom_justified > 200), (
+        flipped_back, theory_atom_flips, theory_atom_justified)
 
 
 def test_every_literal_is_relevant_exactly_when_reachable():
