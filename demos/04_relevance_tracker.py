@@ -1,11 +1,14 @@
 """The incremental relevance tracker, step by step.
 
-Relevance is tracked with one watched parent per literal: a literal is
+Relevance is tracked with one watched parent per deep literal, one with a
+child that has children of its own, such as p and q here: a deep literal is
 relevant exactly when it has a watch (or is the unjustified theory atom).
-Notifications are settled at the next read.  When support arrives, a
-literal's watch goes, and so does every watch chain through it; the dropped
-literals then take a relevant parent if they have one.  A loop that lost its
-connection to the theory atom has none, so it stays unwatched.
+The other literals, such as the open a, get no watch: one is relevant when
+it is unjustified and one of its parents is.  Notifications are settled at
+the next read.  When support arrives, a literal's watch goes, and so does
+every watch chain through it; the dropped literals then take a relevant
+parent if they have one.  A loop that lost its connection to the theory
+atom has none, so it stays unwatched.
 """
 
 from pathlib import Path

@@ -420,10 +420,21 @@ class DependencyGraph:
     def parents_of(self, lit: Literal) -> KeysView[Literal]:
         return self._parents.get(lit, _NO_LITERALS).keys()
 
-    def inner_literals(self) -> KeysView[Literal]:
-        """The literals that have children: the head of each rule with a
-        body, and its negation.  A live view, cheap to test membership in."""
-        return self._children.keys()
+    def deep_literals(self) -> set[Literal]:
+        """The literals with a child that has children of its own.  The
+        children of `~p` are the negations of those of `p`, and a literal
+        has children exactly when its negation does, so `p` and `~p` are
+        both deep or neither: one test per rule head decides both."""
+        children = self._children
+        deep: set[Literal] = set()
+        for head, kids in children.items():
+            if head > 0:
+                for kid in kids:
+                    if kid in children:
+                        deep.add(head)
+                        deep.add(-head)
+                        break
+        return deep
 
     def edges(self) -> list[tuple[Literal, Literal]]:
         result = [(src, dst) for src, kids in self._children.items() for dst in kids]

@@ -222,13 +222,54 @@ def test_reachable_through_unblocked_literals(loop):
 def test_empty_definition_graph():
     g = build_dependency_graph(Definition([]))
     assert g.edges() == []
-    assert not g.inner_literals()
+    assert not g.literals()
+    assert g.deep_literals() == set()
 
 
 def test_an_empty_body_gives_no_inner_literal():
     # 2 <- (empty conjunction) has no edges, so 2 is a leaf like the open 3
     g = build_dependency_graph(Definition([Rule(1, False, (2, -3)), Rule(2, True, ())]))
-    assert list(g.inner_literals()) == [1, -1]
+    assert {lit for lit in g.literals() if g.children_of(lit)} == {1, -1}
+    assert g.deep_literals() == set()
+
+
+def reference_deep_literals(g):
+    return {lit for lit in g.literals()
+            if any(g.children_of(child) for child in g.children_of(lit))}
+
+
+def test_deep_literals_of_a_chain():
+    # 1 <- 2 <- 3 <- 4 <- 5: 4's only child, the open 5, is a leaf
+    g = build_dependency_graph(Definition([Rule(a, False, (a + 1,)) for a in range(1, 5)]))
+    assert g.deep_literals() == {1, -1, 2, -2, 3, -3}
+
+
+def test_deep_literals_of_a_loop(loop):
+    # p_T <- a | p, p <- q, q <- p: every head has a child with children
+    p_T, a, p, q = 1, 2, 3, 4
+    g = build_dependency_graph(loop.definition)
+    assert g.deep_literals() == {p_T, -p_T, p, -p, q, -q}
+
+
+def test_deep_literals_of_a_3sat_shape():
+    # T <- t1 & t2 over clause atoms whose children are all open: only the
+    # theory atom is deep, and the clause atoms are frontier literals
+    T, t1, t2, a, b, c, d = range(1, 8)
+    g = build_dependency_graph(Definition([
+        Rule(T, True, (t1, t2)), Rule(t1, False, (a, -b, c)),
+        Rule(t2, False, (-a, b, d))]))
+    assert g.deep_literals() == {T, -T}
+    assert all(g.children_of(lit) for lit in (t1, -t1, t2, -t2))
+
+
+def test_deep_literals_with_empty_bodies():
+    # x <- (empty) and z <- (empty) are leaves, so y <- z is a frontier
+    # literal and T <- x | y is deep through y alone; U <- x is not deep
+    T, x, y, z, U = range(1, 6)
+    g = build_dependency_graph(Definition([
+        Rule(T, False, (x, y)), Rule(x, True, ()), Rule(y, False, (z,)),
+        Rule(z, True, ()), Rule(U, False, (x,))]))
+    assert g.deep_literals() == {T, -T}
 
 
 def test_parents_children_are_inverse():
@@ -244,8 +285,9 @@ def test_parents_children_are_inverse():
                 assert lit in g.parents_of(child)
             for parent in g.parents_of(lit):
                 assert lit in g.children_of(parent)
-        assert set(g.inner_literals()) == {
-            lit for lit in g.literals() if g.children_of(lit)}
+        deep = g.deep_literals()
+        assert deep == reference_deep_literals(g)
+        assert {-lit for lit in deep} == deep
 
 
 # -- direct justifications ---------------------------------------------------------

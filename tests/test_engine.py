@@ -7,8 +7,7 @@ import pytest
 from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
                    PartialInterpretation, RelevanceTracker, Rule, Solver,
                    SolverConfig, build_dependency_graph, build_justification_maps,
-                   completion_clauses, defined_fixpoint, normalize_to_defnf,
-                   parse_cid, parse_pcid, solve)
+                   completion_clauses, defined_fixpoint, parse_cid, solve)
 from satid.core import cyclic_literals
 from satid.engine import BudgetExhausted, _luby
 from satid import oracle
@@ -102,7 +101,7 @@ def test_unit_propagation_matches_the_reference_fixpoint():
     rng = random.Random(43)
     theories = ([theory_gen.random_theory(rng, 10, 10) for _ in range(150)]
                 + [theory_gen.random_total_theory(rng, 10, 10) for _ in range(150)]
-                + [three_sat_theory(rng, 14, 60) for _ in range(20)])
+                + [theory_gen.three_sat_theory(rng, 14, 60) for _ in range(20)])
     calls = propagated = conflicts = syncs = 0
     sync_rng = random.Random(44)  # apart, so that the search is the same
     for theory in theories:
@@ -584,15 +583,6 @@ class EagerSolver(DecisionProbe, Solver):
         super()._sync_tracker()
 
 
-def three_sat_theory(rng, n_vars, n_clauses):
-    clauses = []
-    for _ in range(n_clauses):
-        lits = [f"x{a}" if rng.random() < 0.5 else f"(not x{a})"
-                for a in rng.sample(range(1, n_vars + 1), 3)]
-        clauses.append(f"(constraint (or {' '.join(lits)}))")
-    return normalize_to_defnf(parse_pcid(f"(theory {' '.join(clauses)})"))[0]
-
-
 # `random` benchmark instances (seed 1 no. 2119, seed 3 no. 2766) where a
 # tracker that repairs each lost watch on its own, and never offers a
 # literal left unwatched its parents again, misses relevant literals at a
@@ -612,7 +602,7 @@ def deferral_corpus():
             + [parse_cid(text) for text in TRACKER_MISS_CIDS]
             + [theory_gen.random_theory(rng, 12, 12) for _ in range(600)]
             + [theory_gen.random_total_theory(rng, 12, 12) for _ in range(600)]
-            + [three_sat_theory(rng, 20, 85) for _ in range(16)])
+            + [theory_gen.three_sat_theory(rng, 20, 85) for _ in range(16)])
 
 
 FILTERED_CONFIGS = [config for config in ALL_CONFIGS if config.relevance_filter]
@@ -646,6 +636,56 @@ def test_debug_picks_check_the_tracker_against_reachability():
             solver.solve()
             filtered_picks += solver.filtered_picks
     assert filtered_picks > 800, filtered_picks
+
+
+class WalkingTracker(RelevanceTracker):
+    """Reference relevance: no watches and no settle.  The notifications
+    keep the justified set, and `is_relevant` walks backward from the
+    literal over `parents_of` through unjustified literals, looking for the
+    theory atom."""
+
+    def is_relevant(self, lit):
+        self.query_count += 1
+        justified = self._justified
+        if lit in justified:
+            return False
+        parents_of = self.graph.parents_of
+        seen = {lit}
+        stack = [lit]
+        while stack:
+            node = stack.pop()
+            if node == self._pt:
+                return True
+            for parent in parents_of(node):
+                if parent not in seen and parent not in justified:
+                    seen.add(parent)
+                    stack.append(parent)
+        return False
+
+
+class WalkingSolver(Solver):
+    def __init__(self, theory, config):
+        super().__init__(theory, config)
+        if self.tracker is not None:
+            self.tracker = WalkingTracker.for_theory(theory, self.setup)
+
+
+def test_the_tracker_decides_as_the_backward_walk():
+    # the tracker's relevance is exact after each settle, so a solver that
+    # asks the walk instead makes the same decisions and the same queries
+    rng = random.Random(43)
+    corpus = deferral_corpus() + [loops_theory(rng, count) for count in (1, 10, 60)]
+    walked = 0
+    for theory in corpus:
+        for config in FILTERED_CONFIGS:
+            got, want = Solver(theory, config).solve(), WalkingSolver(theory, config).solve()
+            context = (theory.definition.rules, config)
+            assert got.status == want.status, context
+            assert got.witness == want.witness, context
+            got_stats = dataclasses.replace(got.stats, wall_ms=0)
+            assert got_stats == dataclasses.replace(want.stats, wall_ms=0), context
+            walked += want.stats.relevance_queries
+    assert walked > 2500, walked
 
 
 def test_unfiltered_solver_records_nothing():
@@ -778,7 +818,7 @@ def test_heap_picks_match_the_linear_scan():
 def test_heap_picks_match_the_scan_through_rescale_and_rebuild():
     # a huge starting increment pushes activities past 1e100 within a few
     # conflicts; the long search also fills the heap with stale entries
-    theory = three_sat_theory(random.Random(40), 60, 255)
+    theory = theory_gen.three_sat_theory(random.Random(40), 60, 255)
     for filtered in (True, False):
         solver = ScanCheckedDeferred(
             theory, SolverConfig(relevance_filter=filtered, debug=True))

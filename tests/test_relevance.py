@@ -94,35 +94,45 @@ def diamond_theory():
 
 
 def fork_theory():
-    # p_T <- x | w | z, z, x, w <- y and y <- v: breadth-first from p_T, y
-    # first watches x, but its parents come in rule order z, x, w.  y needs
-    # its child v to get a watch at all; the leaf v has none and takes its
-    # one parent y whenever y is relevant
+    # p_T <- x | w | z, z, x, w <- y, y <- v and v <- u: breadth-first from
+    # p_T, y first watches x, but its parents come in rule order z, x, w.  y
+    # needs its grandchild u to get a watch at all; the frontier literal v
+    # and the leaf u have none, and each takes its one parent whenever that
+    # parent is relevant
     return theory_gen.build_theory(
-        "p_T x y z w v", "p_T",
+        "p_T x y z w v u", "p_T",
         [("z", "d", ["y"]), ("x", "d", ["y"]), ("w", "d", ["y"]),
-         ("p_T", "d", ["x", "w", "z"]), ("y", "d", ["v"])])
+         ("p_T", "d", ["x", "w", "z"]), ("y", "d", ["v"]), ("v", "d", ["u"])])
 
 
 def test_watch_swaps_to_alternative_parent():
     theory = fork_theory()
     tracker, setup = fresh_tracker(theory)
-    p_T, x, y, z, w, v = 1, 2, 3, 4, 5, 6
+    p_T, x, y, z, w, v, u = 1, 2, 3, 4, 5, 6, 7
+    j_v = setup.maps.to_just[v]
     assert tracker.watched_parent(y) == x
     assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
+    assert tracker.watched_parent(u) == v and tracker.is_relevant(u)
+    assert set(tracker._watched) == {x, w, z, y}
     tracker.notify_becomes_true(setup.maps.to_just[x])   # x justified
     assert tracker.watched_parent(y) == z
     assert tracker.watched_parent(v) == y
-    assert tracker.relevant_literals() == {p_T, w, z, y, v}
+    assert tracker.relevant_literals() == {p_T, w, z, y, v, u}
     tracker.notify_becomes_true(setup.maps.to_just[y])   # y justified
     assert tracker.watched_parent(v) is None and not tracker.is_relevant(v)
+    assert tracker.watched_parent(u) is None and not tracker.is_relevant(u)
     assert tracker.relevant_literals() == {p_T, w, z}
-    tracker.notify_becomes_true(v)                       # the leaf justified
+    tracker.notify_becomes_true(j_v)                     # the frontier v justified
     tracker.notify_becomes_unknown(setup.maps.to_just[y])
     assert tracker.watched_parent(y) == z
     assert tracker.watched_parent(v) is None and not tracker.is_relevant(v)
-    tracker.notify_becomes_unknown(v)
+    assert tracker.watched_parent(u) is None and not tracker.is_relevant(u)
+    tracker.notify_becomes_unknown(j_v)
     assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
+    assert tracker.watched_parent(u) == v and tracker.is_relevant(u)
+    tracker.notify_becomes_true(u)                       # the leaf justified
+    assert tracker.watched_parent(u) is None and not tracker.is_relevant(u)
+    assert tracker.relevant_literals() == {p_T, w, z, y, v}
 
 
 def test_lost_watches_regrow_without_cycles():
@@ -178,11 +188,12 @@ def test_add_criteria_no_ops():
 def test_remove_of_non_watch_is_no_op():
     theory = fork_theory()
     tracker, setup = fresh_tracker(theory)
-    x, y, w, v = 2, 3, 5, 6
+    x, y, w, v, u = 2, 3, 5, 6, 7
     tracker.notify_becomes_true(setup.maps.to_just[w])   # w withdrawn from y
     # y keeps x; a repair would have picked z, its first relevant parent
     assert tracker.watched_parent(y) == x
     assert tracker.watched_parent(v) == y
+    assert tracker.watched_parent(u) == v
 
 
 def test_relevant_offers_to_watched_children_are_ignored(loop):
@@ -337,9 +348,9 @@ def test_tracker_against_reachability_under_batched_events():
 
 
 def test_first_read_settles_the_events_sent_before_it(monkeypatch):
-    # Building a tracker runs no settle: its first read settles the theory
-    # atom together with every event sent before that read, as one batch.
-    # After that read every literal is relevant exactly when reachable.
+    # Building a tracker runs no settle: its first read runs one, from the
+    # theory atom, with the justified set that every event sent before that
+    # read left.  After it every literal is relevant exactly when reachable.
     # Counted are the batches that flip a status and flip it back, that flip
     # the theory atom's status, and that leave the theory atom justified.
     settles = []
@@ -375,17 +386,20 @@ def test_first_read_settles_the_events_sent_before_it(monkeypatch):
 
 def test_every_literal_is_relevant_exactly_when_reachable():
     # `is_relevant` and `watched_parent` on every literal, not only the
-    # relevant set: a leaf, which has no watch, is relevant exactly when it
-    # is unjustified and some parent is relevant, and `watched_parent` names
-    # its first such parent.  Counted are the checks of a relevant leaf with
-    # two or more parents whose first parent is irrelevant, and of an
-    # irrelevant unjustified leaf with two or more parents.
+    # relevant set: a shallow literal (a leaf, or a frontier literal whose
+    # children are all leaves), which has no watch, is relevant exactly when
+    # it is unjustified and some parent is relevant, and `watched_parent`
+    # names its first such parent.  Counted are the checks of a relevant
+    # leaf and of a relevant frontier literal, each with two or more
+    # parents whose first parent is irrelevant, and of an irrelevant
+    # unjustified leaf with two or more parents.
     rng = random.Random(2)
-    states = skipped_first = all_parents_irrelevant = 0
+    states = skipped_first = skipped_first_frontier = all_parents_irrelevant = 0
     for _ in range(600):
         theory = theory_gen.random_theory(rng, max_atoms=10, max_rules=8)
         tracker, setup = fresh_tracker(theory)
         graph = tracker.graph
+        deep = graph.deep_literals()
         tracked = sorted({abs(lit) for lit in setup.maps.status_change})
         literals = [lit for atom in range(1, theory.n_atoms + 1) for lit in (atom, -atom)]
         assigned = {}
@@ -403,17 +417,51 @@ def test_every_literal_is_relevant_exactly_when_reachable():
                 else:
                     assert parent is None
                 parents = list(graph.parents_of(lit))
-                if graph.children_of(lit) or len(parents) < 2:
+                if lit in deep or lit == theory.theory_atom or len(parents) < 2:
                     continue
                 if lit in want:
                     assert parent == next(p for p in parents if p in want)
-                    skipped_first += parent != parents[0]
-                elif lit not in justified:
+                    if graph.children_of(lit):
+                        skipped_first_frontier += parent != parents[0]
+                    else:
+                        skipped_first += parent != parents[0]
+                elif lit not in justified and not graph.children_of(lit):
                     all_parents_irrelevant += 1
             states += 1
     assert states == 9000
-    assert skipped_first > 400 and all_parents_irrelevant > 2500, (
-        skipped_first, all_parents_irrelevant)
+    assert (skipped_first > 400 and skipped_first_frontier > 20
+            and all_parents_irrelevant > 2500), (
+        skipped_first, skipped_first_frontier, all_parents_irrelevant)
+
+
+def test_clause_atoms_of_a_3sat_theory_get_no_watch():
+    # Every child of a normalized 3-SAT theory's clause atom is open, so
+    # only the theory atom is deep: no clause atom or its negation gets a
+    # watch, and flips of their copies note nothing for the settle
+    rng = random.Random(5)
+    flips = 0
+    for _ in range(20):
+        theory = theory_gen.three_sat_theory(rng, 20, 85)
+        tracker, setup = fresh_tracker(theory)
+        to_just = setup.maps.to_just
+        pt = theory.theory_atom
+        clause_atoms = sorted(theory.defined - {pt})
+        assert tracker.graph.deep_literals() == {pt, -pt}
+        assert tracker.relevant_literals() >= set(clause_atoms)
+        assert tracker._watched == {}
+        for atom in clause_atoms:
+            assert tracker.watched_parent(atom) == pt
+            assert tracker.watched_parent(-atom) is None   # ~pt is unreachable
+        for atom in rng.sample(clause_atoms, 40):
+            tracker.notify_becomes_true(to_just[rng.choice((atom, -atom))])
+            flips += 1
+            assert tracker._changed == []
+        want = tracker.graph.reachable(pt, tracker.justified_literals())
+        for atom in range(1, theory.n_atoms + 1):
+            for lit in (atom, -atom):
+                assert tracker.is_relevant(lit) == (lit in want)
+        assert tracker._watched == {}
+    assert flips == 800
 
 
 # -- performance shape ------------------------------------------------------------------

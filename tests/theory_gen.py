@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from satid import (AtomTable, DefnfTheory, Definition, PartialInterpretation,
-                   Rule, UNKNOWN, atom_of)
+                   Rule, UNKNOWN, atom_of, normalize_to_defnf, parse_pcid)
 from satid.formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
                            QUERY_RELEVANT, TraceEvent)
 from satid.justifier import JustifiedTheory
@@ -58,6 +58,18 @@ def loop_theory() -> DefnfTheory:
         [("p_T", "d", ["a", "p"]),
          ("p", "d", ["q"]),
          ("q", "d", ["p"])])
+
+
+def three_sat_theory(rng: random.Random, n_vars: int, n_clauses: int) -> DefnfTheory:
+    """Random 3-SAT over `x1..x<n_vars>` as `.pcid` constraints, normalized:
+    the theory atom is the conjunction of one clause atom per clause, and
+    each clause atom the disjunction of its three open literals."""
+    clauses = []
+    for _ in range(n_clauses):
+        lits = [f"x{a}" if rng.random() < 0.5 else f"(not x{a})"
+                for a in rng.sample(range(1, n_vars + 1), 3)]
+        clauses.append(f"(constraint (or {' '.join(lits)}))")
+    return normalize_to_defnf(parse_pcid(f"(theory {' '.join(clauses)})"))[0]
 
 
 def shuffled_loops_theory(rng: random.Random, count: int,
