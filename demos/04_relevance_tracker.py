@@ -1,9 +1,10 @@
 """The incremental relevance tracker, step by step.
 
-Relevance is tracked with one watched parent per deep literal, one with a
-child that has children of its own, such as p and q here: a deep literal is
-relevant exactly when it has a watch (or is the unjustified theory atom).
-The other literals, such as the open a, get no watch: one is relevant when
+Relevance is tracked in one map from each deep literal, one with a child
+that has children of its own, such as p and q here, and from the theory
+atom to its watched parent: a key is relevant exactly when it has a watch,
+and the unjustified theory atom's watch is the root, which is no literal.
+The other literals, such as the open a, have no key: one is relevant when
 it is unjustified and one of its parents is.  Notifications are settled at
 the next read.  When support arrives, a literal's watch goes, and so does
 every watch chain through it; the dropped literals then take a relevant

@@ -4,7 +4,10 @@ checks, normalize general input, and emit graphs and stats.
 Exit codes follow the SAT competition convention for `solve` (10
 satisfiable, 20 unsatisfiable, 0 unknown because the conflict or time budget
 ran out) and use 2 for parse/usage errors everywhere; `replay` exits 1 on
-expectation or oracle mismatches and 3 when an oracle guard refuses.
+expectation or oracle mismatches, `oracle` exits 1 when the reference
+semantics fails its own cross-check (such as a model count that is not 2^n
+on a definition that is not total), and both exit 3 when an oracle guard
+refuses.
 """
 
 from __future__ import annotations
@@ -303,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except oracle.OracleError as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -18,88 +18,87 @@ The tracker is a module beside the solver, with a narrow interface:
 A literal is relevant when it is not justified and can still contribute to
 justifying the theory atom: the theory atom itself while unjustified, plus
 unjustified literals reachable from a relevant literal.  Instead of storing
-the full set of candidate parents per literal, the tracker keeps one watched
-parent per deep literal, one with a child that has children of its own
-(`DependencyGraph.deep_literals`); a deep literal is relevant exactly when
-it has a watch, or is the unjustified theory atom, whose relevance is a
-stored base case, never a watch.  Watch chains always end at the theory
-atom, so the watch graph stays acyclic.  The other literals are shallow:
-leaves, with no children, such as open literals, and frontier literals,
-whose children are all leaves, such as a 3-SAT clause atom `t <- a | b | c`
-and its negation.  A shallow literal is the parent of no deep literal, so
-nothing but its own queries would read a watch of it, and it gets none.
-The frontier rule gives its relevance instead: a shallow literal other than
-the theory atom is relevant when it is unjustified and one of its parents
-is, and its `watched_parent` is the first such parent in `parents_of`
-order.  The parents of a frontier literal are deep, and those of a leaf
-are deep or frontier, so a query looks at most two levels up.
+the full set of candidate parents per literal, the tracker keeps one map,
+`_watch`.  Its keys are the deep literals, those with a child that has
+children of its own (`DependencyGraph.deep_literals`), and the theory atom.
+A key's value is its watched parent; the root `0`, which is no literal, for
+the unjustified theory atom; and None when the key is irrelevant.  A key is
+therefore relevant exactly when its value is not None.  Every watch chain
+ends at the root, so the watch graph stays acyclic.
+
+The other literals are shallow: leaves, with no children, such as open
+literals, and frontier literals, whose children are all leaves, such as a
+3-SAT clause atom `t <- a | b | c` and its negation.  A shallow literal is
+the parent of no deep literal, so nothing but its own queries would read a
+watch of it, and unless it is the theory atom it has no key.  The parent
+rule gives its relevance instead: a literal outside the map is relevant
+when it is unjustified and one of its parents is, and its `watched_parent`
+is the first such parent in `parents_of` order.  The parents of a frontier literal are deep, and those
+of a leaf are deep or frontier, so a query looks at most two levels up.
 
 A notification only updates the justified set and, when the flipped
-literal is deep, notes it; a shallow literal's flip moves no watch.  The
+literal is a key, notes it; a shallow literal's flip moves no watch.  The
 watches catch up in one settle, which every read of them runs first when
-literals changed since the last one (`is_relevant`, `relevant_literals`,
+keys changed since the last one (`is_relevant`, `relevant_literals`,
 `watched_parent` and `validate`), so observers only ever see settled
-states.  Construction only records state: no watches, nothing justified,
-no deep literals yet, so that no flip is noted, and the theory atom as the
-first changed literal.  The first read computes the deep literals and
-settles the theory atom alone, with the justified set that the events sent
-before it left; a tracker that is never read never walks the graph.  A
-settle takes the changed literals as one batch:
+states.  Construction only records state: an empty map, so that no flip is
+noted, nothing justified, and the theory atom as the first changed
+literal.  The first read builds the map with every key irrelevant, then
+settles the theory atom like any later batch, with the justified set that
+the events sent before it left; a tracker that is never read never walks
+the graph.  A settle takes the changed keys as one batch:
 
-- shrink: each changed literal that is now justified and has a watch, or is
-  the now justified theory atom, loses it, and so does every literal whose
-  watch chain runs through it;
-- regrow: each changed or dropped literal that is unjustified, unwatched
-  and not the theory atom takes its first relevant parent, if it has one.
-  A breadth-first walk then attaches the unjustified, unwatched deep
-  children of each literal that got a watch, and of the theory atom if it
-  became unjustified.
+- shrink: each changed key that is now justified and relevant becomes
+  irrelevant, and so does every key whose watch chain runs through it;
+- regrow: each changed or dropped key that is unjustified and irrelevant
+  takes a watch: the theory atom takes the root, and any other key its
+  first relevant parent, if it has one.  A breadth-first walk then attaches
+  the unjustified, irrelevant deep children of each key that got a watch.
 
-A new watch points at a relevant parent, whose chain reaches the theory atom
-without passing the unwatched literal, so no watch closes a cycle.
+A new watch points at the root or at a relevant parent, whose chain reaches
+the root without passing the key that takes the watch, so no watch closes a
+cycle.
 
 After a settle the relevant set is exact: it is the set of literals
 reachable from the unjustified theory atom through unjustified literals, so
 it depends on the justified set alone, not on the order or batching of the
 events.  On a path that ends at a literal with children, every literal
 before the last has a child with children, the next one, and so is deep.
-The paths from the theory atom to a deep literal therefore pass only
-through deep literals, and so do those to a frontier literal but for their
-last step; those to a leaf end with one step from a deep literal, or two
-through a frontier one.  The argument below therefore runs on the graph of
-the deep literals alone, where watches live, and shows that the watched
-literals, with the unjustified theory atom, are exactly the reachable deep
-literals.  A shallow literal other than the theory atom is then reachable
-exactly when it is unjustified and one of its parents is: that is the
-frontier rule.  A query reads a deep parent's watch, and a frontier
-parent's relevance by the same rule, one level further up.
+The paths from the theory atom to a key therefore pass only through keys,
+and so do those to a frontier literal but for their last step; those to a
+leaf end with one step from a key, or two through a frontier literal.  The
+argument below therefore runs on the keys alone, where watches live, and
+shows that the relevant keys are exactly the reachable ones.  A literal
+outside the map is then reachable exactly when it is unjustified and one of
+its parents is: that is the parent rule, which a query applies to a
+frontier parent in turn, and which reads a key's relevance from the map.
 
-The first settle is exact.  It starts with no watches, so shrink drops
-none, and the theory atom is its whole batch.  If that atom is
-unjustified, the walk from it attaches the unjustified deep children of
-each literal it reaches: exactly the reachable deep literals.  If it is
-justified, nothing is reachable, and nothing gets a watch.
-
-For a later settle, assume the one before it left the watches exact.
-There are no extras: shrink leaves only chains of unjustified literals that
-end at the theory atom, and regrow adds only edges from relevant parents to
-unjustified literals (`validate` checks both).  Nothing is missed.
-Otherwise take a path from the theory atom to a missed deep literal: its
-first missed literal `m` is not the theory atom and has a relevant parent
-`p`.  If `p` got its watch in regrow, or is the theory atom and became
-unjustified, the walk from `p` gave `m` a watch, since regrow removes none.
-So `p` was relevant before the batch and stayed so throughout.  If `m` was
-relevant before too, shrink dropped it; if not, it was unreachable then
-while its parent `p` was relevant, so it was justified and has changed,
-and its flip was noted, since it is deep.
-Either way regrow offered `m` its parents while `p` was relevant, and `m`
-got a watch, a contradiction.
+Each settle starts from a map that was exact for the justified set that the
+settle before it saw, and its batch holds every key whose status changed
+since.  For the first settle, take that set to be the present one with the
+theory atom added: nothing is reachable then, so the map with every key
+irrelevant is exact for it, and only the theory atom's status can differ
+from it, which is the first batch.  There are no extras: shrink leaves only
+chains of unjustified keys that end at the root, and regrow adds only edges
+from the root or a relevant parent to unjustified keys (`validate` checks
+both).  Nothing is missed either.  The unjustified theory atom is not: if
+it changed, regrow gave it the root if it had none, and if not, it was
+relevant before, and only its own justification drops the root.  Otherwise
+take a path from the theory atom to a missed key: its first missed key `m`
+is not the theory atom and has a relevant parent `p`, which is a key.  If
+`p` got its watch in regrow, the walk from `p` gave `m` a watch, if it had
+none by then, since regrow removes none.  So `p` was relevant before the
+batch and stayed so throughout.  If `m` was relevant before too, shrink
+dropped it; if not, it was unreachable then while its parent `p` was
+relevant, so it was justified and has changed, and its flip was noted,
+since it is a key.  Either way regrow offered `m` its parents while `p` was
+relevant, and `m` got a watch, a contradiction.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import AbstractSet, Mapping
+from typing import Mapping
 
 from .core import DefnfTheory, DependencyGraph
 from .justifier import JustifiedTheory, build_justification_maps
@@ -122,14 +121,14 @@ class RelevanceTracker:
         self.graph = graph
         self._status_change = status_change
         self._debug = debug
-        # the literals whose flips are noted: empty until the first settle
-        # computes them, since that settle walks from the theory atom alone
-        self._deep: AbstractSet[int] = frozenset()
-        self._watched: dict[int, int] = {}
+        # each deep literal and the theory atom to its watched parent, the
+        # root 0 or None; empty until the first settle builds it, so that
+        # nothing is noted before then
+        self._watch: dict[int, int | None] = {}
         self._justified: set[int] = set()
         self.query_count = 0
-        # deep literals flipped since the last settle; the first settle, at
-        # the first read, starts from the theory atom and builds the watches
+        # keys flipped since the last settle; the first settle, at the first
+        # read, builds the map and settles the theory atom
         self._changed = [theory_atom]
 
     @classmethod
@@ -146,61 +145,44 @@ class RelevanceTracker:
         self.query_count += 1
         if self._changed:
             self._settle()
-        return self._relevant(lit)
+        return self._parent(lit) is not None
 
     def watched_parent(self, lit: int) -> int | None:
         """The watch of a deep literal; for a shallow one, its first
         relevant parent.  None when the literal is not relevant, and for
-        the theory atom."""
+        the theory atom, whose watch is the root."""
         if self._changed:
             self._settle()
-        return None if lit == self._pt else self._parent(lit)
+        return self._parent(lit) or None
 
     def relevant_literals(self) -> set[int]:
         if self._changed:
             self._settle()
-        result = set(self._watched)
+        watch = self._watch
         justified = self._justified
-        if self._pt not in justified:
-            result.add(self._pt)
         children_of = self.graph.children_of
-        deep = self._deep
-        shallow = [child for lit in result for child in children_of(lit)
-                   if child not in justified and child not in deep]
-        result.update(shallow)
-        result.update([child for lit in shallow for child in children_of(lit)
-                       if child not in justified])
+        result = {lit for lit, parent in watch.items() if parent is not None}
+        stack = list(result)
+        while stack:
+            for child in children_of(stack.pop()):
+                if child not in watch and child not in justified and child not in result:
+                    result.add(child)
+                    stack.append(child)
         return result
 
     def justified_literals(self) -> set[int]:
         return set(self._justified)
 
-    def _relevant(self, lit: int) -> bool:
-        if lit == self._pt:
-            return lit not in self._justified
-        return self._parent(lit) is not None
-
     def _parent(self, lit: int) -> int | None:
-        """The watch or, by the frontier rule, the first relevant parent of
-        a literal other than the theory atom."""
-        watched = self._watched
-        if lit in watched:
-            return watched[lit]
-        justified = self._justified
-        deep = self._deep
-        if lit in justified or lit in deep:
-            return None
-        pt = self._pt
-        pt_relevant = pt not in justified
-        parents_of = self.graph.parents_of
-        for parent in parents_of(lit):
-            if parent in watched or parent == pt and pt_relevant:
-                return parent
-            if parent not in deep and parent not in justified:
-                # a frontier parent of a leaf: its own parents are deep
-                for grand in parents_of(parent):
-                    if grand in watched or grand == pt and pt_relevant:
-                        return parent
+        """A key's value in the map; for any other literal, by the parent
+        rule, its first relevant parent, or None."""
+        watch = self._watch
+        if lit in watch:
+            return watch[lit]
+        if lit not in self._justified:
+            for parent in self.graph.parents_of(lit):
+                if self._parent(parent) is not None:
+                    return parent
         return None
 
     # -- solver events ------------------------------------------------------
@@ -214,7 +196,7 @@ class RelevanceTracker:
             if flipped in self._justified:
                 raise ValueError(f"literal {flipped} is already justified")
             self._justified.add(flipped)
-            if flipped in self._deep:
+            if flipped in self._watch:
                 self._changed.append(flipped)
 
     def notify_becomes_unknown(self, lit: int) -> None:
@@ -224,59 +206,56 @@ class RelevanceTracker:
             if flipped not in self._justified:
                 raise ValueError(f"literal {flipped} is not justified")
             self._justified.remove(flipped)
-            if flipped in self._deep:
+            if flipped in self._watch:
                 self._changed.append(flipped)
 
     # -- settling -----------------------------------------------------------
 
     def _settle(self) -> None:
-        """Bring the watches up to date with the changed literals: shrink,
-        then regrow (see the module docstring).  Only deep literals get
-        watches."""
-        if not self._deep:
-            # the first settle; with no deep literals nothing is ever noted,
-            # so no later settle computes them again
-            self._deep = self.graph.deep_literals()
+        """Bring the watches up to date with the changed keys: shrink, then
+        regrow (see the module docstring)."""
+        watch = self._watch
+        if not watch:
+            # the first settle builds the map with every key irrelevant
+            watch = self._watch = dict.fromkeys(self.graph.deep_literals())
+            watch[self._pt] = None
         changed = self._changed
-        watched = self._watched
         justified = self._justified
-        deep = self._deep
         children_of = self.graph.children_of
-        pt = self._pt
         dropped: list[int] = []
         stack: list[int] = []
         for lit in changed:
-            if lit in justified and (lit in watched or lit == pt):
-                watched.pop(lit, None)
+            if lit in justified and watch[lit] is not None:
+                watch[lit] = None
                 stack.append(lit)
                 while stack:
                     node = stack.pop()
                     for child in children_of(node):
-                        if watched.get(child) == node:
-                            del watched[child]
+                        if watch.get(child) == node:
+                            watch[child] = None
                             dropped.append(child)
                             stack.append(child)
-        pt_unjustified = pt not in justified
         parents_of = self.graph.parents_of
         queue: list[int] = []
         head = 0
         for lit in chain(changed, dropped):
-            if lit == pt:
-                if pt_unjustified:
-                    queue.append(pt)
-            elif lit not in watched and lit not in justified:
-                for parent in parents_of(lit):
-                    if parent in watched or parent == pt and pt_unjustified:
-                        watched[lit] = parent
-                        queue.append(lit)
-                        break
+            if watch[lit] is None and lit not in justified:
+                if lit == self._pt:
+                    watch[lit] = 0   # the root
+                    queue.append(lit)
+                else:
+                    for parent in parents_of(lit):
+                        if watch[parent] is not None:
+                            watch[lit] = parent
+                            queue.append(lit)
+                            break
             while head < len(queue):
                 node = queue[head]
                 head += 1
                 for child in children_of(node):
-                    if (child in deep and child not in watched
-                            and child not in justified and child != pt):
-                        watched[child] = node
+                    # an irrelevant key; a literal outside the map gives 0
+                    if watch.get(child, 0) is None and child not in justified:
+                        watch[child] = node
                         queue.append(child)
         changed.clear()
         if self._debug:
@@ -288,33 +267,38 @@ class RelevanceTracker:
         """Full-scan structural invariants; raises AssertionError on breakage."""
         if self._changed:
             self._settle()
-        watched = self._watched
-        if self._pt in watched:
-            raise AssertionError("the theory atom must never have a watch")
-        for lit, parent in watched.items():
-            if lit in self._justified:
+        watch = self._watch
+        justified = self._justified
+        pt = self._pt
+        if watch.keys() != self.graph.deep_literals() | {pt}:
+            raise AssertionError("the watch map's keys are not the deep literals "
+                                 "and the theory atom")
+        if (watch[pt] is None) != (pt in justified):
+            raise AssertionError("the theory atom is relevant exactly when unjustified")
+        for lit, parent in watch.items():
+            if parent is None:
+                continue
+            if lit in justified:
                 raise AssertionError(f"justified literal {lit} has a watch")
-            if lit not in self._deep:
-                raise AssertionError(f"shallow literal {lit} has a watch")
-            if not self._relevant(parent):
-                raise AssertionError(f"watch {lit} -> {parent} has an irrelevant parent")
-            if parent not in self.graph.parents_of(lit):
+            if (parent == 0) != (lit == pt):
+                raise AssertionError(f"watch {lit} -> {parent}: the root is the "
+                                     "theory atom's watch alone")
+            if parent and parent not in self.graph.parents_of(lit):
                 raise AssertionError(f"watch {lit} -> {parent} is not a dependency edge")
+            if parent and self._parent(parent) is None:
+                raise AssertionError(f"watch {lit} -> {parent} has an irrelevant parent")
+        # every watched parent is a relevant key, so a chain that has no
+        # cycle ends at the root
         resolved: set[int] = set()
-        for lit in watched:
-            path = []
+        for lit in watch:
+            on_path: set[int] = set()
             node = lit
-            on_path = set()
-            while node in watched and node not in resolved:
+            while node not in resolved and watch[node]:
                 if node in on_path:
                     raise AssertionError(f"watch cycle through {node}")
                 on_path.add(node)
-                path.append(node)
-                node = watched[node]
-            if node not in resolved and node != self._pt:
-                raise AssertionError(f"watch chain from {lit} ends at {node}, "
-                                     "not at the theory atom")
-            resolved.update(path)
-        for lit in self._justified:
-            if -lit in self._justified:
+                node = watch[node]
+            resolved |= on_path
+        for lit in justified:
+            if -lit in justified:
                 raise AssertionError(f"both {lit} and {-lit} justified")

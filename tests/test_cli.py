@@ -258,6 +258,18 @@ def test_oracle_guard_refusal(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_oracle_count_mismatch_on_a_non_total_definition(tmp_path, capsys):
+    # 2 <- ~3 and 3 <- ~2 is a cycle through negation: with 4 true the
+    # theory atom is justified, yet no context makes the definition's
+    # well-founded model two-valued, so the count is 0, not 2^0
+    path = tmp_path / "nontotal.cid"
+    path.write_text("p cid 4\nt 1\nr 1 c 4 0\nr 2 d -3 0\nr 3 d -2 0\n")
+    assert main(["oracle", "count", str(path), "--assign", "4"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mismatch: extension count 0 differs from 2^0\n"
+
+
 def test_normalize_writes_cid_and_name_map(tmp_path, capsys):
     source = tmp_path / "input.pcid"
     source.write_text("(theory (constraint (or a (and b c))))")

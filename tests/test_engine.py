@@ -450,11 +450,11 @@ def test_a_filtered_solver_that_never_syncs_runs_no_settle(monkeypatch):
     monkeypatch.setattr(RelevanceTracker, "_settle",
                         lambda tracker: settles.append(tracker) or settle(tracker))
     solver = Solver(chain_theory(200))
-    assert settles == [] and solver.tracker._watched == {}
+    assert settles == [] and solver.tracker._watch == {}
     result = solver.solve()
     assert result.stats.stopped_early and result.stats.decisions == 0
     assert result.stats.relevance_queries == 0
-    assert settles == [] and solver.tracker._watched == {}
+    assert settles == [] and solver.tracker._watch == {}
 
 
 def test_positive_loop_runs_unfounded_pass(loop):

@@ -113,7 +113,9 @@ def test_watch_swaps_to_alternative_parent():
     assert tracker.watched_parent(y) == x
     assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
     assert tracker.watched_parent(u) == v and tracker.is_relevant(u)
-    assert set(tracker._watched) == {x, w, z, y}
+    # the frontier v and the leaf u are no keys of the watch map
+    assert tracker._watch.keys() == {p_T, x, y, z, w, -p_T, -x, -y, -z, -w}
+    assert {lit for lit, parent in tracker._watch.items() if parent} == {x, w, z, y}
     tracker.notify_becomes_true(setup.maps.to_just[x])   # x justified
     assert tracker.watched_parent(y) == z
     assert tracker.watched_parent(v) == y
@@ -201,14 +203,14 @@ def test_relevant_offers_to_watched_children_are_ignored(loop):
     p_T, p, q = 1, 3, 4
     j_p = setup.maps.to_just[p]
     assert tracker.watched_parent(q) == p   # the first read builds the watches
-    before = dict(tracker._watched)
+    before = dict(tracker._watch)
     tracker.notify_becomes_true(j_p)
     assert tracker.watched_parent(p) is None and tracker.watched_parent(q) is None
     # p relevant again: p takes p_T, its first relevant parent, and q, which
     # already has a watch by then, is not offered to p
     tracker.notify_becomes_unknown(j_p)
     assert tracker.watched_parent(p) == p_T
-    assert tracker._watched == before
+    assert tracker._watch == before
 
 
 def test_irrelevant_on_childless_literal_is_no_op(loop):
@@ -448,7 +450,7 @@ def test_clause_atoms_of_a_3sat_theory_get_no_watch():
         clause_atoms = sorted(theory.defined - {pt})
         assert tracker.graph.deep_literals() == {pt, -pt}
         assert tracker.relevant_literals() >= set(clause_atoms)
-        assert tracker._watched == {}
+        assert tracker._watch == {pt: 0, -pt: None}
         for atom in clause_atoms:
             assert tracker.watched_parent(atom) == pt
             assert tracker.watched_parent(-atom) is None   # ~pt is unreachable
@@ -460,8 +462,64 @@ def test_clause_atoms_of_a_3sat_theory_get_no_watch():
         for atom in range(1, theory.n_atoms + 1):
             for lit in (atom, -atom):
                 assert tracker.is_relevant(lit) == (lit in want)
-        assert tracker._watched == {}
+        assert tracker._watch == {pt: 0, -pt: None}
     assert flips == 800
+
+
+def shallow_theory_atom_theory(rng):
+    """A random theory whose theory atom 1 is shallow: its rule's body holds
+    only open literals, so it is a frontier literal, or nothing, so it is a
+    leaf.  The other rules are as in `theory_gen.random_theory` and may read
+    the theory atom."""
+    n = rng.randint(3, 8)
+    defined = rng.sample(range(2, n + 1), rng.randint(0, n - 2))
+    opens = [atom for atom in range(2, n + 1) if atom not in defined]
+    body = tuple(rng.choice((atom, -atom))
+                 for atom in rng.sample(opens, rng.randint(0, min(3, len(opens)))))
+    rules = [Rule(1, rng.random() < 0.5, body)]
+    for head in defined:
+        atoms = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        rules.append(Rule(head, rng.random() < 0.5,
+                          tuple(-atom if rng.random() < 0.3 else atom for atom in atoms)))
+    return theory_gen.DefnfTheory(theory_gen.AtomTable([None] * n), 1,
+                                  theory_gen.Definition(rules))
+
+
+def test_a_shallow_theory_atom_flips_after_the_first_read():
+    # A shallow theory atom is a key of the watch map all the same: its
+    # flips after the first read are noted and settled, and it takes the
+    # root, never a parent, so `watched_parent` gives None for it.  After
+    # each batch every literal is relevant exactly when reachable.  Counted
+    # are the batches that justify the theory atom and those that take its
+    # justification back, each after the first read, and the theories whose
+    # theory atom has an empty body.
+    rng = random.Random(6)
+    justifying = unjustifying = empty_bodies = 0
+    for _ in range(600):
+        theory = shallow_theory_atom_theory(rng)
+        tracker, setup = fresh_tracker(theory)
+        graph = tracker.graph
+        pt = theory.theory_atom
+        assert pt not in graph.deep_literals()
+        empty_bodies += not graph.children_of(pt)
+        tracked = sorted({abs(lit) for lit in setup.maps.status_change})
+        literals = [lit for atom in range(1, theory.n_atoms + 1) for lit in (atom, -atom)]
+        assigned = {}
+        assert tracker.is_relevant(pt)   # the first read
+        for _ in range(12):
+            before = pt in tracker.justified_literals()
+            for _ in range(rng.randint(1, 4)):
+                send_random_event(rng, tracker, tracked, assigned)
+            justified = tracker.justified_literals()
+            justifying += not before and pt in justified
+            unjustifying += before and pt not in justified
+            want = graph.reachable(pt, justified)
+            for lit in literals:
+                assert tracker.is_relevant(lit) == (lit in want), (
+                    theory.definition.rules, sorted(justified), lit)
+            assert tracker.watched_parent(pt) is None
+    assert justifying > 500 and unjustifying > 400 and empty_bodies > 150, (
+        justifying, unjustifying, empty_bodies)
 
 
 # -- performance shape ------------------------------------------------------------------
