@@ -136,9 +136,11 @@ class PartialInterpretation:
 
     @classmethod
     def from_literals(cls, literals: Iterable[Literal]) -> "PartialInterpretation":
+        """Each literal made true in turn, a later one overriding an earlier
+        one over the same atom, as `set_literal` does."""
         interp = cls()
-        for lit in literals:
-            interp.set_literal(lit)
+        interp._vals = {(lit if lit > 0 else -lit): (1 if lit > 0 else -1)
+                        for lit in literals}
         return interp
 
     def value(self, atom: Atom) -> TruthValue:

@@ -10,6 +10,40 @@ filter on, decisions are restricted to atoms that are relevant in at least
 one polarity, and search can stop as soon as the theory atom's justification
 atom becomes true.
 
+Unit propagation runs the cheap clauses before the costly ones, the order
+in which clasp runs its propagators (Gebser, Kaufmann and Schaub, AIJ 2012).
+The base table watches the base rules' completion clauses, the theory
+atom's unit clause and every learned clause; the copy table watches the
+copy's completion clauses.  Each table has its own queue head over the one
+trail.  The base phase runs to its fixpoint first, and the copy phase reads
+the trail only after a base fixpoint without a conflict, so a level that
+ends in a base conflict reads no copy clause and assigns no justification
+literal.  Whenever the copy phase assigns a literal, the base phase runs
+again and reads it too, since a learned clause may watch a justification
+literal and a copy clause may imply an open one.  So every call ends at a
+joint fixpoint of both tables or at a conflict.
+
+The phases leave the decisions, conflicts and learned clauses as they were,
+and change only the `propagations` count, because the copy mirrors the base.
+Each copy clause is a base clause with every defined atom renamed to its
+justification atom, and justification atoms are never decided.  While every
+true justification literal's original is true as well, a copy clause turns
+unit only on the image of a literal that its base clause has already
+implied.  At a base fixpoint without a conflict, the copy then adds only
+such images: it neither conflicts nor assigns a base atom.  The base phase
+therefore reads the base literals, and visits the base clauses, in the order
+that one table for all clauses would, and it reaches the same conflict with
+the same reasons.  A joint fixpoint assigns the same set of literals as
+well, and decisions, the unfounded-set pass, the tracker's sync and the
+early stop read only that set.  What moves is the count: a one-table pass
+also assigns the copy's literals on a level before its base conflict shows
+up, and the phases assign none of them.  A learned clause that sets a
+justification literal ahead of its original can break the mirror.  The
+phases still end at a joint fixpoint then, but a conflict could be found in
+another order than one table finds it.  The tests compare the two orders on
+random, non-total and 3-SAT theories and find the same answers, decisions,
+conflicts and learned clauses.
+
 The relevance tracker hears about assignments only right before a filtered
 decision, and nothing is recorded per assignment.  The tracked literals are
 those whose assignments carry justification information: the keys of the
@@ -273,21 +307,27 @@ class Solver:
         # for at most 29 attributes.  Past that, each Solver carries a dict
         # of its own and every attribute read slows, by about 15% of
         # `solve()` time on the small theories of the `random` benchmark.
-        self.qhead = 0
+        self.qheads = [0, 0]  # where the base and the copy phase read the trail next
         self.uhead = 0  # where the unfounded-set pass reads the trail next
         # the base rules' clauses, then the copies': each a base one renamed
         self.clauses = clauses = completion_clauses(self.setup.base.definition)
+        n_base = len(clauses)
         clauses += self.setup.maps.translate(clauses)
         if assert_constraint:
             clauses.append([theory.theory_atom])
         self.n_problem_clauses = len(clauses)
-        self.watches: dict[int, list[int]] = {}
+        # the base table watches every clause but the copies', which the
+        # copy table watches
+        self.watches: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
         self._root_units: list[tuple[int, int]] = []
-        watch, unit = self.watches.setdefault, self._root_units.append
+        unit = self._root_units.append
+        watch_base, watch_copy = (table.setdefault for table in self.watches)
+        copies_end = 2 * n_base
         for index, clause in enumerate(clauses):
             if len(clause) == 1:
                 unit((clause[0], index))
             else:
+                watch = watch_copy if n_base <= index < copies_end else watch_base
                 watch(clause[0], []).append(index)
                 watch(clause[1], []).append(index)
         self.phase = [False] * (self.n_atoms + 1)
@@ -312,8 +352,8 @@ class Solver:
 
     def interpretation(self) -> PartialInterpretation:
         return PartialInterpretation.from_literals(
-            (atom if self.values[atom] > 0 else -atom)
-            for atom in range(1, self.n_atoms + 1) if self.values[atom] != 0)
+            [atom if value > 0 else -atom
+             for atom, value in enumerate(self.values) if value])
 
     @property
     def level(self) -> int:
@@ -321,14 +361,12 @@ class Solver:
 
     def _enqueue(self, lit: int, reason: int | None) -> bool:
         # `propagate_unit` inlines this for the literals it implies
-        value = self.lit_value(lit)
-        if value == 1:
-            return True
-        if value == -1:
-            return False
+        values = self.values
         atom = abs(lit)
-        self.values[atom] = 1 if lit > 0 else -1
-        self.levels[atom] = self.level
+        if values[atom]:
+            return values[atom] == (1 if lit > 0 else -1)
+        values[atom] = 1 if lit > 0 else -1
+        self.levels[atom] = len(self.trail_lim)
         self.reasons[atom] = reason
         self.trail.append(lit)
         if reason is not None:
@@ -362,7 +400,8 @@ class Solver:
                 self.phase[atom] = value > 0
                 values[atom] = 0
                 self.reasons[atom] = None
-        self.qhead = self.uhead = len(self.trail)
+        heads = self.qheads
+        heads[0] = heads[1] = self.uhead = len(self.trail)
 
     def _sync_tracker(self) -> None:
         """Tell the tracker the net change of every tracked literal since the
@@ -394,68 +433,87 @@ class Solver:
         self.clauses.append(clause)
         self.stats.learned_clauses += 1
         if len(clause) >= 2:
-            self.watches.setdefault(clause[0], []).append(index)
-            self.watches.setdefault(clause[1], []).append(index)
+            watch = self.watches[0].setdefault
+            watch(clause[0], []).append(index)
+            watch(clause[1], []).append(index)
         return index
 
     # -- propagation ----------------------------------------------------------
 
     def propagate_unit(self) -> list[int] | None:
-        """Unit propagation to fixpoint; returns the conflicting clause if any.
+        """Unit propagation to a joint fixpoint of both watch tables; returns
+        the conflicting clause if any.
+
+        The base phase reads the trail from `qheads[0]` against the base
+        table to its fixpoint, and stops at the first conflict.  Only then
+        does the copy phase read the trail from `qheads[1]` against the
+        copy table.  When it assigns anything, the base phase runs again
+        over what it assigned, and so on until neither phase has a literal
+        left to read.  A conflict ends the call with literals left unread;
+        the backjump that follows resets both heads.  See the module
+        docstring for why the order moves only the `propagations` count.
 
         The hottest loop of the search, so it reads values and assigns the
         implied literals inline instead of calling `lit_value` and
         `_enqueue`, with the solver's state bound to locals.
         """
         trail = self.trail
-        qhead = self.qhead
         start = len(trail)
-        watches = self.watches
+        tables = self.watches
+        heads = self.qheads
         clauses = self.clauses
         values = self.values
         levels = self.levels
         reasons = self.reasons
         level = len(self.trail_lim)
         conflict = None
-        while qhead < len(trail):
-            falsified = -trail[qhead]
-            qhead += 1
-            watchlist = watches.get(falsified)
-            if not watchlist:
-                continue
-            kept: list[int] = []
-            for i, ci in enumerate(watchlist):
-                clause = clauses[ci]
-                first = clause[0]
-                if first == falsified:
-                    first = clause[0] = clause[1]
-                    clause[1] = falsified
-                value = values[first] if first > 0 else -values[-first]
-                if value == 1:
-                    kept.append(ci)
+        phase = 0
+        while True:
+            watches = tables[phase]
+            # a list iterator, started at the phase's head, also yields the
+            # literals appended while it runs
+            reading = iter(trail)
+            reading.__setstate__(heads[phase])
+            for falsified in map(neg, reading):
+                watchlist = watches.get(falsified)
+                if not watchlist:
                     continue
-                for k in range(2, len(clause)):
-                    lit = clause[k]
-                    if (values[lit] if lit > 0 else -values[-lit]) != -1:
-                        clause[1] = lit
-                        clause[k] = falsified
-                        watches.setdefault(lit, []).append(ci)
-                        break
-                else:
-                    kept.append(ci)
-                    if value == -1:
-                        kept.extend(watchlist[i + 1:])
-                        conflict = clause
-                        break
-                    atom = first if first > 0 else -first
-                    values[atom] = 1 if first > 0 else -1
-                    levels[atom] = level
-                    reasons[atom] = ci
-                    trail.append(first)
-            watches[falsified] = kept
-            if conflict is not None:
+                kept: list[int] = []
+                for i, ci in enumerate(watchlist):
+                    clause = clauses[ci]
+                    first = clause[0]
+                    if first == falsified:
+                        first = clause[0] = clause[1]
+                        clause[1] = falsified
+                    value = values[first] if first > 0 else -values[-first]
+                    if value == 1:
+                        kept.append(ci)
+                        continue
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if (values[lit] if lit > 0 else -values[-lit]) != -1:
+                            clause[1] = lit
+                            clause[k] = falsified
+                            watches.setdefault(lit, []).append(ci)
+                            break
+                    else:
+                        kept.append(ci)
+                        if value == -1:
+                            kept.extend(watchlist[i + 1:])
+                            conflict = clause
+                            break
+                        atom = first if first > 0 else -first
+                        values[atom] = 1 if first > 0 else -1
+                        levels[atom] = level
+                        reasons[atom] = ci
+                        trail.append(first)
+                watches[falsified] = kept
+                if conflict is not None:
+                    break
+            heads[phase] = len(trail)
+            phase = 1 - phase
+            if conflict is not None or heads[phase] == len(trail):
                 break
-        self.qhead = qhead
         self.stats.propagations += len(trail) - start
         return conflict
 
@@ -508,7 +566,7 @@ class Solver:
         source invariant and why backtracking needs no undo).  The first
         pass finds the sources of the whole loop part.  Every later pass
         reads the trail from `uhead`, the way `propagate_unit` reads it
-        from `qhead`, finds the atoms whose sources lost support and looks
+        from `qheads`, finds the atoms whose sources lost support and looks
         for new sources for just those atoms, bottom-up.  The atoms left
         without one are the greatest unfounded set.  A pass that reads no
         source literal does nothing more.

@@ -122,6 +122,20 @@ def test_interpretation_set_and_unset():
     assert i.literal_value(-3) is UNKNOWN
 
 
+def test_from_literals_sets_each_literal_in_turn():
+    # a later literal over an atom overrides an earlier one, and the atoms
+    # keep the order of their first literal
+    rng = random.Random(3)
+    for _ in range(200):
+        lits = [rng.choice((1, -1)) * rng.randint(1, 6)
+                for _ in range(rng.randint(0, 12))]
+        stepwise = PartialInterpretation()
+        for lit in lits:
+            stepwise.set_literal(lit)
+        built = PartialInterpretation.from_literals(iter(lits))
+        assert list(built._vals.items()) == list(stepwise._vals.items())
+
+
 def test_interpretation_two_valued_and_literals():
     i = interp(1, -2)
     assert i.two_valued_on([1, 2])

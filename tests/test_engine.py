@@ -87,21 +87,36 @@ def checked_propagate_unit(solver):
     # nothing is recorded per assignment: the implied literals lie past the
     # heard part of the trail, where the next sync reads them
     assert solver._heard == heard <= before and solver._unheard == unheard
-    watchers = [ci for watchlist in solver.watches.values() for ci in watchlist]
+    if conflict is None:  # both phases read the whole trail
+        assert solver.qheads == [len(solver.trail)] * 2
+    check_watches(solver)
+    return conflict, len(implied)
+
+
+def check_watches(solver):
+    """Each clause of two or more literals is watched on its first two
+    literals, in exactly one table: the copy table for the copies' clauses,
+    at indices `n_base..2*n_base`, and the base table for every other one."""
+    n_base = len(completion_clauses(solver.setup.base.definition))
+    assert 2 * n_base <= solver.n_problem_clauses
+    base, copy = solver.watches
+    watchers = [ci for table in solver.watches
+                for watchlist in table.values() for ci in watchlist]
     assert len(watchers) == 2 * sum(len(clause) >= 2 for clause in solver.clauses)
     for ci, clause in enumerate(solver.clauses):
         if len(clause) >= 2:
-            assert ci in solver.watches[clause[0]] and ci in solver.watches[clause[1]]
-    return conflict, len(implied)
+            table = copy if n_base <= ci < 2 * n_base else base
+            assert ci in table[clause[0]] and ci in table[clause[1]]
 
 
 def test_unit_propagation_matches_the_reference_fixpoint():
     # CDCL steps with random decisions and random backjumps; every
-    # propagate_unit call is compared with a full clause scan
+    # propagate_unit call is compared with a full scan over the clauses of
+    # both watch tables
     rng = random.Random(43)
     theories = ([theory_gen.random_theory(rng, 10, 10) for _ in range(150)]
                 + [theory_gen.random_total_theory(rng, 10, 10) for _ in range(150)]
-                + [theory_gen.three_sat_theory(rng, 14, 60) for _ in range(20)])
+                + [theory_gen.three_sat_theory(rng, 14, 60) for _ in range(28)])
     calls = propagated = conflicts = syncs = 0
     sync_rng = random.Random(44)  # apart, so that the search is the same
     for theory in theories:
@@ -142,6 +157,137 @@ def test_unit_propagation_matches_the_reference_fixpoint():
     assert calls > 1200 and propagated > 6000 and conflicts > 200, (
         calls, propagated, conflicts)
     assert syncs > 300, syncs
+
+
+class LearnedRecorder:
+    """Records each learned clause as it is added, before watch moves
+    reorder its literals."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.learned = []
+
+    def _add_learned_clause(self, clause):
+        self.learned.append(list(clause))
+        return super()._add_learned_clause(clause)
+
+
+class TwoPhaseSolver(LearnedRecorder, Solver):
+    pass
+
+
+class OneTableSolver(LearnedRecorder, Solver):
+    """Reference unit propagation: one watch table for every clause and one
+    queue head, so each trail literal is read against the copy's clauses and
+    the base clauses together, and a base conflict can come after the copy
+    has assigned justification literals on the same level."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        base, copy = self.watches
+        for lit, watchlist in copy.items():
+            # in clause order, as one pass over all the clauses watches them
+            base[lit] = sorted(base.get(lit, []) + watchlist)
+        self.watches = (base, {})
+
+    def propagate_unit(self):
+        trail = self.trail
+        qhead = self.qheads[0]
+        start = len(trail)
+        watches = self.watches[0]
+        clauses = self.clauses
+        conflict = None
+        while conflict is None and qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchlist = watches.get(falsified)
+            if not watchlist:
+                continue
+            kept = []
+            for i, ci in enumerate(watchlist):
+                clause = clauses[ci]
+                if clause[0] == falsified:
+                    clause[0], clause[1] = clause[1], falsified
+                first = clause[0]
+                value = self.lit_value(first)
+                if value == 1:
+                    kept.append(ci)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if self.lit_value(lit) != -1:
+                        clause[1], clause[k] = lit, falsified
+                        watches.setdefault(lit, []).append(ci)
+                        break
+                else:
+                    kept.append(ci)
+                    if value == -1:
+                        kept.extend(watchlist[i + 1:])
+                        conflict = clause
+                        break
+                    atom = abs(first)
+                    self.values[atom] = 1 if first > 0 else -1
+                    self.levels[atom] = len(self.trail_lim)
+                    self.reasons[atom] = ci
+                    trail.append(first)
+            watches[falsified] = kept
+        self.qheads[0] = self.qheads[1] = qhead
+        self.stats.propagations += len(trail) - start
+        return conflict
+
+
+def test_two_phase_propagation_matches_one_table():
+    # the phase order changes which literals a conflicting level assigns,
+    # and so the propagation count, but no answer, decision, conflict or
+    # learned clause; the definitions of random_theory may be non-total
+    rng = random.Random(45)
+    corpus = (deferral_corpus()
+              + [theory_gen.random_theory(rng, 12, 12) for _ in range(300)]
+              + [theory_gen.three_sat_theory(rng, 30, 128) for _ in range(12)])
+    learned = fewer = 0
+    for theory in corpus:
+        for config in ALL_CONFIGS:
+            one, two = OneTableSolver(theory, config), TwoPhaseSolver(theory, config)
+            want, got = one.solve(), two.solve()
+            context = (theory.definition.rules, config)
+            assert got.status == want.status, context
+            assert got.witness == want.witness, context  # justification atoms too
+            assert two.learned == one.learned, context
+            assert got.stats.propagations <= want.stats.propagations, context
+            fewer += got.stats.propagations < want.stats.propagations
+            assert (dataclasses.replace(got.stats, propagations=0, wall_ms=0)
+                    == dataclasses.replace(want.stats, propagations=0, wall_ms=0)), context
+            learned += len(two.learned)
+    assert learned > 5000 and fewer > 250, (learned, fewer)
+
+
+def test_a_base_conflict_assigns_no_justification_literal():
+    # a decides the level: the base derives b, then c, then a conflict in
+    # z's completion, and v <- a | d makes the copy's j(v) true on a
+    theory = theory_gen.build_theory(
+        "p_T x y z v a b c d", "p_T",
+        [("p_T", "c", ["x", "y", "z"]),
+         ("x", "d", ["~a", "b"]),
+         ("y", "d", ["~b", "c"]),
+         ("z", "d", ["~c", "~b"]),
+         ("v", "d", ["a", "d"])])
+    a = theory.atoms.id_of("a")
+    maps = build_justification_maps(theory).maps
+    j_v = maps.to_just[theory.atoms.id_of("v")]
+    runs = {}
+    for cls in (TwoPhaseSolver, OneTableSolver):
+        solver = cls(theory, SolverConfig(relevance_filter=False))
+        assert all(solver._enqueue(lit, index) for lit, index in solver._root_units)
+        assert solver.propagate() is None
+        solver._decide(a)
+        conflict = solver.propagate_unit()
+        assert conflict is not None
+        runs[cls] = solver.trail[solver.trail_lim[0]:], solver.analyze_conflict(conflict)
+    two, one = runs[TwoPhaseSolver], runs[OneTableSolver]
+    assert not any(abs(lit) in maps.just_atoms for lit in two[0])
+    assert j_v in one[0]  # the one-table pass reads the copy on the way
+    assert [lit for lit in one[0] if abs(lit) not in maps.just_atoms] == two[0]
+    assert two[1] == one[1]  # the same learned clause and backjump level
 
 
 def test_justification_rule_propagates(justdef):
@@ -957,9 +1103,7 @@ def test_problem_clauses_keep_first_occurrences():
         for index, clause in enumerate(solver.clauses):
             if len(clause) == 1:
                 assert (clause[0], index) in solver._root_units
-            else:
-                assert index in solver.watches[clause[0]]
-                assert index in solver.watches[clause[1]]
+        check_watches(solver)
     assert added > 50 and tautologies > 50, (added, tautologies)
 
 
