@@ -10,8 +10,7 @@ trace replay (`replay`), and a command line front end (`cli`).
 from .core import (FALSE, TRUE, UNKNOWN, And, AtomTable, DefnfTheory,
                    Definition, DependencyGraph, Not, Or, PartialInterpretation,
                    Rule, TruthValue, atom_of, build_dependency_graph,
-                   completion_clauses, direct_justifications, eval_formula,
-                   negate)
+                   completion_clauses, direct_justifications, eval_formula)
 from .engine import (BudgetExhausted, SolveResult, Solver, SolverConfig,
                      SolveStats, defined_fixpoint, solve)
 from .formats import (FormatError, PcidAst, TraceEvent, parse_cid, parse_pcid,
@@ -33,7 +32,7 @@ __all__ = [
     "SolveResult", "SolveStats", "Solver", "SolverConfig", "TRUE",
     "TraceEvent", "TraceReplayer", "TruthValue", "UNKNOWN", "atom_of",
     "build_dependency_graph", "build_justification_maps", "completion_clauses",
-    "defined_fixpoint", "direct_justifications", "eval_formula", "negate",
+    "defined_fixpoint", "direct_justifications", "eval_formula",
     "normalize_to_defnf", "parse_cid", "parse_pcid", "parse_trace",
     "relevance_dot", "solve", "to_dot", "write_cid", "write_trace",
 ]

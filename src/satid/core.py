@@ -24,8 +24,7 @@ class TruthValue(IntEnum):
 
     The integer encoding makes the truth order (false <= unknown <= true) the
     plain integer order, so Kleene conjunction/disjunction are min/max and
-    negation is arithmetic negation.  The precision order is separate: unknown
-    is below both false and true, which are incomparable.
+    negation is arithmetic negation.
     """
 
     FALSE = -1
@@ -45,22 +44,8 @@ FALSE = TruthValue.FALSE
 UNKNOWN = TruthValue.UNKNOWN
 
 
-def leq_truth(a: TruthValue, b: TruthValue) -> bool:
-    """Truth order: f <= u <= t (total)."""
-    return int(a) <= int(b)
-
-
-def leq_precision(a: TruthValue, b: TruthValue) -> bool:
-    """Precision order: u below everything, f and t incomparable."""
-    return a is UNKNOWN or a == b
-
-
 Atom = int
 Literal = int
-
-
-def negate(lit: Literal) -> Literal:
-    return -lit
 
 
 def atom_of(lit: Literal) -> Atom:
@@ -179,9 +164,6 @@ class PartialInterpretation:
     def two_valued_on(self, atoms: Iterable[Atom]) -> bool:
         return all(a in self._vals for a in atoms)
 
-    def leq_precision(self, other: "PartialInterpretation") -> bool:
-        return all(other._vals.get(a) == v for a, v in self._vals.items())
-
     def copy(self) -> "PartialInterpretation":
         copy = PartialInterpretation()
         copy._vals = dict(self._vals)
@@ -286,11 +268,6 @@ class Rule:
             raise ValueError(f"rule head must be a positive atom, got {self.head}")
         if 0 in self.body:
             raise ValueError("0 is not a literal")
-
-    def body_value(self, interp: PartialInterpretation) -> TruthValue:
-        if self.conjunctive:
-            return eval_formula(And(self.body), interp)
-        return eval_formula(Or(self.body), interp)
 
 
 class Definition:

@@ -12,16 +12,17 @@ atom becomes true.
 
 Unit propagation runs the cheap clauses before the costly ones, the order
 in which clasp runs its propagators (Gebser, Kaufmann and Schaub, AIJ 2012).
-The base table watches the base rules' completion clauses, the theory
-atom's unit clause and every learned clause; the copy table watches the
-copy's completion clauses.  Each table has its own queue head over the one
-trail.  The base phase runs to its fixpoint first, and the copy phase reads
-the trail only after a base fixpoint without a conflict, so a level that
-ends in a base conflict reads no copy clause and assigns no justification
-literal.  Whenever the copy phase assigns a literal, the base phase runs
-again and reads it too, since a learned clause may watch a justification
-literal and a copy clause may imply an open one.  So every call ends at a
-joint fixpoint of both tables or at a conflict.
+The base table watches the base rules' completion clauses and every
+learned clause; the copy table watches the copy's completion clauses.
+Watch lists and reasons hold the clauses themselves.  Each table has its
+own queue head over the one trail.  The base phase runs to its fixpoint
+first, and the copy phase reads the trail only after a base fixpoint
+without a conflict, so a level that ends in a base conflict reads no copy
+clause and assigns no justification literal.  Whenever the copy phase
+assigns a literal, the base phase runs again and reads it too, since a
+learned clause may watch a justification literal and a copy clause may
+imply an open one.  So every call ends at a joint fixpoint of both tables
+or at a conflict.
 
 The phases leave the decisions, conflicts and learned clauses as they were,
 and change only the `propagations` count, because the copy mirrors the base.
@@ -295,47 +296,50 @@ class Solver:
                  assert_constraint: bool = True) -> None:
         self.theory = theory
         self.cfg = config or SolverConfig()
-        self.setup = setup or build_justification_maps(theory)
-        self.n_atoms = self.setup.n_atoms
-        self.values = [0] * (self.n_atoms + 1)  # 0 unknown, 1 true, -1 false
-        self.levels = [0] * (self.n_atoms + 1)
-        self.reasons: list[int | None] = [None] * (self.n_atoms + 1)
+        self.setup = setup = setup or build_justification_maps(theory)
+        n_atoms = setup.n_atoms
+        self.values = [0] * (n_atoms + 1)  # 0 unknown, 1 true, -1 false
+        self.levels = [0] * (n_atoms + 1)
+        # the clause that implied each atom, None for a decision
+        self.reasons: list[list[int] | None] = [None] * (n_atoms + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.flipped: list[bool] = []
         # CPython 3.11 lets the instances of a class share one key table
-        # for at most 29 attributes.  Past that, each Solver carries a dict
-        # of its own and every attribute read slows, by about 15% of
+        # for at most 29 attributes set here.  Past that, each Solver carries
+        # a dict of its own and every attribute read slows, by about 15% of
         # `solve()` time on the small theories of the `random` benchmark.
-        self.qheads = [0, 0]  # where the base and the copy phase read the trail next
-        self.uhead = 0  # where the unfounded-set pass reads the trail next
+        # where the base phase, the copy phase and the unfounded-set pass
+        # read the trail next
+        self.qheads = [0, 0, 0]
         # the base rules' clauses, then the copies': each a base one renamed
-        self.clauses = clauses = completion_clauses(self.setup.base.definition)
-        n_base = len(clauses)
-        clauses += self.setup.maps.translate(clauses)
+        self.clauses = clauses = completion_clauses(setup.base.definition)
+        copies = setup.maps.translate(clauses)
+        # the base table watches every clause but the copies', which the
+        # copy table watches; unit clauses are enqueued at the root instead
+        self.watches: tuple[dict[int, list[list[int]]], ...] = ({}, {})
+        # in clause order; built here, since a scan of the clauses at each
+        # solve took about 7% of `solve()` time on the `random` benchmark
+        self._root_units: list[list[int]] = []
+        unit = self._root_units.append
+        for table, group in zip(self.watches, (clauses, copies)):
+            watch = table.setdefault
+            for clause in group:
+                if len(clause) == 1:
+                    unit(clause)
+                else:
+                    watch(clause[0], []).append(clause)
+                    watch(clause[1], []).append(clause)
+        clauses += copies
         if assert_constraint:
             clauses.append([theory.theory_atom])
+            unit(clauses[-1])
         self.n_problem_clauses = len(clauses)
-        # the base table watches every clause but the copies', which the
-        # copy table watches
-        self.watches: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
-        self._root_units: list[tuple[int, int]] = []
-        unit = self._root_units.append
-        watch_base, watch_copy = (table.setdefault for table in self.watches)
-        copies_end = 2 * n_base
-        for index, clause in enumerate(clauses):
-            if len(clause) == 1:
-                unit((clause[0], index))
-            else:
-                watch = watch_copy if n_base <= index < copies_end else watch_base
-                watch(clause[0], []).append(index)
-                watch(clause[1], []).append(index)
-        self.phase = [False] * (self.n_atoms + 1)
+        self.phase = [False] * (n_atoms + 1)
         self.stats = SolveStats()
-        self._just_atoms = self.setup.maps.just_atoms
-        self.order = ActivityOrder(self.n_atoms, self._just_atoms)
+        self.order = ActivityOrder(n_atoms, setup.maps.just_atoms)
         self._init_loop_part()
-        self.tracker = (RelevanceTracker.for_theory(theory, self.setup,
+        self.tracker = (RelevanceTracker.for_theory(theory, setup,
                                                     debug=self.cfg.debug)
                         if self.cfg.relevance_filter else None)
         # the trail length at the last sync: `trail[:_heard]` has not changed
@@ -359,7 +363,7 @@ class Solver:
     def level(self) -> int:
         return len(self.trail_lim)
 
-    def _enqueue(self, lit: int, reason: int | None) -> bool:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         # `propagate_unit` inlines this for the literals it implies
         values = self.values
         atom = abs(lit)
@@ -371,6 +375,14 @@ class Solver:
         self.trail.append(lit)
         if reason is not None:
             self.stats.propagations += 1
+        return True
+
+    def _enqueue_root_units(self) -> bool:
+        """Assign the literal of each unit clause of the problem, in clause
+        order, with the clause as its reason; False when one is false."""
+        for unit in self._root_units:
+            if not self._enqueue(unit[0], unit):
+                return False
         return True
 
     def _backtrack(self, target_level: int) -> None:
@@ -386,7 +398,7 @@ class Solver:
         key = order.key
         activity = order.activity
         heap = order.heap
-        just_atoms = self._just_atoms
+        just_atoms = self.setup.maps.just_atoms
         while len(self.trail_lim) > target_level:
             start = self.trail_lim.pop()
             self.flipped.pop()
@@ -401,7 +413,7 @@ class Solver:
                 values[atom] = 0
                 self.reasons[atom] = None
         heads = self.qheads
-        heads[0] = heads[1] = self.uhead = len(self.trail)
+        heads[0] = heads[1] = heads[2] = len(self.trail)
 
     def _sync_tracker(self) -> None:
         """Tell the tracker the net change of every tracked literal since the
@@ -428,15 +440,15 @@ class Solver:
 
     # -- clause database ------------------------------------------------------
 
-    def _add_learned_clause(self, clause: list[int]) -> int:
-        index = len(self.clauses)
+    def _add_learned_clause(self, clause: list[int]) -> list[int]:
+        """Store and watch a learned clause; returns it."""
         self.clauses.append(clause)
         self.stats.learned_clauses += 1
         if len(clause) >= 2:
             watch = self.watches[0].setdefault
-            watch(clause[0], []).append(index)
-            watch(clause[1], []).append(index)
-        return index
+            watch(clause[0], []).append(clause)
+            watch(clause[1], []).append(clause)
+        return clause
 
     # -- propagation ----------------------------------------------------------
 
@@ -461,7 +473,6 @@ class Solver:
         start = len(trail)
         tables = self.watches
         heads = self.qheads
-        clauses = self.clauses
         values = self.values
         levels = self.levels
         reasons = self.reasons
@@ -478,26 +489,25 @@ class Solver:
                 watchlist = watches.get(falsified)
                 if not watchlist:
                     continue
-                kept: list[int] = []
-                for i, ci in enumerate(watchlist):
-                    clause = clauses[ci]
+                kept: list[list[int]] = []
+                for i, clause in enumerate(watchlist):
                     first = clause[0]
                     if first == falsified:
                         first = clause[0] = clause[1]
                         clause[1] = falsified
                     value = values[first] if first > 0 else -values[-first]
                     if value == 1:
-                        kept.append(ci)
+                        kept.append(clause)
                         continue
                     for k in range(2, len(clause)):
                         lit = clause[k]
                         if (values[lit] if lit > 0 else -values[-lit]) != -1:
                             clause[1] = lit
                             clause[k] = falsified
-                            watches.setdefault(lit, []).append(ci)
+                            watches.setdefault(lit, []).append(clause)
                             break
                     else:
-                        kept.append(ci)
+                        kept.append(clause)
                         if value == -1:
                             kept.extend(watchlist[i + 1:])
                             conflict = clause
@@ -505,7 +515,7 @@ class Solver:
                         atom = first if first > 0 else -first
                         values[atom] = 1 if first > 0 else -1
                         levels[atom] = level
-                        reasons[atom] = ci
+                        reasons[atom] = clause
                         trail.append(first)
                 watches[falsified] = kept
                 if conflict is not None:
@@ -565,8 +575,8 @@ class Solver:
         source literal turned false (see the module docstring for the
         source invariant and why backtracking needs no undo).  The first
         pass finds the sources of the whole loop part.  Every later pass
-        reads the trail from `uhead`, the way `propagate_unit` reads it
-        from `qheads`, finds the atoms whose sources lost support and looks
+        reads the trail from `qheads[2]`, the way `propagate_unit`'s phases
+        read it from the other two heads, finds the atoms whose sources lost support and looks
         for new sources for just those atoms, bottom-up.  The atoms left
         without one are the greatest unfounded set.  A pass that reads no
         source literal does nothing more.
@@ -574,8 +584,8 @@ class Solver:
         values = self.values
         rules = self._loop_rules
         if self._source is None:
-            self._source = [None] * (self.n_atoms + 1)
-            self.uhead = len(self.trail)
+            self._source = [None] * len(values)
+            self.qheads[2] = len(self.trail)
             # in `_loop_rules` order, and so are the atoms left unfounded
             unfounded = self._find_sources(dict.fromkeys(rules))
         else:
@@ -596,25 +606,26 @@ class Solver:
                         if conjunctive:
                             break
             for atom in unfounded:
-                clause = [-atom] + [b for b in blockers if b != -atom]
-                index = self._add_learned_clause(clause)
-                if not self._enqueue(-atom, index):
-                    conflict = self.clauses[index]
+                clause = self._add_learned_clause(
+                    [-atom] + [b for b in blockers if b != -atom])
+                if not self._enqueue(-atom, clause):
+                    conflict = clause
                     break
         if self.cfg.debug and conflict is None:
             self._check_sources()
         return conflict
 
     def _lost_sources(self) -> dict[int, None]:
-        """Read the trail from `uhead`; returns the non-false loop atoms
+        """Read the trail from `qheads[2]`; returns the non-false loop atoms
         whose source holds a literal that turned false, or an atom returned
         before it.  Their `_source` entries are left as they are."""
         values = self.values
         source = self._source
         watches = self._loop_watches
         trail = self.trail
-        unsupported = list(map(neg, trail[self.uhead:]))
-        self.uhead = len(trail)
+        heads = self.qheads
+        unsupported = list(map(neg, trail[heads[2]:]))
+        heads[2] = len(trail)
         lost: dict[int, None] = {}
         for lit in unsupported:  # grows while it is walked: the worklist
             for head in watches.get(lit, ()):
@@ -750,9 +761,8 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason_index = self.reasons[abs(p)]
-            assert reason_index is not None, "non-UIP literal without a reason"
-            reason = self.clauses[reason_index]
+            reason = self.reasons[abs(p)]
+            assert reason is not None, "non-UIP literal without a reason"
         learned.insert(0, -p)
         if len(learned) == 1:
             return learned, 0
@@ -802,8 +812,9 @@ class Solver:
             if atom in relevant or -atom in relevant:
                 raise AssertionError(f"side-listed atom {atom} is relevant")
         entries = set(order.heap)
-        for atom in range(1, self.n_atoms + 1):
-            if self.values[atom] or atom in side or atom in self._just_atoms:
+        just_atoms = self.setup.maps.just_atoms
+        for atom in range(1, len(self.values)):
+            if self.values[atom] or atom in side or atom in just_atoms:
                 continue
             key = order.key[atom]
             if key != -order.activity[atom] or (key, atom) not in entries:
@@ -815,7 +826,7 @@ class Solver:
         return atom if self.phase[atom] else -atom
 
     def _decide(self, lit: int, flipped: bool = False) -> None:
-        assert abs(lit) not in self._just_atoms, "justification atoms are never decided"
+        assert abs(lit) not in self.setup.maps.just_atoms, "justification atoms are never decided"
         self.trail_lim.append(len(self.trail))
         self.flipped.append(flipped)
         self.stats.decisions += 1
@@ -855,9 +866,8 @@ class Solver:
     def _search(self, start: float) -> tuple[str, PartialInterpretation | None]:
         cfg = self.cfg
         j_theory_atom = self.setup.just_theory_atom
-        for lit, index in self._root_units:
-            if not self._enqueue(lit, index):
-                return "unsat", None
+        if not self._enqueue_root_units():
+            return "unsat", None
         luby_index = 1
         restart_limit = LUBY_UNIT * _luby(luby_index)
         conflicts_here = 0
@@ -873,8 +883,7 @@ class Solver:
                     raise BudgetExhausted("conflict budget exhausted", self.stats)
                 learned, backjump_level = self.analyze_conflict(conflict)
                 self._backtrack(backjump_level)
-                index = self._add_learned_clause(learned)
-                self._enqueue(learned[0], index)
+                self._enqueue(learned[0], self._add_learned_clause(learned))
                 self.order.inc /= VSIDS_DECAY
                 if conflicts_here >= restart_limit:
                     luby_index += 1
@@ -936,9 +945,8 @@ def defined_fixpoint(theory: DefnfTheory,
     solver = Solver(theory,
                     SolverConfig(relevance_filter=False, stop_on_justified=False),
                     assert_constraint=False)
-    for lit, index in solver._root_units:
-        if not solver._enqueue(lit, index):
-            raise ValueError("definition is contradictory at the root")
+    if not solver._enqueue_root_units():
+        raise ValueError("definition is contradictory at the root")
     opens = theory.opens
     for lit in open_literals:
         if abs(lit) not in opens:

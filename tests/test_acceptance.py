@@ -273,7 +273,7 @@ def test_criterion_7_structural_invariants():
             solver = FilteredPickRecorder(theory, config)
             solver.solve()
             for start in solver.trail_lim:
-                assert abs(solver.trail[start]) not in solver._just_atoms
+                assert abs(solver.trail[start]) not in solver.setup.maps.just_atoms
             for atom, state in solver.filtered:
                 relevant = oracle.relevant_set(theory, state)
                 assert atom in relevant or -atom in relevant

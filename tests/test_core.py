@@ -4,9 +4,8 @@ import pytest
 
 from satid import (FALSE, TRUE, UNKNOWN, And, AtomTable, DefnfTheory,
                    Definition, Not, Or, PartialInterpretation, Rule,
-                   atom_of, build_dependency_graph, completion_clauses,
-                   direct_justifications, eval_formula, negate)
-from satid.core import leq_precision, leq_truth
+                   build_dependency_graph, completion_clauses,
+                   direct_justifications, eval_formula)
 
 import theory_gen
 
@@ -17,40 +16,10 @@ def interp(*lits):
 
 # -- truth values ------------------------------------------------------------
 
-def test_truth_order_is_total():
-    assert leq_truth(FALSE, UNKNOWN) and leq_truth(UNKNOWN, TRUE)
-    assert leq_truth(FALSE, TRUE)
-    assert not leq_truth(TRUE, UNKNOWN)
-
-
-def test_precision_order():
-    assert leq_precision(UNKNOWN, FALSE) and leq_precision(UNKNOWN, TRUE)
-    assert leq_precision(TRUE, TRUE)
-    assert not leq_precision(FALSE, TRUE)
-    assert not leq_precision(TRUE, FALSE)
-    assert not leq_precision(FALSE, UNKNOWN)
-
-
 def test_truth_negation():
     assert TRUE.negate() is FALSE
     assert FALSE.negate() is TRUE
     assert UNKNOWN.negate() is UNKNOWN
-
-
-# -- literals ----------------------------------------------------------------
-
-def test_negate_examples():
-    assert negate(3) == -3
-    assert negate(-3) == 3
-    assert negate(negate(7)) == 7
-
-
-def test_negate_is_atom_preserving():
-    rng = random.Random(1)
-    for _ in range(100):
-        lit = rng.choice((1, -1)) * rng.randint(1, 50)
-        assert negate(negate(lit)) == lit
-        assert atom_of(negate(lit)) == atom_of(lit)
 
 
 # -- Kleene evaluation ---------------------------------------------------------
@@ -100,9 +69,10 @@ def test_eval_is_precision_monotone():
         for atom in range(1, n + 1):
             if extended.value(atom) is UNKNOWN and rng.random() < 0.5:
                 extended.set_literal(rng.choice((atom, -atom)))
-        assert base.leq_precision(extended)
-        assert leq_precision(eval_formula(formula, base),
-                             eval_formula(formula, extended))
+        assert all(extended.value(atom) is value for atom, value in base.items())
+        # in the precision order: unknown below false and true
+        value = eval_formula(formula, base)
+        assert value is UNKNOWN or eval_formula(formula, extended) is value
 
 
 # -- interpretations -----------------------------------------------------------
@@ -367,6 +337,8 @@ def test_completion_equivalent_to_rule_bodies():
             satisfies = all(
                 any(i.literal_value(lit) is TRUE for lit in clause)
                 for clause in clauses)
-            matches = all(i.value(rule.head) == rule.body_value(i)
-                          for rule in theory.definition)
+            matches = all(
+                i.value(rule.head)
+                == eval_formula((And if rule.conjunctive else Or)(rule.body), i)
+                for rule in theory.definition)
             assert satisfies == matches

@@ -38,10 +38,16 @@ def unsat_theory():
 def test_unit_chain_propagates():
     theory = theory_gen.build_theory("p_T a", "p_T", [("p_T", "c", ["a"])])
     solver = Solver(theory)
-    for lit, index in solver._root_units:
-        assert solver._enqueue(lit, index)
+    assert solver._enqueue_root_units()
     assert solver.propagate_unit() is None
     assert solver.lit_value(theory.atoms.id_of("a")) == 1
+
+
+def unassigned_decidable(solver):
+    """The unassigned atoms that are not justification atoms, ascending."""
+    just_atoms = solver.setup.maps.just_atoms
+    return [atom for atom in range(1, len(solver.values))
+            if not solver.values[atom] and atom not in just_atoms]
 
 
 def reference_unit_fixpoint(clauses, assigned):
@@ -78,9 +84,11 @@ def checked_propagate_unit(solver):
         assert all(solver.lit_value(lit) == -1 for lit in conflict)
     implied = solver.trail[before:]
     assert solver.stats.propagations == propagations + len(implied)
+    stored = {id(clause) for clause in solver.clauses}
     for lit in implied:
         atom = abs(lit)
-        reason = solver.clauses[solver.reasons[atom]]
+        reason = solver.reasons[atom]
+        assert id(reason) in stored  # the stored clause itself, not a copy
         assert lit in reason
         assert all(solver.lit_value(other) == -1 for other in reason if other != lit)
         assert solver.levels[atom] == solver.level
@@ -88,7 +96,7 @@ def checked_propagate_unit(solver):
     # heard part of the trail, where the next sync reads them
     assert solver._heard == heard <= before and solver._unheard == unheard
     if conflict is None:  # both phases read the whole trail
-        assert solver.qheads == [len(solver.trail)] * 2
+        assert solver.qheads[:2] == [len(solver.trail)] * 2
     check_watches(solver)
     return conflict, len(implied)
 
@@ -96,17 +104,20 @@ def checked_propagate_unit(solver):
 def check_watches(solver):
     """Each clause of two or more literals is watched on its first two
     literals, in exactly one table: the copy table for the copies' clauses,
-    at indices `n_base..2*n_base`, and the base table for every other one."""
+    `clauses[n_base:2*n_base]`, and the base table for every other one.
+    Every watch holds a stored clause itself, not a copy of it."""
     n_base = len(completion_clauses(solver.setup.base.definition))
     assert 2 * n_base <= solver.n_problem_clauses
-    base, copy = solver.watches
-    watchers = [ci for table in solver.watches
-                for watchlist in table.values() for ci in watchlist]
-    assert len(watchers) == 2 * sum(len(clause) >= 2 for clause in solver.clauses)
+    watched = {}  # id of each watched clause -> its (table, literal) watches
+    for t, table in enumerate(solver.watches):
+        for lit, watchlist in table.items():
+            for clause in watchlist:
+                watched.setdefault(id(clause), []).append((t, lit))
     for ci, clause in enumerate(solver.clauses):
         if len(clause) >= 2:
-            table = copy if n_base <= ci < 2 * n_base else base
-            assert ci in table[clause[0]] and ci in table[clause[1]]
+            t = 1 if n_base <= ci < 2 * n_base else 0
+            assert sorted(watched.pop(id(clause))) == sorted([(t, clause[0]), (t, clause[1])])
+    assert not watched
 
 
 def test_unit_propagation_matches_the_reference_fixpoint():
@@ -121,7 +132,7 @@ def test_unit_propagation_matches_the_reference_fixpoint():
     sync_rng = random.Random(44)  # apart, so that the search is the same
     for theory in theories:
         solver = Solver(theory, SolverConfig(relevance_filter=rng.random() < 0.7))
-        if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
+        if not solver._enqueue_root_units():
             continue
         for _ in range(60):
             conflict, implied = checked_propagate_unit(solver)
@@ -148,8 +159,7 @@ def test_unit_propagation_matches_the_reference_fixpoint():
                     syncs += 1
                     assert solver._heard == len(solver.trail)
                     assert solver.tracker.justified_literals() == implied_justified(solver)
-                free = [atom for atom in range(1, solver.n_atoms + 1)
-                        if not solver.values[atom] and atom not in solver._just_atoms]
+                free = unassigned_decidable(solver)
                 if not free:
                     break
                 atom = rng.choice(free)
@@ -184,18 +194,18 @@ class OneTableSolver(LearnedRecorder, Solver):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        base, copy = self.watches
-        for lit, watchlist in copy.items():
-            # in clause order, as one pass over all the clauses watches them
-            base[lit] = sorted(base.get(lit, []) + watchlist)
-        self.watches = (base, {})
+        table = {}  # in clause order, as one pass over all the clauses
+        for clause in self.clauses:
+            if len(clause) >= 2:
+                table.setdefault(clause[0], []).append(clause)
+                table.setdefault(clause[1], []).append(clause)
+        self.watches = (table, {})
 
     def propagate_unit(self):
         trail = self.trail
         qhead = self.qheads[0]
         start = len(trail)
         watches = self.watches[0]
-        clauses = self.clauses
         conflict = None
         while conflict is None and qhead < len(trail):
             falsified = -trail[qhead]
@@ -204,23 +214,22 @@ class OneTableSolver(LearnedRecorder, Solver):
             if not watchlist:
                 continue
             kept = []
-            for i, ci in enumerate(watchlist):
-                clause = clauses[ci]
+            for i, clause in enumerate(watchlist):
                 if clause[0] == falsified:
                     clause[0], clause[1] = clause[1], falsified
                 first = clause[0]
                 value = self.lit_value(first)
                 if value == 1:
-                    kept.append(ci)
+                    kept.append(clause)
                     continue
                 for k in range(2, len(clause)):
                     lit = clause[k]
                     if self.lit_value(lit) != -1:
                         clause[1], clause[k] = lit, falsified
-                        watches.setdefault(lit, []).append(ci)
+                        watches.setdefault(lit, []).append(clause)
                         break
                 else:
-                    kept.append(ci)
+                    kept.append(clause)
                     if value == -1:
                         kept.extend(watchlist[i + 1:])
                         conflict = clause
@@ -228,7 +237,7 @@ class OneTableSolver(LearnedRecorder, Solver):
                     atom = abs(first)
                     self.values[atom] = 1 if first > 0 else -1
                     self.levels[atom] = len(self.trail_lim)
-                    self.reasons[atom] = ci
+                    self.reasons[atom] = clause
                     trail.append(first)
             watches[falsified] = kept
         self.qheads[0] = self.qheads[1] = qhead
@@ -277,7 +286,7 @@ def test_a_base_conflict_assigns_no_justification_literal():
     runs = {}
     for cls in (TwoPhaseSolver, OneTableSolver):
         solver = cls(theory, SolverConfig(relevance_filter=False))
-        assert all(solver._enqueue(lit, index) for lit, index in solver._root_units)
+        assert solver._enqueue_root_units()
         assert solver.propagate() is None
         solver._decide(a)
         conflict = solver.propagate_unit()
@@ -294,6 +303,19 @@ def test_justification_rule_propagates(justdef):
     b = justdef.atoms.id_of("b")
     fx = defined_fixpoint(justdef, [b])
     assert fx[justdef.atoms.id_of("f")] is TRUE   # f <- b | d fires through b
+
+
+@pytest.mark.parametrize("text, open_literals, message", [
+    ("p cid 1\nt 1\nr 1 c -1 0\n", [], "contradictory at the root"),
+    ("p cid 2\nt 1\nr 1 d 2 0\n", [1], "literal 1 is not over an open atom"),
+    ("p cid 2\nt 1\nr 1 d 2 0\n", [2, -2], "contradictory open literal -2"),
+    ("p cid 2\nt 1\nr 1 d -1 2 0\n", [-2], "conflict from open literals alone"),
+], ids=["root_conflict", "defined_atom", "literal_and_negation", "propagation_conflict"])
+def test_fixpoint_rejects_what_has_no_fixpoint(text, open_literals, message):
+    # 1 <- ~1 is false and true at the root; 1 <- ~1 | 2 makes 1 true at the
+    # root, and then ~2 leaves its clause ~1 | 2 false
+    with pytest.raises(ValueError, match=message):
+        defined_fixpoint(parse_cid(text), open_literals)
 
 
 def test_unfounded_pair_falsified():
@@ -328,8 +350,7 @@ def test_fixpoint_reads_the_open_atoms_once(monkeypatch):
 
 def test_justification_copy_unfounded_at_root(loop):
     solver = Solver(loop, SolverConfig(relevance_filter=False))
-    for lit, index in solver._root_units:
-        assert solver._enqueue(lit, index)
+    assert solver._enqueue_root_units()
     assert solver.propagate() is None
     j_p = solver.setup.maps.to_just[3]
     j_q = solver.setup.maps.to_just[4]
@@ -414,7 +435,7 @@ def test_unfounded_pass_matches_all_atoms_sweep():
     for theory in theories:
         solver = Solver(theory, SolverConfig(relevance_filter=False),
                         assert_constraint=rng.random() < 0.5)
-        if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
+        if not solver._enqueue_root_units():
             continue
         while solver.propagate_unit() is None:
             expected = reference_unfounded(solver)
@@ -430,8 +451,7 @@ def test_unfounded_pass_matches_all_atoms_sweep():
             if expected:
                 nonempty += 1
                 continue
-            unassigned = [a for a in range(1, solver.n_atoms + 1)
-                          if a not in solver._just_atoms and solver.values[a] == 0]
+            unassigned = unassigned_decidable(solver)
             if not unassigned:
                 break
             atom = rng.choice(unassigned)
@@ -450,7 +470,7 @@ def test_unfounded_pass_matches_sweep_across_backtracks():
     for theory in theories:
         solver = Solver(theory, SolverConfig(relevance_filter=False, debug=True),
                         assert_constraint=rng.random() < 0.5)
-        if not all(solver._enqueue(lit, index) for lit, index in solver._root_units):
+        if not solver._enqueue_root_units():
             continue
         backtracked = False
         for _ in range(60):
@@ -466,8 +486,7 @@ def test_unfounded_pass_matches_sweep_across_backtracks():
                     after_backtrack += 1
                 if expected and conflict is None:
                     continue
-            unassigned = [a for a in range(1, solver.n_atoms + 1)
-                          if a not in solver._just_atoms and solver.values[a] == 0]
+            unassigned = unassigned_decidable(solver)
             if conflict is None and unassigned and (solver.level == 0
                                                     or rng.random() < 0.6):
                 atom = rng.choice(unassigned)
@@ -870,7 +889,7 @@ def test_unheard_holds_at_most_one_literal_per_atom():
         def _backtrack(self, target_level):
             super()._backtrack(target_level)
             atoms = {abs(lit) for lit in self._unheard}
-            assert len(atoms) == len(self._unheard) <= self.n_atoms
+            assert len(atoms) == len(self._unheard) <= self.setup.n_atoms
             if self.tracker is None:
                 assert self._heard == 0 and not self._unheard
             self.most = max(self.most, len(self._unheard))
@@ -906,8 +925,8 @@ def scan_pick(solver, restrict_relevant):
     as it is."""
     relevant = solver.tracker.relevant_literals() if restrict_relevant else set()
     best = None
-    for atom in range(1, solver.n_atoms + 1):
-        if atom in solver._just_atoms or solver.values[atom]:
+    for atom in range(1, solver.setup.n_atoms + 1):
+        if atom in solver.setup.maps.just_atoms or solver.values[atom]:
             continue
         pos, neg = atom in relevant, -atom in relevant
         if restrict_relevant and not (pos or neg):
@@ -989,8 +1008,7 @@ def test_backtrack_returns_the_side_list_to_the_heap():
         [("T", "c", ["A", "B"]), ("A", "d", ["x", "y"]), ("B", "d", ["v", "w"])])
     x, y, v = (theory.atoms.id_of(name) for name in "xyv")
     solver = Solver(theory, SolverConfig(debug=True))
-    for lit, index in solver._root_units:
-        assert solver._enqueue(lit, index)
+    assert solver._enqueue_root_units()
 
     def pick():
         assert solver.propagate() is None
@@ -1033,10 +1051,13 @@ def test_loops_ask_only_about_the_decided_atom():
 
 def test_solver_keeps_to_the_shared_key_limit(loop):
     # CPython 3.11 lets the instances of a class share one key table for at
-    # most 29 attributes; past that every Solver keeps a dict of its own.
-    # The bound is today's count, so a new attribute has to replace one
+    # most 29 attributes set in `__init__`; past that every Solver keeps a
+    # dict of its own.  The limit says nothing of attributes set after
+    # construction: once a class has made many instances, one that gets two
+    # more keeps a dict of its own whatever the count.  The bound is today's
+    # count, so a new attribute has to replace one
     for filtered in (True, False):
-        assert len(vars(Solver(loop, SolverConfig(relevance_filter=filtered)))) <= 26
+        assert len(vars(Solver(loop, SolverConfig(relevance_filter=filtered)))) <= 23
 
 
 def reference_clause(lits):
@@ -1100,10 +1121,20 @@ def test_problem_clauses_keep_first_occurrences():
         stored = completion_clauses(theory_gen.combined_definition(solver.setup))
         assert solver.clauses == stored + [[theory.theory_atom]]
         assert solver.n_problem_clauses == len(solver.clauses)
-        for index, clause in enumerate(solver.clauses):
-            if len(clause) == 1:
-                assert (clause[0], index) in solver._root_units
         check_watches(solver)
+        # the root units are the unit clauses themselves, in order; each is
+        # the reason of its literal unless an earlier one holds it too
+        units = [clause for clause in solver.clauses if len(clause) == 1]
+        assert len(solver._root_units) == len(units)
+        assert all(unit is clause for unit, clause in zip(solver._root_units, units))
+        first = {}
+        for clause in units:
+            first.setdefault(clause[0], clause)
+        if solver._enqueue_root_units():
+            assert solver.trail == list(first)
+            assert all(solver.reasons[abs(lit)] is clause for lit, clause in first.items())
+        else:
+            assert any(-lit in first for lit in first)
     assert added > 50 and tautologies > 50, (added, tautologies)
 
 
@@ -1214,7 +1245,7 @@ def test_justification_atoms_never_decided():
             # every decision on the trail is over a plain atom
             # (asserted inside _decide as well)
             for start in solver.trail_lim:
-                assert abs(solver.trail[start]) not in solver._just_atoms
+                assert abs(solver.trail[start]) not in solver.setup.maps.just_atoms
 
 
 class FilteredPickRecorder(Solver):
