@@ -45,6 +45,24 @@ another order than one table finds it.  The tests compare the two orders on
 random, non-total and 3-SAT theories and find the same answers, decisions,
 conflicts and learned clauses.
 
+Unit propagation also simplifies clauses at the root as it meets them, what
+MiniSat's `simplifyDB` does in a pass of its own (Eén and Sörensson, SAT
+2003).  Level 0 is never undone.  A visited clause whose first literal is
+true at level 0 is true for good, so it leaves the watch list being read:
+its other watch is that literal, which never turns false, and the clause is
+never visited again.  It could never have implied a literal or conflicted.
+While a clause is searched for a new watch, each literal at position 2 or
+later that is false at level 0 is deleted, and the scan goes on at the same
+position.  Positions 0 and 1 are never touched, since an unfounded-set
+reason `[-atom] + blockers` may watch a false blocker there.  A deletion
+keeps the other literals in their order, so each clause is always the one
+propagation without simplification would hold, less some literals false for
+good.  A scan of that clause would skip those literals, so it picks the same
+new watch, and every watch move, implication, reason and conflict is the
+same.  Conflict analysis skips level-0 literals, so the learned clauses,
+the activity bumps and the backjump levels are the same too, and no counter
+moves.
+
 The relevance tracker hears about assignments only right before a filtered
 decision, and nothing is recorded per assignment.  The tracked literals are
 those whose assignments carry justification information: the keys of the
@@ -85,7 +103,9 @@ irrelevant in both polarities stays so until the next backtrack.  The picks
 are therefore the ones a scan over all atoms would make.  With `debug=True`
 each filtered pick checks that the relevant set is the reachable one, that
 every side-listed atom is still irrelevant and that every other unassigned
-atom has a live heap entry.  When a pick finds nothing, the side list holds
+atom has a live heap entry.  It also checks the watches: each clause not
+true at level 0 is watched on its first two literals in its own table, and
+no clause is watched elsewhere.  When a pick finds nothing, the side list holds
 exactly the unassigned decidable atoms, so an empty side list means that
 every one is assigned.
 
@@ -465,6 +485,12 @@ class Solver:
         the backjump that follows resets both heads.  See the module
         docstring for why the order moves only the `propagations` count.
 
+        It simplifies at the root on the way: a visited clause whose first
+        literal is true at level 0 is dropped from the watch list, and the
+        search for a new watch deletes each literal at position 2 or later
+        that is false at level 0.  See the module docstring for why that
+        changes no counter.
+
         The hottest loop of the search, so it reads values and assigns the
         implied literals inline instead of calling `lit_value` and
         `_enqueue`, with the solver's state bound to locals.
@@ -497,15 +523,24 @@ class Solver:
                         clause[1] = falsified
                     value = values[first] if first > 0 else -values[-first]
                     if value == 1:
-                        kept.append(clause)
+                        # a clause true at the root is true for good
+                        if levels[first if first > 0 else -first]:
+                            kept.append(clause)
                         continue
-                    for k in range(2, len(clause)):
+                    k = 2
+                    end = len(clause)
+                    while k < end:
                         lit = clause[k]
                         if (values[lit] if lit > 0 else -values[-lit]) != -1:
                             clause[1] = lit
                             clause[k] = falsified
                             watches.setdefault(lit, []).append(clause)
                             break
+                        if levels[lit if lit > 0 else -lit]:
+                            k += 1
+                        else:  # false at the root, so false for good
+                            del clause[k]
+                            end -= 1
                     else:
                         kept.append(clause)
                         if value == -1:
@@ -788,7 +823,41 @@ class Solver:
             return order.pop(self.values, None)
         if self.cfg.debug:
             self._check_order()
+            self._check_watches()
         return order.pop(self.values, self.tracker)
+
+    def _check_watches(self) -> None:
+        """Watch invariant, checked at each filtered pick in debug mode;
+        raises AssertionError on breakage.  A clause of two or more literals
+        is watched only on its first two, and only in its own table: the
+        copy table for the copies' clauses, the base table for the others.
+        A clause that is not true at level 0 is watched on both.  Every
+        watch holds a stored clause."""
+        root = set(self.trail[:self.trail_lim[0] if self.trail_lim else None])
+        # per table: the id of each watched clause -> the literal of the
+        # first watch seen, or 0 once both are seen
+        watched: list[dict[int, int]] = [{}, {}]
+        for held, table in zip(watched, self.watches):
+            for lit, watchlist in table.items():
+                for clause in watchlist:
+                    key = id(clause)
+                    seen = held.get(key)
+                    if seen == lit or seen == 0 or lit not in clause[:2]:
+                        raise AssertionError(f"clause {clause} is watched on {lit}")
+                    held[key] = lit if seen is None else 0
+        # the copies' clauses follow the base ones, whether or not the
+        # constraint's unit clause comes last
+        n_base = self.n_problem_clauses // 2
+        for index, clause in enumerate(self.clauses):
+            seen = watched[n_base <= index < 2 * n_base].pop(id(clause), None)
+            if seen == 0 or len(clause) < 2 and seen is None:
+                continue
+            if len(clause) < 2 or root.isdisjoint(clause):
+                raise AssertionError(f"clause {clause} is not watched on both "
+                                     "of its first two literals in its table")
+        if watched[0] or watched[1]:
+            raise AssertionError("a watch holds a clause that is not stored, "
+                                 "or sits in the other table")
 
     def _check_order(self) -> None:
         """Order and relevance invariants, checked at each filtered pick in

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
+from operator import neg
 
 import pytest
 
@@ -101,22 +103,40 @@ def checked_propagate_unit(solver):
     return conflict, len(implied)
 
 
+def root_literals(solver):
+    """The literals assigned at level 0."""
+    return set(solver.trail[:solver.trail_lim[0] if solver.trail_lim else None])
+
+
 def check_watches(solver):
-    """Each clause of two or more literals is watched on its first two
-    literals, in exactly one table: the copy table for the copies' clauses,
-    `clauses[n_base:2*n_base]`, and the base table for every other one.
-    Every watch holds a stored clause itself, not a copy of it."""
+    """Each clause of two or more literals that is not true at level 0 is
+    watched on its first two literals, in exactly one table: the copy table
+    for the copies' clauses, `clauses[n_base:2*n_base]`, and the base table
+    for every other one.  A clause true at level 0 is watched on at most
+    those two, in the same table.  Every watch holds a stored clause itself,
+    not a copy of it.  Each stored clause holds the literals it was created
+    with (`solver.created`, of a `ClauseRecorder`), less only literals false
+    at level 0."""
     n_base = len(completion_clauses(solver.setup.base.definition))
     assert 2 * n_base <= solver.n_problem_clauses
+    root = root_literals(solver)
     watched = {}  # id of each watched clause -> its (table, literal) watches
     for t, table in enumerate(solver.watches):
         for lit, watchlist in table.items():
             for clause in watchlist:
                 watched.setdefault(id(clause), []).append((t, lit))
-    for ci, clause in enumerate(solver.clauses):
+    assert len(solver.created) == len(solver.clauses)
+    for ci, (clause, created) in enumerate(zip(solver.clauses, solver.created)):
+        assert not Counter(clause) - Counter(created)
+        assert all(-lit in root for lit in Counter(created) - Counter(clause))
         if len(clause) >= 2:
             t = 1 if n_base <= ci < 2 * n_base else 0
-            assert sorted(watched.pop(id(clause))) == sorted([(t, clause[0]), (t, clause[1])])
+            both = sorted([(t, clause[0]), (t, clause[1])])
+            held = sorted(watched.pop(id(clause), ()))
+            if root.isdisjoint(clause):
+                assert held == both
+            else:
+                assert held in ([], both[:1], both[1:], both)
     assert not watched
 
 
@@ -131,7 +151,7 @@ def test_unit_propagation_matches_the_reference_fixpoint():
     calls = propagated = conflicts = syncs = 0
     sync_rng = random.Random(44)  # apart, so that the search is the same
     for theory in theories:
-        solver = Solver(theory, SolverConfig(relevance_filter=rng.random() < 0.7))
+        solver = RecordingSolver(theory, SolverConfig(relevance_filter=rng.random() < 0.7))
         if not solver._enqueue_root_units():
             continue
         for _ in range(60):
@@ -169,24 +189,29 @@ def test_unit_propagation_matches_the_reference_fixpoint():
     assert syncs > 300, syncs
 
 
-class LearnedRecorder:
-    """Records each learned clause as it is added, before watch moves
-    reorder its literals."""
+class ClauseRecorder:
+    """Records each clause as it is created, before watch moves reorder its
+    literals or root simplification deletes any: the problem clauses at
+    construction, then each learned clause as it is added."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.learned = []
+        self.created = [list(clause) for clause in self.clauses]
 
     def _add_learned_clause(self, clause):
-        self.learned.append(list(clause))
+        self.created.append(list(clause))
         return super()._add_learned_clause(clause)
 
+    @property
+    def learned(self):
+        return self.created[self.n_problem_clauses:]
 
-class TwoPhaseSolver(LearnedRecorder, Solver):
+
+class RecordingSolver(ClauseRecorder, Solver):
     pass
 
 
-class OneTableSolver(LearnedRecorder, Solver):
+class OneTableSolver(ClauseRecorder, Solver):
     """Reference unit propagation: one watch table for every clause and one
     queue head, so each trail literal is read against the copy's clauses and
     the base clauses together, and a base conflict can come after the copy
@@ -256,7 +281,7 @@ def test_two_phase_propagation_matches_one_table():
     learned = fewer = 0
     for theory in corpus:
         for config in ALL_CONFIGS:
-            one, two = OneTableSolver(theory, config), TwoPhaseSolver(theory, config)
+            one, two = OneTableSolver(theory, config), RecordingSolver(theory, config)
             want, got = one.solve(), two.solve()
             context = (theory.definition.rules, config)
             assert got.status == want.status, context
@@ -284,7 +309,7 @@ def test_a_base_conflict_assigns_no_justification_literal():
     maps = build_justification_maps(theory).maps
     j_v = maps.to_just[theory.atoms.id_of("v")]
     runs = {}
-    for cls in (TwoPhaseSolver, OneTableSolver):
+    for cls in (RecordingSolver, OneTableSolver):
         solver = cls(theory, SolverConfig(relevance_filter=False))
         assert solver._enqueue_root_units()
         assert solver.propagate() is None
@@ -292,11 +317,137 @@ def test_a_base_conflict_assigns_no_justification_literal():
         conflict = solver.propagate_unit()
         assert conflict is not None
         runs[cls] = solver.trail[solver.trail_lim[0]:], solver.analyze_conflict(conflict)
-    two, one = runs[TwoPhaseSolver], runs[OneTableSolver]
+    two, one = runs[RecordingSolver], runs[OneTableSolver]
     assert not any(abs(lit) in maps.just_atoms for lit in two[0])
     assert j_v in one[0]  # the one-table pass reads the copy on the way
     assert [lit for lit in one[0] if abs(lit) not in maps.just_atoms] == two[0]
     assert two[1] == one[1]  # the same learned clause and backjump level
+
+
+class KeepingSolver(ClauseRecorder, Solver):
+    """Reference unit propagation without root simplification:
+    `Solver.propagate_unit` as it was before it dropped clauses true at
+    level 0 and deleted literals false there."""
+
+    def propagate_unit(self):
+        trail = self.trail
+        start = len(trail)
+        tables = self.watches
+        heads = self.qheads
+        values = self.values
+        levels = self.levels
+        reasons = self.reasons
+        level = len(self.trail_lim)
+        conflict = None
+        phase = 0
+        while True:
+            watches = tables[phase]
+            reading = iter(trail)
+            reading.__setstate__(heads[phase])
+            for falsified in map(neg, reading):
+                watchlist = watches.get(falsified)
+                if not watchlist:
+                    continue
+                kept = []
+                for i, clause in enumerate(watchlist):
+                    first = clause[0]
+                    if first == falsified:
+                        first = clause[0] = clause[1]
+                        clause[1] = falsified
+                    value = values[first] if first > 0 else -values[-first]
+                    if value == 1:
+                        kept.append(clause)
+                        continue
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if (values[lit] if lit > 0 else -values[-lit]) != -1:
+                            clause[1] = lit
+                            clause[k] = falsified
+                            watches.setdefault(lit, []).append(clause)
+                            break
+                    else:
+                        kept.append(clause)
+                        if value == -1:
+                            kept.extend(watchlist[i + 1:])
+                            conflict = clause
+                            break
+                        atom = first if first > 0 else -first
+                        values[atom] = 1 if first > 0 else -1
+                        levels[atom] = level
+                        reasons[atom] = clause
+                        trail.append(first)
+                watches[falsified] = kept
+                if conflict is not None:
+                    break
+            heads[phase] = len(trail)
+            phase = 1 - phase
+            if conflict is not None or heads[phase] == len(trail):
+                break
+        self.stats.propagations += len(trail) - start
+        return conflict
+
+
+def shortened_at_the_root(items, whole, root):
+    """Whether `items` is `whole` with some of its members in `root` left
+    out, the others in the same order."""
+    rest = iter(items)
+    following = next(rest, None)
+    for item in whole:
+        if item == following:
+            following = next(rest, None)
+        elif item not in root:
+            return False
+    return following is None
+
+
+def watch_count(solver):
+    return sum(len(watchlist) for table in solver.watches for watchlist in table.values())
+
+
+def test_root_simplification_changes_no_counter():
+    # dropping the clauses true at level 0 from the watch lists and deleting
+    # literals false there changes no watch move, implication, reason,
+    # conflict or learned clause
+    rng = random.Random(46)
+    three_sat = [theory_gen.three_sat_theory(rng, 30, 128) for _ in range(12)]
+    corpus = (deferral_corpus()
+              + [theory_gen.random_theory(rng, 12, 12) for _ in range(300)]
+              + three_sat)
+    dropped = deleted = 0  # on the 3-SAT part
+    for theory in corpus:
+        for config in ALL_CONFIGS:
+            keep, simplify = KeepingSolver(theory, config), RecordingSolver(theory, config)
+            want, got = keep.solve(), simplify.solve()
+            context = (theory.definition.rules, config)
+            assert got.status == want.status, context
+            assert got.witness == want.witness, context  # justification atoms too
+            assert simplify.learned == keep.learned, context
+            assert (dataclasses.replace(got.stats, wall_ms=0)
+                    == dataclasses.replace(want.stats, wall_ms=0)), context
+            assert simplify.trail == keep.trail, context
+            root = root_literals(simplify)
+            root_false = {-lit for lit in root}
+            # each clause is the kept one less literals false at the root,
+            # and each watch list the kept one less clauses true there
+            assert len(simplify.clauses) == len(keep.clauses), context
+            position = {}
+            for i, (clause, whole) in enumerate(zip(simplify.clauses, keep.clauses)):
+                assert clause[:2] == whole[:2], context
+                assert shortened_at_the_root(clause, whole, root_false), context
+                position[id(clause)] = position[id(whole)] = i
+            root_true = {i for i, clause in enumerate(simplify.clauses)
+                         if not root.isdisjoint(clause)}
+            for table, kept_table in zip(simplify.watches, keep.watches):
+                assert table.keys() <= kept_table.keys(), context
+                for lit, kept in kept_table.items():
+                    assert shortened_at_the_root(
+                        [position[id(clause)] for clause in table.get(lit, ())],
+                        [position[id(clause)] for clause in kept], root_true), context
+            if theory in three_sat:
+                dropped += watch_count(keep) - watch_count(simplify)
+                deleted += sum(map(len, keep.clauses)) - sum(map(len, simplify.clauses))
+    # 17152 watches dropped and 6442 literals deleted when written
+    assert dropped > 15000 and deleted > 5500, (dropped, deleted)
 
 
 def test_justification_rule_propagates(justdef):
@@ -803,6 +954,33 @@ def test_debug_picks_check_the_tracker_against_reachability():
     assert filtered_picks > 800, filtered_picks
 
 
+def test_debug_watch_check_finds_a_lost_or_misplaced_watch():
+    # the watch half of the debug check: a clause true at level 0 may lose
+    # a watch, any other clause must keep both, each in its own table
+    theory = theory_gen.three_sat_theory(random.Random(47), 12, 40)
+    solver = Solver(theory, SolverConfig(debug=True))
+    solver.solve()
+    solver._check_watches()
+    root = root_literals(solver)
+    base = solver.watches[0]
+    true_at_root = {}  # whether a clause is true at level 0 -> a watch on one
+    for lit, watchlist in base.items():
+        for clause in watchlist:
+            true_at_root.setdefault(not root.isdisjoint(clause), (lit, clause))
+    lit, true_clause = true_at_root[True]
+    base[lit].remove(true_clause)
+    solver._check_watches()
+    lit, open_clause = true_at_root[False]
+    base[lit].remove(open_clause)
+    with pytest.raises(AssertionError, match="not watched on both"):
+        solver._check_watches()
+    base[lit].append(open_clause)
+    solver._check_watches()
+    solver.watches[1].setdefault(lit, []).append(open_clause)
+    with pytest.raises(AssertionError, match="in the other table"):
+        solver._check_watches()
+
+
 class WalkingTracker(RelevanceTracker):
     """Reference relevance: no watches and no settle.  The notifications
     keep the justified set, and `is_relevant` walks backward from the
@@ -1117,7 +1295,7 @@ def test_problem_clauses_keep_first_occurrences():
         # as they come
         theory = DefnfTheory(AtomTable([None] * n_atoms), definition.rules[0].head,
                              definition)
-        solver = Solver(theory, SolverConfig(relevance_filter=False))
+        solver = RecordingSolver(theory, SolverConfig(relevance_filter=False))
         stored = completion_clauses(theory_gen.combined_definition(solver.setup))
         assert solver.clauses == stored + [[theory.theory_atom]]
         assert solver.n_problem_clauses == len(solver.clauses)
@@ -1198,24 +1376,81 @@ def test_level_zero_conflict_is_unsat():
     assert solve(theory).status == "unsat"
 
 
+def three_sat_models(theory):
+    """The models of a normalized 3-SAT theory (`theory_gen.three_sat_theory`).
+    The bodies of its clause atoms' rules are the CNF: its satisfying
+    assignments of the open atoms are found by backtracking, and each is
+    extended to the defined atoms by the oracle's well-founded bounds.
+    `oracle.enumerate_models` finds the same models from all 2^n contexts."""
+    definition = theory.definition
+    opens = sorted(theory.opens)
+    rank = {atom: i for i, atom in enumerate(opens)}
+    closed_by = [[] for _ in opens]  # the CNF clauses each open atom completes
+    for rule in definition:
+        if rule.head != theory.theory_atom:
+            closed_by[max(rank[abs(lit)] for lit in rule.body)].append(rule.body)
+    models, true = [], set()
+
+    def extend(i):
+        if i == len(opens):
+            context = PartialInterpretation.from_literals(true)
+            true_set, _ = oracle.wfs_bounds(definition, context)
+            for atom in definition.defined_atoms:
+                context.set_literal(atom if atom in true_set else -atom)
+            models.append(context)
+            return
+        for lit in (opens[i], -opens[i]):
+            true.add(lit)
+            if all(any(other in true for other in body) for body in closed_by[i]):
+                extend(i + 1)
+            true.remove(lit)
+
+    extend(0)
+    return models
+
+
+def test_three_sat_models_match_the_oracle():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(4):
+        theory = theory_gen.three_sat_theory(rng, 8, 30)
+        models = three_sat_models(theory)
+        assert ({frozenset(model.true_literals()) for model in models}
+                == {frozenset(model.true_literals())
+                    for model in oracle.enumerate_models(theory)})
+        found += len(models)
+    assert found > 4, found
+
+
 def test_learned_clauses_are_consequences():
+    # every learned clause, as stored after the solve, holds in every model;
+    # on the 3-SAT theories root simplification has shortened some of them
     rng = random.Random(30)
-    checked = 0
-    for _ in range(40):
-        theory = theory_gen.random_verified_total_theory(rng, max_atoms=6)
-        solver = Solver(theory, SolverConfig(relevance_filter=False,
-                                             stop_on_justified=False))
-        result = solver.solve()
-        models = oracle.enumerate_models(theory)
-        assert (result.status == "sat") == bool(models)
-        learned = solver.clauses[solver.n_problem_clauses:]
-        for clause in learned:
-            for model in models:
-                assert any(model.literal_value(l) is TRUE for l in clause
-                           if abs(l) <= theory.n_atoms) or \
-                    _extended_satisfies(solver, model, clause)
-                checked += 1
-    assert checked or True
+    theories = [theory_gen.random_verified_total_theory(rng, max_atoms=6)
+                for _ in range(40)]
+    cases = [(theory, oracle.enumerate_models(theory)) for theory in theories]
+    cases += [(theory, three_sat_models(theory))
+              for theory in (theory_gen.three_sat_theory(rng, 14, 60) for _ in range(60))]
+    clauses = pairs = shortened = 0
+    for theory, models in cases:
+        for config in ALL_CONFIGS:
+            solver = RecordingSolver(theory, config)
+            result = solver.solve()
+            assert (result.status == "sat") == bool(models)
+            learned = solver.clauses[solver.n_problem_clauses:]
+            shortened += sum(len(clause) < len(created)
+                             for clause, created in zip(learned, solver.learned))
+            for clause in learned:
+                for model in models:
+                    assert any(model.literal_value(l) is TRUE for l in clause
+                               if abs(l) <= theory.n_atoms) or \
+                        _extended_satisfies(solver, model, clause)
+                pairs += len(models)
+            if models:
+                clauses += len(learned)
+    # 600 clauses of satisfiable theories, 4612 clause/model pairs and 28
+    # shortened clauses when written
+    assert clauses > 500 and pairs > 4000 and shortened > 20, (clauses, pairs, shortened)
 
 
 def _extended_satisfies(solver, model, clause):
