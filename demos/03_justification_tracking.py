@@ -1,17 +1,18 @@
-"""Tracking justified status through a duplicated definition.
+"""Tracking justified status with the justifier.
 
-For every defined atom p a justification atom j(p) is added, numbered after
-the theory's atoms and defined by a copy of the rules in which defined atoms
-are replaced by their copies and open atoms stay.  The copies have ids but no
-names; the j(p) labels below are made from the base names.  The solver never
-decides on the copies, so their values come from propagation alone, and j(p)
-is true/false exactly when p / ~p is justified by the current open-atom
-assignment.
+A literal is justified when the open literals assigned so far settle it
+whatever the other open atoms are: its status in the well-founded model of
+the definition in the context of those literals.  The justifier keeps that
+set incrementally.  Each rule counts the body literals still missing before
+its body is justified true or false, and source pointers find the atoms that
+only a positive loop could support.  It reads the open literals of the
+solver's trail level by level, and a backtrack pops exactly the statuses
+the undone levels gave.
 """
 
-from satid import build_justification_maps, defined_fixpoint, parse_cid
+from satid import Justifier, build_justification_maps, parse_cid
 from satid import oracle
-from satid.core import TruthValue, PartialInterpretation
+from satid.core import PartialInterpretation
 
 text = """\
 % p_T <- c1 & c2 & c3 & c4 ; the checks range over opens a b c d e and
@@ -27,30 +28,45 @@ r 6 d 8 10 0
 """
 theory = parse_cid(text)
 setup = build_justification_maps(theory)
+# .cid files have no names; these follow the comment above
+NAMES = dict(enumerate("p_T c1 c2 c3 c4 f a b c d e".split(), start=1))
 
 
-def label(lit):
-    """A literal of the copy, named j(p) for the copy of p after p's name."""
-    if abs(lit) not in setup.maps.just_atoms:
-        return theory.literal_name(lit)  # an open atom's literal
-    base = setup.maps.status_change[lit]
-    name = f"j({theory.name_of(abs(base))})"
-    return name if base > 0 else "~" + name
+def name(lit):
+    return NAMES[abs(lit)] if lit > 0 else "~" + NAMES[-lit]
 
 
-print("justification copy:")
-for rule, copy in zip(theory.definition, setup.maps.translate(
-        rule.body for rule in theory.definition)):
+def names(lits):
+    return sorted(map(name, lits), key=lambda n: n.lstrip("~"))
+
+
+print("count thresholds (body literals needed for true / false):")
+for rule, need_true, need_false in zip(theory.definition, setup.need_true,
+                                       setup.need_false):
     connective = " & " if rule.conjunctive else " | "
-    body = connective.join(label(lit) for lit in copy)
-    print(f"  {label(setup.maps.to_just[rule.head])} <- {body}")
+    body = connective.join(map(name, rule.body))
+    print(f"  {name(rule.head)} <- {body}: {need_true} / {need_false}")
 
-# propagation from open literals alone derives exactly the justified atoms
-for opens in ([8], [10], [-8, -10]):
-    fixpoint = defined_fixpoint(theory, opens)
-    state = PartialInterpretation.from_literals(opens)
-    derived = {a: v.symbol for a, v in fixpoint.items() if v is not TruthValue.UNKNOWN}
-    print(f"\nopens {opens}: propagation derives {derived}")
-    for atom in sorted(theory.defined):
-        assert fixpoint[atom] == oracle.justified_status(theory, state, atom)
-    print("  matches the justification-search oracle for every defined atom")
+# a trail with b at level 1, e at level 2 and ~d at level 3
+b, d, e = 8, 10, 11
+trail, trail_lim = [b, e, -d], [0, 1, 2]
+justifier = Justifier(setup)
+justifier.sync(trail, trail_lim)
+for level, start in enumerate(justifier.lim, start=1):
+    end = justifier.lim[level] if level < len(justifier.lim) else len(justifier.stack)
+    print(f"\nlevel {level} justifies {names(justifier.stack[start:end])}")
+
+
+def check():
+    state = PartialInterpretation.from_literals(trail)
+    assert justifier.justified_literals() == oracle.justified_literals(theory, state)
+    print(f"\nopens {names(trail)} justify {names(justifier.justified_literals())}")
+    print("  as the justification-search oracle finds")
+
+
+check()
+# back to level 1: the statuses that levels 2 and 3 gave are popped
+justifier.backtrack(1, trail_lim[1])
+del trail[trail_lim[1]:], trail_lim[1:]
+justifier.sync(trail, trail_lim)
+check()

@@ -28,17 +28,17 @@ print("initial watches: p ->", tracker.watched_parent(p),
       " q ->", tracker.watched_parent(q))
 print("initially relevant:", sorted(tracker.relevant_literals(), key=abs))
 
-# open atom a becomes true; propagation would then derive j(p_T) and falsify
-# the unfounded loop copies, so those notifications follow
+# open atom a becomes true, and the justifier then finds the theory atom
+# justified, so those notifications follow
 tracker.notify_becomes_true(a)
-tracker.notify_becomes_true(setup.maps.to_just[p_T])
+tracker.notify_becomes_true(p_T)
 print("\nafter a is true and the theory atom is justified:")
 print("relevant:", sorted(tracker.relevant_literals(), key=abs))
 print("watches: p ->", tracker.watched_parent(p),
       " q ->", tracker.watched_parent(q))
 
 # undo in reverse order: the initial state comes back
-tracker.notify_becomes_unknown(setup.maps.to_just[p_T])
+tracker.notify_becomes_unknown(p_T)
 tracker.notify_becomes_unknown(a)
 print("\nafter backtracking:", sorted(tracker.relevant_literals(), key=abs))
 

@@ -2,7 +2,7 @@
 
 The package provides the domain model for definitional-normal-form theories
 (`core`), file formats and normalization (`formats`, `normalize`), brute-force
-reference semantics (`oracle`), the justification-atom encoding (`justifier`),
+reference semantics (`oracle`), incremental justified status (`justifier`),
 the incremental relevance tracker (`relevance`), the CDCL engine (`engine`),
 trace replay (`replay`), and a command line front end (`cli`).
 """
@@ -16,8 +16,7 @@ from .engine import (BudgetExhausted, SolveResult, Solver, SolverConfig,
 from .formats import (FormatError, PcidAst, TraceEvent, parse_cid, parse_pcid,
                       parse_trace, relevance_dot, to_dot, write_cid,
                       write_trace)
-from .justifier import (JustificationMaps, JustifiedTheory,
-                        build_justification_maps)
+from .justifier import Justifier, JustifiedTheory, build_justification_maps
 from .normalize import normalize_to_defnf
 from .relevance import RelevanceTracker
 from .replay import ReplayOrderError, ReplayReport, TraceReplayer
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "And", "AtomTable", "BudgetExhausted", "DefnfTheory", "Definition",
-    "DependencyGraph", "FALSE", "FormatError", "JustificationMaps",
+    "DependencyGraph", "FALSE", "FormatError", "Justifier",
     "JustifiedTheory", "Not", "Or", "PartialInterpretation", "PcidAst",
     "RelevanceTracker", "ReplayOrderError", "ReplayReport", "Rule",
     "SolveResult", "SolveStats", "Solver", "SolverConfig", "TRUE",

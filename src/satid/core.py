@@ -319,8 +319,7 @@ class DefnfTheory:
     """A normal-form theory: one theory atom constrained true, one definition.
 
     Its atom table does not grow once the theory is built: `parse_cid` and
-    `normalize` add all their atoms first, and the justifier numbers its
-    copies past the table without adding to it.  So the set of open atoms is
+    `normalize` add all their atoms first.  So the set of open atoms is
     built on the first read of `opens` and kept.
     """
 

@@ -12,7 +12,7 @@ tracker's state (`relevance_dot`).
 `define` block is a definition of its own: the atoms it defines are open to
 the other blocks, which may not define them too.
 
-`.trc`: `+ <lit>` (becomes true), `- <lit>` (becomes unknown), `? <lit>`
+`.trc`: `+ <lit>` (becomes justified), `- <lit>` (no longer), `? <lit>`
 (query relevance), `# expect <lit> <0|1>` (assert relevance).
 """
 

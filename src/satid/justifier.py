@@ -1,88 +1,367 @@
-"""Justification atoms: a duplicated definition over new atom ids whose truth
-values are produced purely by propagation, so that j(p) being true/false in
-the solver encodes that p / ~p is justified.
+"""The justifier: the justified literals of the open literals assigned so far.
 
-The copy replaces every defined atom (head or body) by its justification
-atom and leaves open atoms untouched.  With n atoms in the theory and d of
-them defined, the copies are numbered n+1..n+d in ascending order of the
-defined atom they copy.  They have no names and no atom table: the theory
-keeps its own.  The solver must never decide on a justification atom; their
-values then coincide with justified status at every propagation fixpoint.
-The copy is never built as rules: renaming keeps open atoms, so each copy
-rule, and each of its completion clauses, is a base one with every literal
-renamed (`JustificationMaps.translate`), and the solver builds them so.
+They are the literals of the well-founded model of the definition in the
+context of those open literals (Van Gelder, Ross and Schlipf, JACM 1991),
+the least fixpoint of the W_P operator: a head becomes true when its body
+is true, and every atom of the greatest unfounded set becomes false.  The
+justifier computes that fixpoint incrementally.  Each rule counts the body
+literals, per occurrence, still missing before its body is justified true
+(all of a conjunction's, one of a disjunction's) and before it is justified
+false (one of a conjunction's, all of a disjunction's), and sets its head
+when a count reaches 0; an empty body sets its head at once.  Once the
+counts are at their fixpoint, `LoopPart` finds the unfounded atoms that only
+a positive loop could support, with the source pointers that the solver
+runs over its own values (SAT(ID), Mariën et al., SAT 2008); every other
+unfounded atom has a false body, which the counts have already seen.
+
+The justifier reads the open literals of the solver's trail level by level,
+when it is synced, and closes each level before it reads the next.  Each
+status goes on its stack, tagged with the level it was read at (`lim`), so
+every status tagged L or lower follows from open literals of levels L and
+below alone.  A backtrack to level L pops exactly the statuses tagged above
+L and undoes their counts; what stays is the fixpoint of the trail that
+stays, and since a monotone operator's least fixpoint does not depend on the
+order its consequences are drawn in, each sync ends at the well-founded
+model.  `send` gives the relevance tracker the net flips (see `engine`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .core import DefnfTheory, DependencyGraph, build_dependency_graph
+from .core import (DefnfTheory, DependencyGraph, build_dependency_graph,
+                   cyclic_literals)
 
-
-@dataclass(frozen=True)
-class JustificationMaps:
-    """Literal translation between the original and the justification copy.
-
-    `status_change` is the one place that says which events carry
-    justification information: it maps each literal whose becoming true (or
-    unknown again) flips a justified status to the literal whose status
-    flips.  `j(p)` maps to `p` and `~j(p)` to `~p`, so on justification
-    literals it inverts `to_just`; an open literal is its own one-node
-    justification and maps to itself.  Literals of original defined atoms
-    are absent: their values say nothing about justification.
-    """
-
-    to_just: dict[int, int]
-    just_atoms: frozenset[int]
-    status_change: dict[int, int]
-
-    def translate(self, seqs: Iterable[Sequence[int]]) -> list[list[int]]:
-        """Each sequence of literals renamed into the copy: a defined atom's
-        literal to its justification atom's, an open literal to itself."""
-        get = self.to_just.get
-        return [list(map(get, lits, lits)) for lits in seqs]
+if TYPE_CHECKING:
+    from .relevance import RelevanceTracker
 
 
 @dataclass(frozen=True)
 class JustifiedTheory:
-    """A theory and what the solver and the relevance tracker read of its
-    justification copy: the literal maps and the base definition's
-    dependency graph, the one that the relevance tracker, the solver's loop
-    peel and `satid solve --dot` read."""
+    """A theory and the static index that the justifier, the loop part and
+    the relevance tracker read.  `graph` is the base definition's dependency
+    graph, which `satid solve --dot` renders too.  Rule r has head
+    `heads[r]` and needs `need_true[r]` (`need_false[r]`) of its body
+    literals justified true (false) for its head to be; `occurs[lit]` lists
+    the rules whose bodies hold `lit`, once per occurrence.  `loop_rules`
+    maps each loop head to (position, conjunctive, body), in rule order, and
+    `loop_watches` each of their body literals to their heads, once per
+    occurrence."""
 
     base: DefnfTheory
-    maps: JustificationMaps
     graph: DependencyGraph
-
-    @property
-    def n_atoms(self) -> int:
-        """Atoms of the theory plus their justification copies."""
-        return self.base.n_atoms + len(self.maps.just_atoms)
-
-    @property
-    def just_theory_atom(self) -> int:
-        return self.maps.to_just[self.base.theory_atom]
+    heads: list[int]
+    need_true: list[int]
+    need_false: list[int]
+    occurs: dict[int, list[int]]
+    loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]]
+    loop_watches: dict[int, list[int]]
 
 
 def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
-    """Number the justification copies of a theory's defined atoms.
+    """Index a theory for the justifier, the loop part and the tracker."""
+    graph = build_dependency_graph(theory.definition)
+    heads: list[int] = []
+    need_true: list[int] = []
+    need_false: list[int] = []
+    occurs: dict[int, list[int]] = {}
+    for r, rule in enumerate(theory.definition):
+        heads.append(rule.head)
+        size = len(rule.body)
+        need_true.append(size if rule.conjunctive else 1)
+        need_false.append(1 if rule.conjunctive else size)
+        for lit in rule.body:
+            occurs.setdefault(lit, []).append(r)
+    loop = graph.loop_atoms()
+    loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]] = {}
+    loop_watches: dict[int, list[int]] = {}
+    for rule in theory.definition:
+        if rule.head in loop:
+            loop_rules[rule.head] = (len(loop_rules), rule.conjunctive, rule.body)
+            for lit in rule.body:
+                loop_watches.setdefault(lit, []).append(rule.head)
+    return JustifiedTheory(theory, graph, heads, need_true, need_false, occurs,
+                           loop_rules, loop_watches)
 
-    The copies are numbered after the theory's atoms in ascending order of
-    the defined atom they copy, which makes their ids reproducible.
+
+class LoopPart:
+    """Unfounded sets of the loop part, the defined atoms on a positive loop
+    or depending positively on one, over a values array and the list of
+    literals that became true in it: the solver's trail, or the justifier's
+    stack.  `head` is how far the passes have read that list; whoever
+    shortens it lowers `head`.
+
+    Each founded loop atom keeps a source: its conjunctive body, or one of
+    its disjuncts.  After every pass each non-false loop atom has a source
+    with no false literal, every loop atom in a source has a source itself,
+    and the sources form no cycle, so the atoms with a source are exactly
+    the founded ones.  A pass therefore looks again only at the atoms whose
+    source lost a literal that turned false since the last pass, and at the
+    atoms whose sources hold those.  See `engine` for why backtracking
+    needs no undo.
     """
-    n = theory.n_atoms
-    to_just: dict[int, int] = {}
-    status_change: dict[int, int] = {}
-    for j_atom, atom in enumerate(sorted(theory.defined), start=n + 1):
-        to_just[atom] = j_atom
-        to_just[-atom] = -j_atom
-        status_change[j_atom] = atom
-        status_change[-j_atom] = -atom
-    for atom in theory.opens:
-        status_change[atom] = atom
-        status_change[-atom] = -atom
-    just_atoms = frozenset(range(n + 1, n + 1 + len(theory.defined)))
-    maps = JustificationMaps(to_just, just_atoms, status_change)
-    return JustifiedTheory(theory, maps, build_dependency_graph(theory.definition))
+
+    def __init__(self, setup: JustifiedTheory, values: list[int],
+                 trail: list[int]) -> None:
+        self.rules = setup.loop_rules
+        self.watches = setup.loop_watches
+        self.values = values
+        self.trail = trail
+        self.head = 0
+        # per atom: 0 for a conjunctive head (its source is the whole body),
+        # the source literal for a disjunctive one, None for no source; the
+        # list is made by the first pass
+        self.source: list[int | None] | None = None
+
+    def unfounded(self) -> list[int]:
+        """The non-false atoms of the greatest unfounded set, in `rules`
+        order, for the caller to make false; exact at a fixpoint where each
+        false body has made its head false (see `engine`)."""
+        rules = self.rules
+        if self.source is None:
+            self.source = [None] * len(self.values)
+            self.head = len(self.trail)
+            # in `rules` order, and so are the atoms left unfounded
+            return self._find_sources(dict.fromkeys(rules))
+        lost = self._lost_sources()
+        unfounded = self._find_sources(lost) if lost else []
+        if len(unfounded) > 1:
+            unfounded.sort(key=rules.__getitem__)  # by position
+        return unfounded
+
+    def _lost_sources(self) -> dict[int, None]:
+        """Read the trail from `head`; returns the non-false loop atoms
+        whose source holds a literal that turned false, or an atom returned
+        before it.  Their `source` entries are left as they are."""
+        values = self.values
+        source = self.source
+        watches = self.watches
+        trail = self.trail
+        unsupported = [-lit for lit in trail[self.head:]]
+        self.head = len(trail)
+        lost: dict[int, None] = {}
+        for lit in unsupported:  # grows while it is walked: the worklist
+            for head in watches.get(lit, ()):
+                if head not in lost and values[head] != -1:
+                    held = source[head]
+                    if held == 0 or held == lit:
+                        lost[head] = None
+                        unsupported.append(head)
+        return lost
+
+    def _find_sources(self, lost: dict[int, None]) -> list[int]:
+        """Give new sources to as many of the non-false `lost` atoms as can
+        have one, bottom-up; returns the others, in the order of `lost`.
+
+        A literal outside `lost` supports when it is not false.  The founded
+        atoms grow from a worklist with one counter per rule, so this takes
+        time linear in the rules of the `lost` atoms and their parents.
+        """
+        values = self.values
+        source = self.source
+        rules = self.rules
+        # lost head -> founded body atoms it still needs; 0 marks a
+        # conjunctive head with a false body literal, which never gets founded
+        need: dict[int, int] = {}
+        founded: list[int] = []
+        for head in lost:
+            if values[head] == -1:
+                continue
+            _, conjunctive, body = rules[head]
+            if conjunctive:
+                missing = 0
+                for lit in body:
+                    if (values[lit] if lit > 0 else -values[-lit]) == -1:
+                        need[head] = 0
+                        break
+                    if lit in lost:
+                        missing += 1
+                else:
+                    if missing:
+                        need[head] = missing
+                    else:
+                        source[head] = 0
+                        founded.append(head)
+            else:
+                for lit in body:
+                    if (lit not in lost
+                            and (values[lit] if lit > 0 else -values[-lit]) != -1):
+                        source[head] = lit
+                        founded.append(head)
+                        break
+                else:
+                    need[head] = 1
+        watches = self.watches
+        for atom in founded:  # grows while it is walked: the worklist
+            for head in watches.get(atom, ()):
+                missing = need.get(head)
+                if missing == 1:
+                    del need[head]
+                    founded.append(head)
+                    source[head] = 0 if rules[head][1] else atom
+                elif missing:
+                    need[head] = missing - 1
+        return list(need)
+
+    def check(self, levels: list[int]) -> None:
+        """Full-scan source invariant; raises AssertionError on breakage.  A
+        loop atom without a source is false at level 0.  A non-false atom's
+        source has no false literal, and a false atom's has none below the
+        atom's level.  The sources form no cycle."""
+        values = self.values
+        rules = self.rules
+        needs: dict[int, list[int]] = {}  # head -> the loop atoms in its source
+        for head, (_, conjunctive, body) in rules.items():
+            held = self.source[head]
+            if held is None:
+                if values[head] != -1 or levels[head]:
+                    raise AssertionError(f"loop atom {head} has no source")
+                continue
+            if conjunctive != (held == 0) or (held and held not in body):
+                raise AssertionError(f"{held} is not a source of {head}")
+            lits = body if conjunctive else (held,)
+            for lit in lits:
+                if (values[lit] if lit > 0 else -values[-lit]) == -1 and (
+                        values[head] != -1 or levels[abs(lit)] < levels[head]):
+                    raise AssertionError(f"source of {head} has false literal {lit}")
+            needs[head] = [lit for lit in lits if lit in rules]
+        if cyclic_literals(needs):
+            raise AssertionError("the sources form a cycle")
+
+
+class Justifier:
+    """The justified literals of the open literals read off a trail, kept
+    incrementally across backtracks (see the module docstring).
+
+    `values[atom]` is 1 when the atom is justified true, -1 when its
+    negation is justified and 0 otherwise.  `stack` holds the justified
+    literals in the order they were set, and `lim[L - 1]` the stack length
+    where the statuses tagged L begin.  `read` is the trail position up to
+    which the open literals have been read.
+    """
+
+    def __init__(self, setup: JustifiedTheory) -> None:
+        self.setup = setup
+        self.opens = setup.base.opens
+        self.values = [0] * (setup.base.n_atoms + 1)
+        self.stack: list[int] = []
+        self.lim: list[int] = []
+        self.read = 0
+        # per rule, the body literals still missing for each status, counted
+        # up to stack position `_counted`
+        self._to_true = list(setup.need_true)
+        self._to_false = list(setup.need_false)
+        self._counted = 0
+        self.loop = LoopPart(setup, self.values, self.stack)
+        # the stack length at the last `send`: `stack[:_heard]` has not
+        # changed since, and `_unheard` holds the literals the tracker heard
+        # as justified that a backtrack has popped since
+        self._heard = 0
+        self._unheard: list[int] = []
+        for r, head in enumerate(setup.heads):  # the empty bodies
+            if not self._to_true[r] or not self._to_false[r]:
+                self.values[head] = 1 if not self._to_true[r] else -1
+                self.stack.append(head * self.values[head])
+
+    def justified_literals(self) -> set[int]:
+        return set(self.stack)
+
+    def sync(self, trail: list[int], trail_lim: list[int]) -> None:
+        """Read the open literals of the trail from `read` on, closing each
+        level (`trail_lim` as in the solver) before the next."""
+        lim = self.lim
+        opens = self.opens
+        values = self.values
+        stack = self.stack
+        while True:
+            level = len(lim)
+            end = trail_lim[level] if level < len(trail_lim) else len(trail)
+            for lit in trail[self.read:end]:
+                if (lit if lit > 0 else -lit) in opens:
+                    values[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
+                    stack.append(lit)
+            self.read = end
+            self._close()
+            if level == len(trail_lim):
+                return
+            lim.append(len(stack))
+
+    def _close(self) -> None:
+        """Count the new statuses and falsify unfounded loop atoms until
+        neither sets a status."""
+        stack = self.stack
+        values = self.values
+        occurs = self.setup.occurs.get
+        heads = self.setup.heads
+        to_true = self._to_true
+        to_false = self._to_false
+        loop = self.loop
+        while True:
+            # a list iterator also yields the literals appended while it runs
+            reading = iter(stack)
+            reading.__setstate__(self._counted)
+            for lit in reading:
+                for r in occurs(lit, ()):
+                    to_true[r] -= 1
+                    if not to_true[r] and not values[heads[r]]:
+                        values[heads[r]] = 1
+                        stack.append(heads[r])
+                for r in occurs(-lit, ()):
+                    to_false[r] -= 1
+                    if not to_false[r] and not values[heads[r]]:
+                        values[heads[r]] = -1
+                        stack.append(-heads[r])
+            self._counted = len(stack)
+            if not loop.rules:
+                return
+            unfounded = loop.unfounded()
+            if not unfounded:
+                return
+            for atom in unfounded:
+                values[atom] = -1
+                stack.append(-atom)
+
+    def backtrack(self, level: int, position: int) -> None:
+        """Pop the statuses tagged above `level`; `position` is where the
+        trail is cut, the start of level `level + 1`."""
+        lim = self.lim
+        if level >= len(lim):
+            return
+        start = lim[level]
+        del lim[level:]
+        self.read = position
+        stack = self.stack
+        if start < self._heard:
+            self._unheard += stack[start:self._heard]
+            self._heard = start
+        values = self.values
+        occurs = self.setup.occurs.get
+        to_true = self._to_true
+        to_false = self._to_false
+        for lit in stack[start:]:
+            values[lit if lit > 0 else -lit] = 0
+            for r in occurs(lit, ()):
+                to_true[r] += 1
+            for r in occurs(-lit, ()):
+                to_false[r] += 1
+        del stack[start:]
+        self._counted = self.loop.head = start
+
+    def send(self, tracker: RelevanceTracker) -> None:
+        """Tell the tracker the net flips since the last send: each literal
+        of `_unheard` that is not justified again becomes unknown, and each
+        one on the stack from `_heard` on that was not heard becomes true."""
+        values = self.values
+        again: set[int] = set()
+        for lit in self._unheard:
+            if (values[lit] if lit > 0 else -values[-lit]) == 1:
+                again.add(lit)
+            else:
+                tracker.notify_becomes_unknown(lit)
+        stack = self.stack
+        for lit in stack[self._heard:]:
+            if lit not in again:
+                tracker.notify_becomes_true(lit)
+        self._heard = len(stack)
+        self._unheard.clear()

@@ -2,14 +2,13 @@
 
 The tracker is a module beside the solver, with a narrow interface:
 
-- built once per theory, by `RelevanceTracker.for_theory`, from the
-  justifier's setup: the static `core.DependencyGraph` that
-  `build_justification_maps` builds (`JustifiedTheory.graph`, which the
-  solver's loop peel and `satid solve --dot` read too) and the event-to-status
-  map; nothing can be added to the graph afterwards;
-- input: `notify_becomes_true` and `notify_becomes_unknown`, the solver's
-  literal changes; the event-to-status map says whose justified status each
-  one flips, and literals it lacks are ignored;
+- built once per theory, by `RelevanceTracker.for_theory`, from the static
+  `core.DependencyGraph` that `build_justification_maps` builds
+  (`JustifiedTheory.graph`, which the solver's loop peel and `satid solve
+  --dot` read too); nothing can be added to the graph afterwards;
+- input: `notify_becomes_true` and `notify_becomes_unknown`, each naming
+  the literal whose justified status flipped, which the solver reads off its
+  justifier (`justifier.Justifier.send`);
 - output: `is_relevant`, which the solver's decisions ask;
 - inspection: `relevant_literals`, `justified_literals`, `watched_parent`
   and `validate` (the debug invariants); these two sets and the `graph`
@@ -62,16 +61,18 @@ cycle.
 After a settle the relevant set is exact: it is the set of literals
 reachable from the unjustified theory atom through unjustified literals, so
 it depends on the justified set alone, not on the order or batching of the
-events.  On a path that ends at a literal with children, every literal
-before the last has a child with children, the next one, and so is deep.
-The paths from the theory atom to a key therefore pass only through keys,
-and so do those to a frontier literal but for their last step; those to a
-leaf end with one step from a key, or two through a frontier literal.  The
-argument below therefore runs on the keys alone, where watches live, and
-shows that the relevant keys are exactly the reachable ones.  A literal
-outside the map is then reachable exactly when it is unjustified and one of
-its parents is: that is the parent rule, which a query applies to a
-frontier parent in turn, and which reads a key's relevance from the map.
+events.  In the solver that set is the justifier's, the well-founded model
+of the trail's open literals, so relevance is read against exact status.
+On a path that ends at a literal with children, every literal before the
+last has a child with children, the next one, and so is deep.  The paths
+from the theory atom to a key therefore pass only through keys, and so do
+those to a frontier literal but for their last step; those to a leaf end
+with one step from a key, or two through a frontier literal.  The argument
+below therefore runs on the keys alone, where watches live, and shows that
+the relevant keys are exactly the reachable ones.  A literal outside the
+map is then reachable exactly when it is unjustified and one of its parents
+is: that is the parent rule, which a query applies to a frontier parent in
+turn, and which reads a key's relevance from the map.
 
 Each settle starts from a map that was exact for the justified set that the
 settle before it saw, and its batch holds every key whose status changed
@@ -98,28 +99,25 @@ relevant, and `m` got a watch, a contradiction.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Mapping
 
-from .core import DefnfTheory, DependencyGraph
-from .justifier import JustifiedTheory, build_justification_maps
+from .core import DefnfTheory, DependencyGraph, build_dependency_graph
+from .justifier import JustifiedTheory
 
 
 class RelevanceTracker:
     """Watched-parent relevance tracker for one static theory.
 
-    It is built from the theory atom, the theory's `DependencyGraph` and the
-    event-to-status map (`JustificationMaps.status_change`), and has no API
-    for adding rules later.  Construction settles nothing: the first read
-    builds the watches.  Notifications are batched until the next read,
-    which settles them; the result does not depend on how the caller
+    It is built from the theory atom and the theory's `DependencyGraph`, and
+    has no API for adding rules later.  Construction settles nothing: the
+    first read builds the watches.  Notifications are batched until the next
+    read, which settles them; the result does not depend on how the caller
     batches its calls.
     """
 
     def __init__(self, theory_atom: int, graph: DependencyGraph,
-                 status_change: Mapping[int, int], debug: bool = False) -> None:
+                 debug: bool = False) -> None:
         self._pt = theory_atom
         self.graph = graph
-        self._status_change = status_change
         self._debug = debug
         # each deep literal and the theory atom to its watched parent, the
         # root 0 or None; empty until the first settle builds it, so that
@@ -134,10 +132,8 @@ class RelevanceTracker:
     @classmethod
     def for_theory(cls, theory: DefnfTheory, setup: JustifiedTheory | None = None,
                    debug: bool = False) -> "RelevanceTracker":
-        if setup is None:
-            setup = build_justification_maps(theory)
-        return cls(theory.theory_atom, setup.graph, setup.maps.status_change,
-                   debug=debug)
+        graph = setup.graph if setup else build_dependency_graph(theory.definition)
+        return cls(theory.theory_atom, graph, debug=debug)
 
     # -- queries -----------------------------------------------------------
 
@@ -188,26 +184,20 @@ class RelevanceTracker:
     # -- solver events ------------------------------------------------------
 
     def notify_becomes_true(self, lit: int) -> None:
-        """A literal became true in the solver.  The event-to-status map says
-        whose justified status that flips; literals it lacks (those of
-        original defined atoms) are ignored."""
-        flipped = self._status_change.get(lit)
-        if flipped is not None:
-            if flipped in self._justified:
-                raise ValueError(f"literal {flipped} is already justified")
-            self._justified.add(flipped)
-            if flipped in self._watch:
-                self._changed.append(flipped)
+        """The literal became justified."""
+        if lit in self._justified:
+            raise ValueError(f"literal {lit} is already justified")
+        self._justified.add(lit)
+        if lit in self._watch:
+            self._changed.append(lit)
 
     def notify_becomes_unknown(self, lit: int) -> None:
-        """The mirror of notify_becomes_true for backtracked literals."""
-        flipped = self._status_change.get(lit)
-        if flipped is not None:
-            if flipped not in self._justified:
-                raise ValueError(f"literal {flipped} is not justified")
-            self._justified.remove(flipped)
-            if flipped in self._watch:
-                self._changed.append(flipped)
+        """The literal is no longer justified."""
+        if lit not in self._justified:
+            raise ValueError(f"literal {lit} is not justified")
+        self._justified.remove(lit)
+        if lit in self._watch:
+            self._changed.append(lit)
 
     # -- settling -----------------------------------------------------------
 

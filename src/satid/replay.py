@@ -1,12 +1,12 @@
 """Replay of notification traces against the relevance tracker.
 
-A trace scripts the solver-side events (literals becoming true or unknown,
-including justification literals), relevance queries, and expectations.  The
-replayer validates event ordering, forwards notifications to the tracker, and
-optionally cross-checks every quiescent state against the reference relevance
-fixpoint whenever the tracker's justified flags agree with the reference
-statuses (mid-batch states, where scripted justification events lag the
-assignment, are skipped).
+A trace scripts the solver-side events (literals whose justified status
+becomes true or unknown, over the theory's atoms), relevance queries, and
+expectations.  The replayer validates event ordering, forwards notifications
+to the tracker, and optionally cross-checks every quiescent state against the
+reference relevance fixpoint whenever the tracker's justified set agrees with
+the reference statuses of the trace's open literals (mid-batch states, where
+scripted defined-literal events lag the open ones, are skipped).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .core import TRUE, UNKNOWN, DefnfTheory, PartialInterpretation, atom_of
 from .formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
                       QUERY_RELEVANT, TraceEvent)
-from .justifier import JustifiedTheory, build_justification_maps
+from .justifier import JustifiedTheory
 from .relevance import RelevanceTracker
 from . import oracle
 
@@ -48,8 +48,7 @@ class TraceReplayer:
     def __init__(self, theory: DefnfTheory, *, setup: JustifiedTheory | None = None,
                  check_oracle: bool = False, debug: bool = False) -> None:
         self.theory = theory
-        self.setup = setup or build_justification_maps(theory)
-        self.tracker = RelevanceTracker.for_theory(theory, self.setup, debug=debug)
+        self.tracker = RelevanceTracker.for_theory(theory, setup, debug=debug)
         self.assignment = PartialInterpretation()
         self.check_oracle = check_oracle
         self.report = ReplayReport()
@@ -97,19 +96,19 @@ class TraceReplayer:
         return output
 
     def _check_literal(self, lit: int) -> None:
-        n_atoms = self.setup.n_atoms
+        n_atoms = self.theory.n_atoms
         if not 1 <= atom_of(lit) <= n_atoms:
             raise ReplayOrderError(f"literal {lit} outside atoms 1..{n_atoms}")
 
     def _maybe_check_oracle(self, index: int) -> None:
         if not self.check_oracle:
             return
-        original = self.assignment.restrict(self.theory.atoms.atoms())
-        reference_justified = oracle.justified_literals(self.theory, original)
+        opens = self.assignment.restrict(self.theory.opens)
+        reference_justified = oracle.justified_literals(self.theory, opens)
         if reference_justified != self.tracker.justified_literals():
-            return  # mid-batch: scripted justification events lag the assignment
+            return  # mid-batch: scripted defined-literal events lag the opens
         self.report.oracle_checks += 1
-        reference = oracle.relevant_set(self.theory, original)
+        reference = oracle.relevant_set(self.theory, opens)
         actual = self.tracker.relevant_literals()
         if reference != actual:
             missing = sorted(reference - actual)

@@ -8,16 +8,17 @@ import itertools
 import random
 import time
 
-from satid import (PartialInterpretation, RelevanceTracker, Rule, Solver,
-                   SolverConfig, UNKNOWN, atom_of, build_justification_maps,
-                   defined_fixpoint)
+from satid import (Justifier, PartialInterpretation, RelevanceTracker, Rule,
+                   Solver, SolverConfig, UNKNOWN, atom_of, build_justification_maps,
+                   defined_fixpoint, parse_cid)
 from satid.core import AtomTable, DefnfTheory, Definition
 from satid.formats import BECOMES_TRUE, BECOMES_UNKNOWN, TraceEvent
 from satid.replay import TraceReplayer
 from satid import oracle
 
 import theory_gen
-from test_engine import FilteredPickRecorder, NoFlipSolver
+from test_engine import (FilteredPickRecorder, NoFlipSolver,
+                         has_cycle_through_negation)
 
 ALL_CONFIGS = [
     SolverConfig(relevance_filter=filt, stop_on_justified=stop, debug=True)
@@ -45,8 +46,7 @@ def trace_corpus() -> tuple:
         if not oracle.is_total(theory.definition, theory.atoms.atoms()):
             continue
         setup = build_justification_maps(theory)
-        events, unwind = theory_gen.random_trace(rng, theory, setup,
-                                                 min_events=50)
+        events, unwind = theory_gen.random_trace(rng, theory, min_events=80)
         corpus.append((theory, setup, tuple(events), tuple(unwind)))
     return tuple(corpus)
 
@@ -71,6 +71,8 @@ def test_criterion_1_solver_matches_oracle_on_500_theories():
 
 
 def test_criterion_2_propagation_equals_justified_status():
+    # (a) on total definitions without a cycle through negation, propagation
+    # from the open literals alone derives exactly the justified statuses
     rng = random.Random(90125)
     mismatches = 0
     checked = 0
@@ -89,8 +91,46 @@ def test_criterion_2_propagation_equals_justified_status():
             if fixpoint[atom] != oracle.justified_status(theory, state, atom):
                 mismatches += 1
     assert mismatches == 0
+
+    # (b) the justifier's justified set is the oracle's, on both generators,
+    # non-total definitions and cycles through negation included, at a
+    # random open assignment spread over levels and again after each random
+    # pop to a lower level
+    rng = random.Random(90126)
+    sets = pops = unstratified = 0
+    for generate in (theory_gen.random_total_theory, theory_gen.random_theory):
+        for _ in range(300):
+            while True:
+                theory = generate(rng, max_atoms=14, max_rules=12)
+                if len(theory.defined) <= 12:
+                    break
+            unstratified += has_cycle_through_negation(theory)
+            setup = build_justification_maps(theory)
+            opens = theory_gen.random_open_literals(rng, theory)
+            rng.shuffle(opens)
+            trail_lim = sorted(rng.sample(range(len(opens) + 1),
+                                          rng.randint(0, len(opens))))
+            justifier = Justifier(setup)
+            justifier.sync(opens, trail_lim)
+            while True:
+                sets += 1
+                want = oracle.justified_literals(
+                    theory, PartialInterpretation.from_literals(opens))
+                if justifier.justified_literals() != want:
+                    mismatches += 1
+                if not trail_lim:
+                    break
+                level = rng.randrange(len(trail_lim))
+                justifier.backtrack(level, trail_lim[level])
+                del opens[trail_lim[level]:], trail_lim[level:]
+                justifier.sync(opens, trail_lim)
+                pops += 1
+    assert mismatches == 0
+    assert unstratified > 100 and pops > 300, (unstratified, pops)
     print(f"ACCEPTANCE 2 propagation = justifiedness: PASS "
-          f"(300 definitions, {checked} defined atoms, 0 mismatches)")
+          f"(300 definitions, {checked} defined atoms; justifier on {sets} "
+          f"justified sets of 600 definitions, {unstratified} with a cycle "
+          f"through negation, {pops} pops; 0 mismatches)")
 
 
 def test_criterion_3_relevance_quiescent_exactness():
@@ -113,21 +153,22 @@ def test_criterion_3_relevance_quiescent_exactness():
 
 
 def test_criterion_4_golden_examples():
-    # (a) structure of the justification copy
+    # (a) the justifier on the four checks: b and e justify every check but
+    # c1 <- ~b | ~d, and with d false the theory atom
     justdef = theory_gen.justdef_theory()
     setup = build_justification_maps(justdef)
-    ids = {name: justdef.atoms.id_of(name) for name in "abcde"}
-    j = {name: setup.maps.to_just[justdef.atoms.id_of(name)]
-         for name in ("p_T", "c1", "c2", "c3", "c4", "f")}
-    copy = theory_gen.combined_definition(setup)
-    by_name = {name: copy.rule_for(j_atom) for name, j_atom in j.items()}
-    assert by_name["p_T"].conjunctive
-    assert by_name["p_T"].body == (j["c1"], j["c2"], j["c3"], j["c4"])
-    assert by_name["c1"].body == (-ids["b"], -ids["d"])
-    assert by_name["c2"].body == (ids["a"], ids["b"], -ids["c"])
-    assert by_name["c3"].body == (-ids["b"], ids["e"], -j["f"])
-    assert by_name["c4"].body == (ids["d"], j["f"], -ids["a"])
-    assert by_name["f"].body == (ids["b"], ids["d"])
+    ids = {name: justdef.atoms.id_of(name)
+           for name in ("p_T", "c1", "c2", "c3", "c4", "f", "b", "d", "e")}
+    assert setup.need_true == [4, 1, 1, 1, 1, 1]
+    assert setup.need_false == [1, 2, 3, 3, 3, 2]
+    justifier = Justifier(setup)
+    justifier.sync([ids["b"], ids["e"], -ids["d"]], [2])
+    level_0 = {ids[name] for name in ("b", "e", "c2", "c3", "c4", "f")}
+    assert justifier.lim == [len(level_0)]
+    assert set(justifier.stack[:len(level_0)]) == level_0
+    assert justifier.stack[len(level_0):] == [-ids["d"], ids["c1"], ids["p_T"]]
+    justifier.backtrack(0, 2)
+    assert justifier.values[ids["p_T"]] == justifier.values[ids["c1"]] == 0
 
     # (b) justified prefix and pruned negated literal
     intro = theory_gen.intro_theory()
@@ -138,7 +179,7 @@ def test_criterion_4_golden_examples():
     intro_setup = build_justification_maps(intro)
     tracker = RelevanceTracker.for_theory(intro, intro_setup, debug=True)
     tracker.notify_becomes_true(names.id_of("d"))
-    tracker.notify_becomes_true(intro_setup.maps.to_just[names.id_of("a")])
+    tracker.notify_becomes_true(names.id_of("a"))
     assert not tracker.is_relevant(-names.id_of("e"))
 
     # (c) loop theory: initial candidate parents, then collapse after support
@@ -151,34 +192,61 @@ def test_criterion_4_golden_examples():
     assert loop_tracker.watched_parent(p) == p_T
     assert loop_tracker.watched_parent(q) == p
     loop_tracker.notify_becomes_true(a)
-    loop_tracker.notify_becomes_true(loop_setup.maps.to_just[p_T])
-    loop_tracker.notify_becomes_true(-loop_setup.maps.to_just[p])
-    loop_tracker.notify_becomes_true(-loop_setup.maps.to_just[q])
+    loop_tracker.notify_becomes_true(p_T)
+    loop_tracker.notify_becomes_true(-p)
+    loop_tracker.notify_becomes_true(-q)
     for lit in (p_T, a, p, q):
         assert not loop_tracker.is_relevant(lit)
     # p's other parent q keeps no watch that would close the loop p <-> q
     assert loop_tracker.watched_parent(p) is None
     assert loop_tracker.watched_parent(q) is None
     print("ACCEPTANCE 4 golden examples: PASS "
-          "(justification copy, justified prefix, loop collapse)")
+          "(justifier, justified prefix, loop collapse)")
+
+
+# `random` benchmark seed 1 no. 223: the total definition 1 <- ~1 | 2 | ~3,
+# 2 <- 3, whose completion makes atom 1 true at the root although 1 is not
+# justified before 3 is assigned
+NEGATIVE_CYCLE_CID = "p cid 3\nt 1\nr 1 d -1 2 -3 0\nr 2 d 3 0\n"
+
+
+@functools.lru_cache(maxsize=None)
+def unstratified_total_corpus() -> tuple:
+    """No. 223 and total `random_theory` definitions with a cycle through
+    negation."""
+    rng = random.Random(202609)
+    theories = [parse_cid(NEGATIVE_CYCLE_CID)]
+    while len(theories) < 150:
+        theory = theory_gen.random_theory(rng, max_atoms=8, max_rules=8)
+        if has_cycle_through_negation(theory) and oracle.is_total(
+                theory.definition, theory.atoms.atoms()):
+            theories.append(theory)
+    return tuple(theories)
 
 
 def test_criterion_5_early_stop_counts_match_oracle():
-    early_stops = 0
-    for theory in solver_corpus():
+    early_stops = unstratified = 0
+    for theory in solver_corpus() + unstratified_total_corpus():
         for config in ALL_CONFIGS:
             solver = Solver(theory, config)
             result = solver.solve()
             if result.status == "sat" and result.stats.stopped_early:
                 early_stops += 1
+                unstratified += has_cycle_through_negation(theory)
                 witness = result.witness_restricted(theory)
                 assert oracle.justified(theory, witness, theory.theory_atom)
                 count = oracle.count_models_extending(theory, witness)
                 assert count == result.stats.models_represented
                 assert count == 2 ** solver.report_justified_log2()
-    assert early_stops > 0
+    assert early_stops > 0 and unstratified > 100, (early_stops, unstratified)
+    # no. 223 stops once 3 is assigned, not at the root
+    for config in ALL_CONFIGS:
+        result = Solver(parse_cid(NEGATIVE_CYCLE_CID), config).solve()
+        assert result.stats.stopped_early == config.stop_on_justified
+        assert result.stats.decisions == 1
     print(f"ACCEPTANCE 5 early-stop model counts: PASS "
-          f"({early_stops} early stops, all counts equal 2^n)")
+          f"({early_stops} early stops, {unstratified} on total definitions with "
+          f"a cycle through negation, all counts equal 2^n)")
 
 
 def test_criterion_6_irrelevant_flips_preserve_justification():
@@ -189,8 +257,8 @@ def test_criterion_6_irrelevant_flips_preserve_justification():
     checked_states = 0
     flips = 0
     violations = 0
-    for theory, setup, events, _ in trace_corpus()[:80]:
-        for state in _batch_states(theory, setup, events)[:3]:
+    for theory, _, events, _ in trace_corpus()[:80]:
+        for state in _batch_states(theory, events)[:4]:
             extension = _justifying_extension(theory, state)
             if extension is None:
                 continue
@@ -214,27 +282,24 @@ def test_criterion_6_irrelevant_flips_preserve_justification():
           f"both ways, 0 violations)")
 
 
-def _batch_states(theory, setup, events):
-    """Interpretations at batch boundaries (tracker flags match the oracle)."""
+def _batch_states(theory, events):
+    """Open-atom interpretations at batch boundaries (the events' justified
+    set matches the oracle's)."""
     states = []
     interp = PartialInterpretation()
     tracker_justified: set[int] = set()
     for event in events:
         if event.kind == BECOMES_TRUE:
             interp.set_literal(event.literal)
-            change = setup.maps.status_change.get(event.literal)
-            if change is not None:
-                tracker_justified.add(change)
+            tracker_justified.add(event.literal)
         elif event.kind == BECOMES_UNKNOWN:
-            change = setup.maps.status_change.get(event.literal)
-            if change is not None:
-                tracker_justified.discard(change)
+            tracker_justified.discard(event.literal)
             interp.unset(atom_of(event.literal))
         else:
             continue
-        original = interp.restrict(theory.atoms.atoms())
-        if oracle.justified_literals(theory, original) == tracker_justified:
-            states.append(original)
+        opens = interp.restrict(theory.opens)
+        if oracle.justified_literals(theory, opens) == tracker_justified:
+            states.append(opens)
     return states
 
 
@@ -263,8 +328,8 @@ def test_criterion_7_structural_invariants():
         assert replayer.tracker.relevant_literals() == fresh.relevant_literals()
         assert replayer.tracker.justified_literals() == set()
 
-    # justification atoms never decided, and filtered decisions are relevant
-    # for the oracle at the moment of the decision
+    # every decision is over one of the theory's atoms, and filtered
+    # decisions are relevant for the oracle at the moment of the decision
     decisions_checked = 0
     for theory in solver_corpus()[:150]:
         for stop in (True, False):
@@ -273,14 +338,14 @@ def test_criterion_7_structural_invariants():
             solver = FilteredPickRecorder(theory, config)
             solver.solve()
             for start in solver.trail_lim:
-                assert abs(solver.trail[start]) not in solver.setup.maps.just_atoms
+                assert 1 <= abs(solver.trail[start]) <= theory.n_atoms
             for atom, state in solver.filtered:
                 relevant = oracle.relevant_set(theory, state)
                 assert atom in relevant or -atom in relevant
                 decisions_checked += 1
     print(f"ACCEPTANCE 7 structural invariants: PASS "
           f"(100 traces validated and reversed, {decisions_checked} filtered "
-          f"decisions oracle-relevant, no justification atom decided)")
+          f"decisions oracle-relevant, every decision over a theory atom)")
 
 
 def test_criterion_8_incremental_tracker_performance():
@@ -289,19 +354,18 @@ def test_criterion_8_incremental_tracker_performance():
     rules += [Rule(atom, False, (atom + 1,)) for atom in range(2, size)]
     theory = DefnfTheory(AtomTable([None] * size), 1, Definition(rules))
     setup = build_justification_maps(theory)
-    to_just = setup.maps.to_just
 
     events = [TraceEvent(BECOMES_TRUE, size)]
-    events += [TraceEvent(BECOMES_TRUE, to_just[a]) for a in range(size - 1, 0, -1)]
-    events += [TraceEvent(BECOMES_UNKNOWN, to_just[a]) for a in range(1, size)]
+    events += [TraceEvent(BECOMES_TRUE, a) for a in range(size - 1, 0, -1)]
+    events += [TraceEvent(BECOMES_UNKNOWN, a) for a in range(1, size)]
     events.append(TraceEvent(BECOMES_UNKNOWN, size))
     rng = random.Random(0)
     while len(events) < 100_000:
         depth = rng.randint(2, 12)
         tail = range(size - 1, size - 1 - depth, -1)
-        events += [TraceEvent(BECOMES_TRUE, to_just[a]) for a in tail]
+        events += [TraceEvent(BECOMES_TRUE, a) for a in tail]
         events.append(TraceEvent("query_relevant", rng.randint(1, size)))
-        events += [TraceEvent(BECOMES_UNKNOWN, to_just[a]) for a in reversed(tail)]
+        events += [TraceEvent(BECOMES_UNKNOWN, a) for a in reversed(tail)]
         events.append(TraceEvent("query_relevant", rng.randint(1, size)))
     events = events[:100_000]
 

@@ -6,10 +6,11 @@ from operator import neg
 
 import pytest
 
-from satid import (FALSE, TRUE, AtomTable, DefnfTheory, Definition,
-                   PartialInterpretation, RelevanceTracker, Rule, Solver,
-                   SolverConfig, build_dependency_graph, build_justification_maps,
-                   completion_clauses, defined_fixpoint, parse_cid, solve)
+from satid import (FALSE, TRUE, UNKNOWN, AtomTable, DefnfTheory, Definition,
+                   Justifier, PartialInterpretation, RelevanceTracker, Rule,
+                   Solver, SolverConfig, build_dependency_graph,
+                   build_justification_maps, completion_clauses, defined_fixpoint,
+                   parse_cid, solve)
 from satid.core import cyclic_literals
 from satid.engine import BudgetExhausted, _luby
 from satid import oracle
@@ -45,11 +46,9 @@ def test_unit_chain_propagates():
     assert solver.lit_value(theory.atoms.id_of("a")) == 1
 
 
-def unassigned_decidable(solver):
-    """The unassigned atoms that are not justification atoms, ascending."""
-    just_atoms = solver.setup.maps.just_atoms
-    return [atom for atom in range(1, len(solver.values))
-            if not solver.values[atom] and atom not in just_atoms]
+def unassigned_atoms(solver):
+    """The unassigned atoms, ascending."""
+    return [atom for atom in range(1, len(solver.values)) if not solver.values[atom]]
 
 
 def reference_unit_fixpoint(clauses, assigned):
@@ -73,10 +72,12 @@ def reference_unit_fixpoint(clauses, assigned):
 
 def checked_propagate_unit(solver):
     """`propagate_unit`, checked against the reference fixpoint and the
-    watch, reason, level, counter and notification bookkeeping."""
+    watch, reason, level, counter and justifier bookkeeping."""
     before = len(solver.trail)
     propagations = solver.stats.propagations
-    heard, unheard = solver._heard, list(solver._unheard)
+    justifier = solver.justifier
+    if justifier is not None:
+        read, stack = justifier.read, list(justifier.stack)
     want = reference_unit_fixpoint(solver.clauses, solver.trail)
     conflict = solver.propagate_unit()
     assert (conflict is None) == (want is not None)
@@ -95,10 +96,11 @@ def checked_propagate_unit(solver):
         assert all(solver.lit_value(other) == -1 for other in reason if other != lit)
         assert solver.levels[atom] == solver.level
     # nothing is recorded per assignment: the implied literals lie past the
-    # heard part of the trail, where the next sync reads them
-    assert solver._heard == heard <= before and solver._unheard == unheard
-    if conflict is None:  # both phases read the whole trail
-        assert solver.qheads[:2] == [len(solver.trail)] * 2
+    # part of the trail the justifier has read, where its next sync reads them
+    if justifier is not None:
+        assert justifier.read == read <= before and justifier.stack == stack
+    if conflict is None:  # the whole trail is read
+        assert solver.qhead == len(solver.trail)
     check_watches(solver)
     return conflict, len(implied)
 
@@ -110,28 +112,22 @@ def root_literals(solver):
 
 def check_watches(solver):
     """Each clause of two or more literals that is not true at level 0 is
-    watched on its first two literals, in exactly one table: the copy table
-    for the copies' clauses, `clauses[n_base:2*n_base]`, and the base table
-    for every other one.  A clause true at level 0 is watched on at most
-    those two, in the same table.  Every watch holds a stored clause itself,
-    not a copy of it.  Each stored clause holds the literals it was created
-    with (`solver.created`, of a `ClauseRecorder`), less only literals false
-    at level 0."""
-    n_base = len(completion_clauses(solver.setup.base.definition))
-    assert 2 * n_base <= solver.n_problem_clauses
+    watched on its first two literals.  A clause true at level 0 is watched
+    on at most those two.  Every watch holds a stored clause itself, not a
+    copy of it.  Each stored clause holds the literals it was created with
+    (`solver.created`, of a `ClauseRecorder`), less only literals false at
+    level 0."""
     root = root_literals(solver)
-    watched = {}  # id of each watched clause -> its (table, literal) watches
-    for t, table in enumerate(solver.watches):
-        for lit, watchlist in table.items():
-            for clause in watchlist:
-                watched.setdefault(id(clause), []).append((t, lit))
+    watched = {}  # id of each watched clause -> the literals it is watched on
+    for lit, watchlist in solver.watches.items():
+        for clause in watchlist:
+            watched.setdefault(id(clause), []).append(lit)
     assert len(solver.created) == len(solver.clauses)
-    for ci, (clause, created) in enumerate(zip(solver.clauses, solver.created)):
+    for clause, created in zip(solver.clauses, solver.created):
         assert not Counter(clause) - Counter(created)
         assert all(-lit in root for lit in Counter(created) - Counter(clause))
         if len(clause) >= 2:
-            t = 1 if n_base <= ci < 2 * n_base else 0
-            both = sorted([(t, clause[0]), (t, clause[1])])
+            both = sorted(clause[:2])
             held = sorted(watched.pop(id(clause), ()))
             if root.isdisjoint(clause):
                 assert held == both
@@ -142,12 +138,11 @@ def check_watches(solver):
 
 def test_unit_propagation_matches_the_reference_fixpoint():
     # CDCL steps with random decisions and random backjumps; every
-    # propagate_unit call is compared with a full scan over the clauses of
-    # both watch tables
+    # propagate_unit call is compared with a full scan over the clauses
     rng = random.Random(43)
     theories = ([theory_gen.random_theory(rng, 10, 10) for _ in range(150)]
                 + [theory_gen.random_total_theory(rng, 10, 10) for _ in range(150)]
-                + [theory_gen.three_sat_theory(rng, 14, 60) for _ in range(28)])
+                + [theory_gen.three_sat_theory(rng, 14, 60) for _ in range(64)])
     calls = propagated = conflicts = syncs = 0
     sync_rng = random.Random(44)  # apart, so that the search is the same
     for theory in theories:
@@ -158,7 +153,7 @@ def test_unit_propagation_matches_the_reference_fixpoint():
             conflict, implied = checked_propagate_unit(solver)
             calls += 1
             propagated += implied
-            if conflict is None and solver._loop_rules:
+            if conflict is None and solver.loop.rules:
                 before = len(solver.trail)
                 conflict = solver.propagate_unfounded()
                 if conflict is None and len(solver.trail) > before:
@@ -175,11 +170,13 @@ def test_unit_propagation_matches_the_reference_fixpoint():
             else:
                 if solver.tracker is not None and sync_rng.random() < 0.5:
                     # the sync reads the trail and what backtracks undid
+                    solver._sync_justifier()
                     solver._sync_tracker()
                     syncs += 1
-                    assert solver._heard == len(solver.trail)
+                    assert solver.justifier.read == len(solver.trail)
+                    assert solver.justifier._heard == len(solver.justifier.stack)
                     assert solver.tracker.justified_literals() == implied_justified(solver)
-                free = unassigned_decidable(solver)
+                free = unassigned_atoms(solver)
                 if not free:
                     break
                 atom = rng.choice(free)
@@ -211,93 +208,72 @@ class RecordingSolver(ClauseRecorder, Solver):
     pass
 
 
-class OneTableSolver(ClauseRecorder, Solver):
-    """Reference unit propagation: one watch table for every clause and one
-    queue head, so each trail literal is read against the copy's clauses and
-    the base clauses together, and a base conflict can come after the copy
-    has assigned justification literals on the same level."""
+class OracleCheckedSolver(Solver):
+    """At every sync, checks the justifier's set against the oracle's
+    justified literals of the trail's open literals, and counts the syncs
+    and those that follow a backtrack.  Past the oracle's search guard, the
+    reference is the well-founded model from the alternating fixpoint."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        table = {}  # in clause order, as one pass over all the clauses
-        for clause in self.clauses:
-            if len(clause) >= 2:
-                table.setdefault(clause[0], []).append(clause)
-                table.setdefault(clause[1], []).append(clause)
-        self.watches = (table, {})
+        self.syncs = self.after_backtrack = self.popped = 0
+        self.backtracked = False
 
-    def propagate_unit(self):
-        trail = self.trail
-        qhead = self.qheads[0]
-        start = len(trail)
-        watches = self.watches[0]
-        conflict = None
-        while conflict is None and qhead < len(trail):
-            falsified = -trail[qhead]
-            qhead += 1
-            watchlist = watches.get(falsified)
-            if not watchlist:
-                continue
-            kept = []
-            for i, clause in enumerate(watchlist):
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], falsified
-                first = clause[0]
-                value = self.lit_value(first)
-                if value == 1:
-                    kept.append(clause)
-                    continue
-                for k in range(2, len(clause)):
-                    lit = clause[k]
-                    if self.lit_value(lit) != -1:
-                        clause[1], clause[k] = lit, falsified
-                        watches.setdefault(lit, []).append(clause)
-                        break
-                else:
-                    kept.append(clause)
-                    if value == -1:
-                        kept.extend(watchlist[i + 1:])
-                        conflict = clause
-                        break
-                    atom = abs(first)
-                    self.values[atom] = 1 if first > 0 else -1
-                    self.levels[atom] = len(self.trail_lim)
-                    self.reasons[atom] = clause
-                    trail.append(first)
-            watches[falsified] = kept
-        self.qheads[0] = self.qheads[1] = qhead
-        self.stats.propagations += len(trail) - start
-        return conflict
+    def _backtrack(self, target_level):
+        if self.justifier is not None and target_level < len(self.justifier.lim):
+            self.popped += len(self.justifier.stack) - self.justifier.lim[target_level]
+        self.backtracked |= target_level < self.level
+        super()._backtrack(target_level)
+
+    def _sync_justifier(self):
+        justifier = super()._sync_justifier()
+        opens = PartialInterpretation.from_literals(
+            lit for lit in self.trail if abs(lit) in self.theory.opens)
+        if len(self.theory.defined) <= oracle.MAX_SEARCH_DEFINED:
+            want = oracle.justified_literals(self.theory, opens)
+        else:
+            want = set(oracle.well_founded_model(self.theory.definition,
+                                                 opens).true_literals())
+        assert justifier.justified_literals() == want, (
+            self.theory.definition.rules, opens, sorted(want))
+        self.syncs += 1
+        self.after_backtrack += self.backtracked
+        self.backtracked = False
+        return justifier
 
 
-def test_two_phase_propagation_matches_one_table():
-    # the phase order changes which literals a conflicting level assigns,
-    # and so the propagation count, but no answer, decision, conflict or
-    # learned clause; the definitions of random_theory may be non-total
+def test_justifier_matches_the_oracle_along_the_search():
+    # at every decision point of real searches, with backjumps, restarts and
+    # chronological flips, the incremental justifier's set is the oracle's
+    # justified set of the trail's open literals, and (debug) that of a
+    # fresh justifier; the definitions of random_theory may be non-total
+    # and have cycles through negation
     rng = random.Random(45)
-    corpus = (deferral_corpus()
+    corpus = ([theory_gen.intro_theory(), theory_gen.justdef_theory(),
+               theory_gen.loop_theory()]
+              + [parse_cid(text) for text in TRACKER_MISS_CIDS] + LOOP_SHAPES
               + [theory_gen.random_theory(rng, 12, 12) for _ in range(300)]
               + [theory_gen.three_sat_theory(rng, 30, 128) for _ in range(12)])
-    learned = fewer = 0
+    syncs = after_backtrack = popped = 0
     for theory in corpus:
         for config in ALL_CONFIGS:
-            one, two = OneTableSolver(theory, config), RecordingSolver(theory, config)
-            want, got = one.solve(), two.solve()
-            context = (theory.definition.rules, config)
-            assert got.status == want.status, context
-            assert got.witness == want.witness, context  # justification atoms too
-            assert two.learned == one.learned, context
-            assert got.stats.propagations <= want.stats.propagations, context
-            fewer += got.stats.propagations < want.stats.propagations
-            assert (dataclasses.replace(got.stats, propagations=0, wall_ms=0)
-                    == dataclasses.replace(want.stats, propagations=0, wall_ms=0)), context
-            learned += len(two.learned)
-    assert learned > 5000 and fewer > 250, (learned, fewer)
+            solver = OracleCheckedSolver(theory, dataclasses.replace(config, debug=True))
+            solver.solve()
+            assert (solver.justifier is None) == (
+                not config.relevance_filter and not config.stop_on_justified)
+            syncs += solver.syncs
+            after_backtrack += solver.after_backtrack
+            popped += solver.popped
+    # 2328 syncs, 298 after a backtrack and 7013 statuses popped when written
+    assert syncs > 2000 and after_backtrack > 250 and popped > 5000, (
+        syncs, after_backtrack, popped)
 
 
 def test_a_base_conflict_assigns_no_justification_literal():
-    # a decides the level: the base derives b, then c, then a conflict in
-    # z's completion, and v <- a | d makes the copy's j(v) true on a
+    # a decides the level: propagation derives b, then c, then a conflict in
+    # z's completion, and ~b is learned.  The level ends in the conflict, so
+    # the justifier never reads it: v <- a | d, which a would justify, gets
+    # no status, and the backjump finds nothing of the level to pop
     theory = theory_gen.build_theory(
         "p_T x y z v a b c d", "p_T",
         [("p_T", "c", ["x", "y", "z"]),
@@ -305,23 +281,24 @@ def test_a_base_conflict_assigns_no_justification_literal():
          ("y", "d", ["~b", "c"]),
          ("z", "d", ["~c", "~b"]),
          ("v", "d", ["a", "d"])])
-    a = theory.atoms.id_of("a")
-    maps = build_justification_maps(theory).maps
-    j_v = maps.to_just[theory.atoms.id_of("v")]
-    runs = {}
-    for cls in (RecordingSolver, OneTableSolver):
-        solver = cls(theory, SolverConfig(relevance_filter=False))
-        assert solver._enqueue_root_units()
-        assert solver.propagate() is None
-        solver._decide(a)
-        conflict = solver.propagate_unit()
-        assert conflict is not None
-        runs[cls] = solver.trail[solver.trail_lim[0]:], solver.analyze_conflict(conflict)
-    two, one = runs[RecordingSolver], runs[OneTableSolver]
-    assert not any(abs(lit) in maps.just_atoms for lit in two[0])
-    assert j_v in one[0]  # the one-table pass reads the copy on the way
-    assert [lit for lit in one[0] if abs(lit) not in maps.just_atoms] == two[0]
-    assert two[1] == one[1]  # the same learned clause and backjump level
+    a, b, v = (theory.atoms.id_of(name) for name in "abv")
+    solver = Solver(theory, SolverConfig(debug=True))
+    assert solver._enqueue_root_units()
+    assert solver.propagate() is None
+    justifier = solver._sync_justifier()
+    root = list(justifier.stack)
+    solver._decide(a)
+    conflict = solver.propagate_unit()
+    assert conflict is not None
+    learned, level = solver.analyze_conflict(conflict)
+    assert (learned, level) == ([-b], 0)
+    assert justifier.read == solver.trail_lim[0] and justifier.lim == []
+    solver._backtrack(level)
+    assert justifier.stack == root and justifier.values[v] == 0
+    solver._enqueue(learned[0], solver._add_learned_clause(learned))
+    assert solver.propagate() is None
+    solver._sync_justifier()  # and, in debug, against a fresh justifier
+    assert {-a, -b} <= justifier.justified_literals() and justifier.values[v] == 0
 
 
 class KeepingSolver(ClauseRecorder, Solver):
@@ -332,57 +309,50 @@ class KeepingSolver(ClauseRecorder, Solver):
     def propagate_unit(self):
         trail = self.trail
         start = len(trail)
-        tables = self.watches
-        heads = self.qheads
+        watches = self.watches
         values = self.values
         levels = self.levels
         reasons = self.reasons
         level = len(self.trail_lim)
         conflict = None
-        phase = 0
-        while True:
-            watches = tables[phase]
-            reading = iter(trail)
-            reading.__setstate__(heads[phase])
-            for falsified in map(neg, reading):
-                watchlist = watches.get(falsified)
-                if not watchlist:
+        reading = iter(trail)
+        reading.__setstate__(self.qhead)
+        for falsified in map(neg, reading):
+            watchlist = watches.get(falsified)
+            if not watchlist:
+                continue
+            kept = []
+            for i, clause in enumerate(watchlist):
+                first = clause[0]
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                value = values[first] if first > 0 else -values[-first]
+                if value == 1:
+                    kept.append(clause)
                     continue
-                kept = []
-                for i, clause in enumerate(watchlist):
-                    first = clause[0]
-                    if first == falsified:
-                        first = clause[0] = clause[1]
-                        clause[1] = falsified
-                    value = values[first] if first > 0 else -values[-first]
-                    if value == 1:
-                        kept.append(clause)
-                        continue
-                    for k in range(2, len(clause)):
-                        lit = clause[k]
-                        if (values[lit] if lit > 0 else -values[-lit]) != -1:
-                            clause[1] = lit
-                            clause[k] = falsified
-                            watches.setdefault(lit, []).append(clause)
-                            break
-                    else:
-                        kept.append(clause)
-                        if value == -1:
-                            kept.extend(watchlist[i + 1:])
-                            conflict = clause
-                            break
-                        atom = first if first > 0 else -first
-                        values[atom] = 1 if first > 0 else -1
-                        levels[atom] = level
-                        reasons[atom] = clause
-                        trail.append(first)
-                watches[falsified] = kept
-                if conflict is not None:
-                    break
-            heads[phase] = len(trail)
-            phase = 1 - phase
-            if conflict is not None or heads[phase] == len(trail):
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if (values[lit] if lit > 0 else -values[-lit]) != -1:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches.setdefault(lit, []).append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value == -1:
+                        kept.extend(watchlist[i + 1:])
+                        conflict = clause
+                        break
+                    atom = first if first > 0 else -first
+                    values[atom] = 1 if first > 0 else -1
+                    levels[atom] = level
+                    reasons[atom] = clause
+                    trail.append(first)
+            watches[falsified] = kept
+            if conflict is not None:
                 break
+        self.qhead = len(trail)
         self.stats.propagations += len(trail) - start
         return conflict
 
@@ -401,7 +371,7 @@ def shortened_at_the_root(items, whole, root):
 
 
 def watch_count(solver):
-    return sum(len(watchlist) for table in solver.watches for watchlist in table.values())
+    return sum(len(watchlist) for watchlist in solver.watches.values())
 
 
 def test_root_simplification_changes_no_counter():
@@ -420,7 +390,7 @@ def test_root_simplification_changes_no_counter():
             want, got = keep.solve(), simplify.solve()
             context = (theory.definition.rules, config)
             assert got.status == want.status, context
-            assert got.witness == want.witness, context  # justification atoms too
+            assert got.witness == want.witness, context
             assert simplify.learned == keep.learned, context
             assert (dataclasses.replace(got.stats, wall_ms=0)
                     == dataclasses.replace(want.stats, wall_ms=0)), context
@@ -437,12 +407,12 @@ def test_root_simplification_changes_no_counter():
                 position[id(clause)] = position[id(whole)] = i
             root_true = {i for i, clause in enumerate(simplify.clauses)
                          if not root.isdisjoint(clause)}
-            for table, kept_table in zip(simplify.watches, keep.watches):
-                assert table.keys() <= kept_table.keys(), context
-                for lit, kept in kept_table.items():
-                    assert shortened_at_the_root(
-                        [position[id(clause)] for clause in table.get(lit, ())],
-                        [position[id(clause)] for clause in kept], root_true), context
+            table, kept_table = simplify.watches, keep.watches
+            assert table.keys() <= kept_table.keys(), context
+            for lit, kept in kept_table.items():
+                assert shortened_at_the_root(
+                    [position[id(clause)] for clause in table.get(lit, ())],
+                    [position[id(clause)] for clause in kept], root_true), context
             if theory in three_sat:
                 dropped += watch_count(keep) - watch_count(simplify)
                 deleted += sum(map(len, keep.clauses)) - sum(map(len, simplify.clauses))
@@ -499,14 +469,20 @@ def test_fixpoint_reads_the_open_atoms_once(monkeypatch):
     assert reads <= 3
 
 
-def test_justification_copy_unfounded_at_root(loop):
-    solver = Solver(loop, SolverConfig(relevance_filter=False))
+def test_justifier_unfounded_at_root(loop):
+    # p <- q and q <- p form an unfounded set before any open atom is read;
+    # the theory atom p_T <- a | p waits for a
+    justifier = Justifier(build_justification_maps(loop))
+    justifier.sync([], [])
+    assert justifier.stack == [-3, -4]
+    assert justifier.lim == [] and justifier.values[1] == 0
+    justifier.sync([1, 2, -3, -4], [])  # the solver's root: only a is open
+    assert justifier.stack == [-3, -4, 2, 1]
+    solver = Solver(loop, SolverConfig(relevance_filter=False, debug=True))
     assert solver._enqueue_root_units()
     assert solver.propagate() is None
-    j_p = solver.setup.maps.to_just[3]
-    j_q = solver.setup.maps.to_just[4]
-    assert solver.lit_value(j_p) == -1
-    assert solver.lit_value(j_q) == -1
+    # the first sync reads the open a before it closes level 0
+    assert solver._sync_justifier().stack == [2, 1, -3, -4]
 
 
 def test_no_unfounded_set_without_positive_loops(intro):
@@ -516,9 +492,9 @@ def test_no_unfounded_set_without_positive_loops(intro):
 
 
 def reference_unfounded(solver):
-    """The all-atoms founded-set sweep over the whole combined definition,
-    repeated until nothing changes: the unfounded atoms in rule order."""
-    definition = theory_gen.combined_definition(solver.setup)
+    """The all-atoms founded-set sweep over the whole definition, repeated
+    until nothing changes: the unfounded atoms in rule order."""
+    definition = solver.theory.definition
     defined = definition.defined_atoms
     candidates = [rule.head for rule in definition if solver.values[rule.head] != -1]
     founded = set()
@@ -543,7 +519,7 @@ def reference_reasons(solver, unfounded):
     """External-bodies reason clauses for the unfounded atoms, and the
     literals they put on the trail, up to the first atom that is true."""
     blockers = []
-    definition = theory_gen.combined_definition(solver.setup)
+    definition = solver.theory.definition
     for atom in unfounded:
         rule = definition.rule_for(atom)
         for lit in rule.body:
@@ -602,7 +578,7 @@ def test_unfounded_pass_matches_all_atoms_sweep():
             if expected:
                 nonempty += 1
                 continue
-            unassigned = unassigned_decidable(solver)
+            unassigned = unassigned_atoms(solver)
             if not unassigned:
                 break
             atom = rng.choice(unassigned)
@@ -616,7 +592,7 @@ def test_unfounded_pass_matches_sweep_across_backtracks():
     # from sources kept across the backtrack
     rng = random.Random(38)
     theories = LOOP_SHAPES * 20 + [theory_gen.random_theory(rng, max_atoms=10)
-                                   for _ in range(600)]
+                                   for _ in range(900)]
     after_backtrack = backtracks = 0
     for theory in theories:
         solver = Solver(theory, SolverConfig(relevance_filter=False, debug=True),
@@ -637,7 +613,7 @@ def test_unfounded_pass_matches_sweep_across_backtracks():
                     after_backtrack += 1
                 if expected and conflict is None:
                     continue
-            unassigned = unassigned_decidable(solver)
+            unassigned = unassigned_atoms(solver)
             if conflict is None and unassigned and (solver.level == 0
                                                     or rng.random() < 0.6):
                 atom = rng.choice(unassigned)
@@ -701,13 +677,13 @@ def test_debug_source_checks_hold_while_solving():
     assert checked > 900 and unfounded > 500, (checked, unfounded)
 
 
-def test_loop_index_and_clauses_follow_the_combined_definition():
-    # the solver renames the base clauses and loop rules into the copy
-    # instead of building the combined definition; its clauses, and its loop
-    # index with the order unfounded atoms are falsified in, must be the
-    # ones the combined definition gives, in its rule order.  On the
-    # shuffled shapes (100 loops over 1200 atoms, 20 over 300) that order is
-    # not the ascending one.
+def test_loop_index_and_clauses_follow_the_definition():
+    # the problem clauses are the completion of the definition, and the loop
+    # index holds the loop rules in rule order, the order unfounded atoms are
+    # falsified in.  On the shuffled shapes (100 loops over 1200 atoms, 20
+    # over 300) that order is not the ascending one.  The justifier's index
+    # gives each rule its head and count thresholds, and each body literal
+    # its rules, once per occurrence
     rng = random.Random(15)
     theories = ([theory_gen.shuffled_loops_theory(rng, count, n_atoms)
                  for count, n_atoms in [(100, 1200), (20, 300)] * 4]
@@ -716,21 +692,30 @@ def test_loop_index_and_clauses_follow_the_combined_definition():
     unsorted = 0
     for theory in theories:
         solver = Solver(theory, SolverConfig(relevance_filter=False))
-        combined = theory_gen.combined_definition(solver.setup)
+        definition = theory.definition
         assert solver.clauses[:solver.n_problem_clauses] == (
-            completion_clauses(combined) + [[theory.theory_atom]])
+            completion_clauses(definition) + [[theory.theory_atom]])
         loop = solver.setup.graph.loop_atoms()
-        loop |= {solver.setup.maps.to_just[atom] for atom in loop}
-        order = [rule.head for rule in combined if rule.head in loop]
-        assert list(solver._loop_rules) == order
+        order = [rule.head for rule in definition if rule.head in loop]
+        assert list(solver.loop.rules) == order
         watches = {}
         for position, atom in enumerate(order):
-            rule = combined.rule_for(atom)
-            assert solver._loop_rules[atom] == (position, rule.conjunctive, rule.body)
+            rule = definition.rule_for(atom)
+            assert solver.loop.rules[atom] == (position, rule.conjunctive, rule.body)
             for lit in rule.body:
                 watches.setdefault(lit, []).append(atom)
-        assert solver._loop_watches == watches
+        assert solver.loop.watches == watches
         unsorted += order != sorted(order)
+        setup = solver.setup
+        occurs = {}
+        for r, rule in enumerate(definition):
+            size = len(rule.body)
+            assert setup.heads[r] == rule.head
+            assert (setup.need_true[r], setup.need_false[r]) == (
+                (size, 1) if rule.conjunctive else (1, size))
+            for lit in rule.body:
+                occurs.setdefault(lit, []).append(r)
+        assert setup.occurs == occurs
     assert unsorted >= 8, unsorted
 
 
@@ -807,7 +792,7 @@ def test_loop_peel_matches_the_cycle_reference():
         setup = build_justification_maps(theory)
         assert setup.graph.loop_atoms() == want, theory.definition.rules
         solver = Solver(theory, SolverConfig(relevance_filter=False))
-        assert set(solver._loop_rules) == want | {setup.maps.to_just[a] for a in want}
+        assert set(solver.loop.rules) == want
         with_loops += bool(want)
     assert with_loops > 100, with_loops
 
@@ -833,9 +818,11 @@ def test_loop_peel_handles_empty_bodies_and_repeated_literals(rules, want):
 # -- deferred tracker notifications ----------------------------------------------------
 
 def implied_justified(solver):
-    """The justified set that the solver's current assignment implies."""
-    status_change = solver.setup.maps.status_change
-    return {status_change[lit] for lit in solver.trail if lit in status_change}
+    """The justified set that the open literals of the solver's trail imply,
+    by a fresh justifier."""
+    fresh = Justifier(solver.setup)
+    fresh.sync([lit for lit in solver.trail if abs(lit) in solver.theory.opens], [])
+    return fresh.justified_literals()
 
 
 class DecisionProbe:
@@ -863,39 +850,33 @@ class DeferredSolver(DecisionProbe, Solver):
 
 
 class EagerSolver(DecisionProbe, Solver):
-    """Reference: the tracker hears every assignment as it is made and every
-    backtracked literal as it is undone, and nothing is left to a sync."""
+    """Reference: the tracker hears each of the justifier's flips at the
+    sync that makes it, filtered or not, and each popped status as the
+    backtrack pops it, and nothing is left to a filtered sync."""
 
-    def _enqueue(self, lit, reason):
-        assigned = self.values[abs(lit)] == 0
-        if not super()._enqueue(lit, reason):
-            return False
-        if assigned:
+    def _sync_justifier(self):
+        justifier = super()._sync_justifier()
+        for lit in justifier.stack[justifier._heard:]:
             self.tracker.notify_becomes_true(lit)
-        self._heard = len(self.trail)
-        return True
-
-    def propagate_unit(self):
-        # propagate_unit assigns without calling _enqueue
-        before = len(self.trail)
-        conflict = super().propagate_unit()
-        for lit in self.trail[before:]:
-            self.tracker.notify_becomes_true(lit)
-        self._heard = len(self.trail)
-        return conflict
+        justifier._heard = len(justifier.stack)
+        return justifier
 
     def _backtrack(self, target_level):
-        undone = (self.trail[self.trail_lim[target_level]:]
-                  if self.level > target_level else [])
+        justifier = self.justifier
+        popped = []
+        if target_level < len(justifier.lim):
+            popped = justifier.stack[justifier.lim[target_level]:]
         super()._backtrack(target_level)
-        assert self._unheard == undone and self._heard == len(self.trail)
-        self._unheard.clear()
-        for lit in reversed(undone):
+        assert justifier._unheard == popped
+        assert justifier._heard == len(justifier.stack)
+        justifier._unheard.clear()
+        for lit in reversed(popped):
             self.tracker.notify_becomes_unknown(lit)
 
     def _sync_tracker(self):
         # the tracker has heard everything already
-        assert self._heard == len(self.trail) and not self._unheard
+        justifier = self.justifier
+        assert justifier._heard == len(justifier.stack) and not justifier._unheard
         super()._sync_tracker()
 
 
@@ -956,13 +937,13 @@ def test_debug_picks_check_the_tracker_against_reachability():
 
 def test_debug_watch_check_finds_a_lost_or_misplaced_watch():
     # the watch half of the debug check: a clause true at level 0 may lose
-    # a watch, any other clause must keep both, each in its own table
+    # a watch, any other clause must keep both, and only those two
     theory = theory_gen.three_sat_theory(random.Random(47), 12, 40)
     solver = Solver(theory, SolverConfig(debug=True))
     solver.solve()
     solver._check_watches()
     root = root_literals(solver)
-    base = solver.watches[0]
+    base = solver.watches
     true_at_root = {}  # whether a clause is true at level 0 -> a watch on one
     for lit, watchlist in base.items():
         for clause in watchlist:
@@ -976,8 +957,13 @@ def test_debug_watch_check_finds_a_lost_or_misplaced_watch():
         solver._check_watches()
     base[lit].append(open_clause)
     solver._check_watches()
-    solver.watches[1].setdefault(lit, []).append(open_clause)
-    with pytest.raises(AssertionError, match="in the other table"):
+    other = next(x for x in open_clause[2:] + [-open_clause[0]])
+    base.setdefault(other, []).append(open_clause)
+    with pytest.raises(AssertionError, match=f"is watched on {other}"):
+        solver._check_watches()
+    base[other].remove(open_clause)
+    base.setdefault(lit, []).append(list(open_clause))
+    with pytest.raises(AssertionError, match="not stored"):
         solver._check_watches()
 
 
@@ -1033,19 +1019,23 @@ def test_the_tracker_decides_as_the_backward_walk():
 
 def test_unfiltered_solver_records_nothing():
     class QuietSolver(Solver):
+        def quiet(self):
+            justifier = self.justifier
+            assert justifier is None or justifier._heard == 0 and not justifier._unheard
+
         def _enqueue(self, lit, reason):
             assigned = super()._enqueue(lit, reason)
-            assert self._heard == 0 and not self._unheard
+            self.quiet()
             return assigned
 
         def propagate_unit(self):
             conflict = super().propagate_unit()
-            assert self._heard == 0 and not self._unheard
+            self.quiet()
             return conflict
 
         def _backtrack(self, target_level):
             super()._backtrack(target_level)
-            assert self._heard == 0 and not self._unheard
+            self.quiet()
 
     for theory in deferral_corpus()[::10]:
         for config in ALL_CONFIGS:
@@ -1055,28 +1045,49 @@ def test_unfiltered_solver_records_nothing():
                 assert solver.tracker is None
 
 
+def test_a_solver_that_reads_no_status_builds_no_justifier():
+    # without the filter and the early stop nothing reads justified status;
+    # the justifier is built only when `report_justified_log2` asks for it
+    syncs = []
+    sync = Justifier.sync
+    for theory in deferral_corpus()[::10]:
+        solver = Solver(theory, SolverConfig(relevance_filter=False,
+                                             stop_on_justified=False))
+        assert solver.justifier is None and solver.tracker is None
+        Justifier.sync = lambda self, *args: syncs.append(self) or sync(self, *args)
+        try:
+            solver.solve()
+        finally:
+            Justifier.sync = sync
+        assert solver.justifier is None
+    assert syncs == []
+    for config in ALL_CONFIGS[:3]:
+        assert Solver(theory_gen.loop_theory(), config).justifier is not None
+
+
 def test_unheard_holds_at_most_one_literal_per_atom():
     # between two syncs each backtrack records only the heard part of the
-    # trail it undoes, so `_unheard` holds literals of distinct atoms.  With
+    # stack it pops, so `_unheard` holds literals of distinct atoms.  With
     # stop_on_justified off, syncs pause once the theory atom is justified
-    # while backtracks go on; an unfiltered solver never syncs and records
+    # while backtracks go on; an unfiltered solver never sends and records
     # nothing
     class BoundedSolver(Solver):
         most = 0
 
         def _backtrack(self, target_level):
             super()._backtrack(target_level)
-            atoms = {abs(lit) for lit in self._unheard}
-            assert len(atoms) == len(self._unheard) <= self.setup.n_atoms
+            unheard = self.justifier._unheard
+            atoms = {abs(lit) for lit in unheard}
+            assert len(atoms) == len(unheard) <= self.theory.n_atoms
             if self.tracker is None:
-                assert self._heard == 0 and not self._unheard
-            self.most = max(self.most, len(self._unheard))
+                assert self.justifier._heard == 0 and not unheard
+            self.most = max(self.most, len(unheard))
 
     most = 0
     for theory in deferral_corpus():
         for filtered in (True, False):
             solver = BoundedSolver(theory, SolverConfig(relevance_filter=filtered,
-                                                        stop_on_justified=False))
+                                                        stop_on_justified=not filtered))
             solver.solve()
             if filtered:
                 most = max(most, solver.most)
@@ -1103,8 +1114,8 @@ def scan_pick(solver, restrict_relevant):
     as it is."""
     relevant = solver.tracker.relevant_literals() if restrict_relevant else set()
     best = None
-    for atom in range(1, solver.setup.n_atoms + 1):
-        if atom in solver.setup.maps.just_atoms or solver.values[atom]:
+    for atom in range(1, solver.theory.n_atoms + 1):
+        if solver.values[atom]:
             continue
         pos, neg = atom in relevant, -atom in relevant
         if restrict_relevant and not (pos or neg):
@@ -1190,6 +1201,7 @@ def test_backtrack_returns_the_side_list_to_the_heap():
 
     def pick():
         assert solver.propagate() is None
+        solver._sync_justifier()
         solver._sync_tracker()
         expected = scan_pick(solver, True)
         picked = solver._pick_atom(True)
@@ -1234,8 +1246,8 @@ def test_solver_keeps_to_the_shared_key_limit(loop):
     # construction: once a class has made many instances, one that gets two
     # more keeps a dict of its own whatever the count.  The bound is today's
     # count, so a new attribute has to replace one
-    for filtered in (True, False):
-        assert len(vars(Solver(loop, SolverConfig(relevance_filter=filtered)))) <= 23
+    for config in ALL_CONFIGS:
+        assert len(vars(Solver(loop, config))) <= 20
 
 
 def reference_clause(lits):
@@ -1291,13 +1303,11 @@ def test_problem_clauses_keep_first_occurrences():
                     added += 1
         assert completion_clauses(definition) == expected
 
-        # the solver stores the clauses of the base rules and their copies
-        # as they come
+        # the solver stores the clauses as they come
         theory = DefnfTheory(AtomTable([None] * n_atoms), definition.rules[0].head,
                              definition)
         solver = RecordingSolver(theory, SolverConfig(relevance_filter=False))
-        stored = completion_clauses(theory_gen.combined_definition(solver.setup))
-        assert solver.clauses == stored + [[theory.theory_atom]]
+        assert solver.clauses == expected + [[theory.theory_atom]]
         assert solver.n_problem_clauses == len(solver.clauses)
         check_watches(solver)
         # the root units are the unit clauses themselves, in order; each is
@@ -1319,12 +1329,13 @@ def test_problem_clauses_keep_first_occurrences():
 # -- solve: named examples -------------------------------------------------------------
 
 def test_solve_loop_theory(loop):
-    result = solve(loop)
+    solver = Solver(loop)
+    result = solver.solve()
     assert result.status == "sat"
     witness = result.witness_restricted(loop)
     assert witness.value(2) is TRUE
-    assert result.witness.literal_value(
-        build_justification_maps(loop).just_theory_atom) is TRUE
+    assert result.witness == witness  # the theory's atoms, and no others
+    assert solver.justifier.justified_literals() == {1, 2, -3, -4}
     assert result.stats.stopped_early
     assert result.stats.models_represented == 1
 
@@ -1442,9 +1453,7 @@ def test_learned_clauses_are_consequences():
                              for clause, created in zip(learned, solver.learned))
             for clause in learned:
                 for model in models:
-                    assert any(model.literal_value(l) is TRUE for l in clause
-                               if abs(l) <= theory.n_atoms) or \
-                        _extended_satisfies(solver, model, clause)
+                    assert any(model.literal_value(l) is TRUE for l in clause)
                 pairs += len(models)
             if models:
                 clauses += len(learned)
@@ -1453,34 +1462,26 @@ def test_learned_clauses_are_consequences():
     assert clauses > 500 and pairs > 4000 and shortened > 20, (clauses, pairs, shortened)
 
 
-def _extended_satisfies(solver, model, clause):
-    # clauses over justification atoms: evaluate them in the unique extension
-    # of the model where each justification atom mirrors its original
-    maps = solver.setup.maps
-    values = {}
-    for lit in clause:
-        atom = abs(lit)
-        if atom <= solver.theory.n_atoms:
-            values[atom] = model.value(atom) is TRUE
-        else:
-            original = maps.status_change[atom]
-            values[atom] = model.value(original) is TRUE
-    return any(values[abs(l)] == (l > 0) for l in clause)
-
-
 # -- relevance-filtered search ----------------------------------------------------------
 
-def test_justification_atoms_never_decided():
+def test_solver_state_covers_only_the_theory_atoms():
+    # the per-atom lists, the heap and the justifier hold the theory's atoms
+    # 1..n and nothing else, and every decision is over one of them
     rng = random.Random(31)
     for _ in range(30):
         theory = theory_gen.random_verified_total_theory(rng)
+        n = theory.n_atoms
         for config in ALL_CONFIGS:
             solver = Solver(theory, config)
             solver.solve()
-            # every decision on the trail is over a plain atom
-            # (asserted inside _decide as well)
+            for per_atom in (solver.values, solver.levels, solver.reasons,
+                             solver.phase, solver.order.activity, solver.order.key):
+                assert len(per_atom) == n + 1
+            assert all(1 <= atom <= n for _, atom in solver.order.heap)
             for start in solver.trail_lim:
-                assert abs(solver.trail[start]) not in solver.setup.maps.just_atoms
+                assert 1 <= abs(solver.trail[start]) <= n
+            if solver.justifier is not None:
+                assert len(solver.justifier.values) == n + 1
 
 
 class FilteredPickRecorder(Solver):
@@ -1601,3 +1602,21 @@ def test_deterministic_across_runs(justdef):
     assert first.stats.decisions == second.stats.decisions
     assert first.stats.conflicts == second.stats.conflicts
     assert first.witness == second.witness
+
+
+def test_a_negative_cycle_stops_only_once_justified():
+    # `random` seed 1 no. 223: the completion of 1 <- ~1 | 2 | ~3 is the unit
+    # clause 1, yet 1 is justified only once 3 is assigned, either way
+    theory = parse_cid("p cid 3\nt 1\nr 1 d -1 2 -3 0\nr 2 d 3 0\n")
+    assert oracle.is_total(theory.definition, theory.atoms.atoms())
+    for config in ALL_CONFIGS:
+        solver = Solver(theory, dataclasses.replace(config, debug=True))
+        result = solver.solve()
+        assert result.status == "sat" and result.stats.decisions == 1
+        assert result.stats.stopped_early == config.stop_on_justified
+        if result.stats.stopped_early:
+            witness = result.witness_restricted(theory)
+            assert witness.value(3) is not UNKNOWN
+            assert oracle.justified(theory, witness, theory.theory_atom)
+            assert oracle.count_models_extending(theory, witness) == \
+                result.stats.models_represented == 1

@@ -274,9 +274,9 @@ def test_relevance_dot_after_support_shows_dashed_loop(loop):
     setup = build_justification_maps(loop)
     tracker = RelevanceTracker.for_theory(loop, setup)
     tracker.notify_becomes_true(2)                          # open a
-    tracker.notify_becomes_true(setup.maps.to_just[1])      # theory atom justified
-    tracker.notify_becomes_true(-setup.maps.to_just[3])     # p status false
-    tracker.notify_becomes_true(-setup.maps.to_just[4])     # q status false
+    tracker.notify_becomes_true(1)                          # theory atom justified
+    tracker.notify_becomes_true(-3)                         # p status false
+    tracker.notify_becomes_true(-4)                         # q status false
     dot = relevance_dot(tracker, loop.name_of)
     assert '"p" -> "q" [style=dashed];' in dot
     assert '"q" -> "p" [style=dashed];' in dot

@@ -1,113 +1,185 @@
 import random
 
-from satid import (AtomTable, DefnfTheory, Definition, Rule,
-                   build_justification_maps)
+from satid import (AtomTable, DefnfTheory, Definition, Justifier, PartialInterpretation,
+                   Rule, build_justification_maps)
+from satid import oracle
 
 import theory_gen
 
 
-def copy_rule(setup, name):
-    """The copy rule of the base atom with this name, looked up by id."""
-    atom = setup.base.atoms.id_of(name)
-    return theory_gen.combined_definition(setup).rule_for(setup.maps.to_just[atom])
-
-
 def test_justification_definition_structure(justdef):
+    # each rule's head and count thresholds, and the rules each body literal
+    # occurs in; the definition has no positive loop, so no loop rules
     setup = build_justification_maps(justdef)
-    b, c, d, e, a = (justdef.atoms.id_of(x) for x in "bcdea")
-    j = {name: setup.maps.to_just[justdef.atoms.id_of(name)]
-         for name in ("c1", "c2", "c3", "c4", "f")}
-
-    top = copy_rule(setup, "p_T")
-    assert top.conjunctive
-    assert top.body == (j["c1"], j["c2"], j["c3"], j["c4"])
-    assert copy_rule(setup, "c1").body == (-b, -d)
-    assert copy_rule(setup, "c2").body == (a, b, -c)
-    assert copy_rule(setup, "c3").body == (-b, e, -j["f"])  # defined f becomes j(f)
-    assert copy_rule(setup, "c4").body == (d, j["f"], -a)
-    assert copy_rule(setup, "f").body == (b, d)             # open-only body is unchanged
-
-
-def test_fresh_atoms_appended_in_ascending_defined_order(justdef):
-    setup = build_justification_maps(justdef)
-    n = justdef.n_atoms
-    for offset, atom in enumerate(sorted(justdef.defined), start=1):
-        assert setup.maps.to_just[atom] == n + offset
+    ids = justdef.atoms.id_of
+    assert setup.heads == [ids(name) for name in ("p_T", "c1", "c2", "c3", "c4", "f")]
+    # p_T <- c1 & c2 & c3 & c4 needs all four for true and one for false;
+    # each disjunction needs one for true and all for false
+    assert setup.need_true == [4, 1, 1, 1, 1, 1]
+    assert setup.need_false == [1, 2, 3, 3, 3, 2]
+    b, d, f = ids("b"), ids("d"), ids("f")
+    assert setup.occurs[-b] == [1, 3]     # c1 <- ~b | ~d, c3 <- ~b | e | ~f
+    assert setup.occurs[b] == [2, 5]      # c2 <- a | b | ~c, f <- b | d
+    assert setup.occurs[f] == [4] and setup.occurs[-f] == [3]
+    assert setup.occurs[d] == [4, 5] and setup.occurs[-d] == [1]
+    assert setup.loop_rules == {} and setup.loop_watches == {}
 
 
-def test_open_only_bodies_are_identical():
-    theory = theory_gen.build_theory("p x y", "p", [("p", "d", ["x", "~y"])])
-    setup = build_justification_maps(theory)
-    assert copy_rule(setup, "p").body == theory.definition.rules[0].body
+def test_empty_bodies_set_their_heads_at_the_root():
+    # an empty conjunction is true and an empty disjunction false, before
+    # any open literal is read; a head reading only such heads follows
+    rules = [Rule(1, True, (2, -3)), Rule(2, True, ()), Rule(3, False, ())]
+    theory = DefnfTheory(AtomTable([None] * 3), 1, Definition(rules))
+    justifier = Justifier(build_justification_maps(theory))
+    assert justifier.stack == [2, -3]
+    justifier.sync([], [])
+    assert justifier.stack == [2, -3, 1]
 
 
-def test_translation_maps_are_inverse(justdef):
-    setup = build_justification_maps(justdef)
-    for atom in justdef.defined:
-        for lit in (atom, -atom):
-            assert setup.maps.status_change[setup.maps.to_just[lit]] == lit
-    assert setup.maps.just_atoms == {setup.maps.to_just[a] for a in justdef.defined}
+def test_send_dispatches_the_net_flips(justdef):
+    # `send` tells the tracker the net flips since the last send: a status
+    # popped and set again is not sent, and one popped for good becomes
+    # unknown
+    class Recorder:
+        def __init__(self):
+            self.events = []
+
+        def notify_becomes_true(self, lit):
+            self.events.append(("+", lit))
+
+        def notify_becomes_unknown(self, lit):
+            self.events.append(("-", lit))
+
+    ids = justdef.atoms.id_of
+    b, d, f, c1 = ids("b"), ids("d"), ids("f"), ids("c1")
+    justifier = Justifier(build_justification_maps(justdef))
+    tracker = Recorder()
+    # level 1 decides b, level 2 decides d
+    trail, trail_lim = [b, d], [0, 1]
+    justifier.sync(trail, trail_lim)
+    justifier.send(tracker)
+    # b justifies c2 and f, and f c4; b and d leave c1 <- ~b | ~d false
+    level_1 = [b, ids("c2"), f, ids("c4")]
+    level_2 = [d, -c1, -ids("p_T")]
+    assert tracker.events == [("+", lit) for lit in level_1 + level_2]
+    assert justifier.lim == [0, len(level_1)]
+    tracker.events.clear()
+    justifier.backtrack(0, 0)   # both levels undone
+    assert justifier.stack == [] and justifier._unheard == level_1 + level_2
+    justifier.sync([b], [0])    # b again, at level 1
+    justifier.send(tracker)
+    assert tracker.events == [("-", lit) for lit in level_2]
+    assert justifier.justified_literals() == set(level_1)
 
 
-def test_copy_is_isomorphic_to_original():
+def test_backtrack_pops_exactly_the_levels_above():
+    # statuses tagged with a level come only from open literals of that
+    # level and below: after each pop the set is the one of the trail that
+    # is left, as a fresh justifier reads it, and as the oracle has it
     rng = random.Random(20)
-    for _ in range(30):
-        theory = theory_gen.random_total_theory(rng)
+    pops = 0
+    for _ in range(300):
+        theory = theory_gen.random_theory(rng, max_atoms=8, max_rules=8)
         setup = build_justification_maps(theory)
-        bodies = [rule.body for rule in theory.definition]
-        copies = setup.maps.translate(bodies)
-        assert len(copies) == len(bodies)
-        for body, copy in zip(bodies, copies):
-            assert len(copy) == len(body)
-            for lit, renamed in zip(body, copy):
-                if abs(lit) in theory.defined:
-                    # a defined atom's literal goes to its copy, same sign
-                    assert abs(renamed) in setup.maps.just_atoms
-                    assert setup.maps.status_change[renamed] == lit
-                else:
-                    assert renamed == lit  # an open literal stays
+        opens = theory_gen.random_open_literals(rng, theory, density=0.9)
+        rng.shuffle(opens)
+        trail_lim = sorted(rng.sample(range(len(opens) + 1), rng.randint(0, len(opens))))
+        justifier = Justifier(setup)
+        justifier.sync(opens, trail_lim)
+        while True:
+            want = oracle.justified_literals(
+                theory, PartialInterpretation.from_literals(opens))
+            fresh = Justifier(setup)
+            fresh.sync(opens, [])
+            assert justifier.justified_literals() == fresh.justified_literals() == want
+            if not trail_lim:
+                break
+            level = rng.randrange(len(trail_lim))
+            justifier.backtrack(level, trail_lim[level])
+            del opens[trail_lim[level]:], trail_lim[level:]
+            justifier.sync(opens, trail_lim)
+            pops += 1
+    assert pops > 150, pops
 
 
-def test_status_change_dispatch(justdef):
-    setup = build_justification_maps(justdef)
-    c1 = justdef.atoms.id_of("c1")
-    d = justdef.atoms.id_of("d")
-    j_c1 = setup.maps.to_just[c1]
-    status_change = setup.maps.status_change
-    assert status_change.get(j_c1) == c1
-    assert status_change.get(-j_c1) == -c1
-    assert status_change.get(d) == d          # open atom
-    assert status_change.get(-d) == -d
-    assert status_change.get(c1) is None      # original defined atom
-    tracked = setup.maps.just_atoms | justdef.opens
-    assert set(status_change) == {s * a for a in tracked for s in (1, -1)}
-
-
-def test_empty_definition_has_empty_copy():
-    table = AtomTable(["p"])
-    theory = DefnfTheory(table, 1, Definition([Rule(1, True, ())]))
-    setup = build_justification_maps(theory)
-    assert setup.maps.translate([()]) == [[]]
-    assert setup.maps.just_atoms == {setup.maps.to_just[1]} == {2}
-
-
-def test_combined_definition_contains_both_copies(loop):
-    setup = build_justification_maps(loop)
-    assert setup.n_atoms == loop.n_atoms + len(loop.defined)
-    assert setup.maps.just_atoms == {setup.maps.to_just[a] for a in loop.defined}
-    assert setup.just_theory_atom == setup.maps.to_just[loop.theory_atom]
-
-
-def test_copy_needs_no_atom_names():
-    # the copies get ids, not names: the base table is not grown, and a
-    # base atom named like a copy of another changes no id
+def test_the_index_needs_no_atom_names():
+    # the index is built from ids: named and unnamed tables give the same
+    # one, and the table does not grow
     rules = [Rule(1, False, (2, 3)), Rule(3, True, (-2,))]
     named = AtomTable(["a", "j(a)", "b"])
     unnamed = AtomTable([None] * 3)
-    ids = []
+    indexes = []
     for table in (named, unnamed):
-        theory = DefnfTheory(table, 1, Definition(rules))
+        setup = build_justification_maps(DefnfTheory(table, 1, Definition(rules)))
+        assert len(table) == 3
+        indexes.append((setup.heads, setup.need_true, setup.need_false, setup.occurs))
+    assert indexes[0] == indexes[1] == ([1, 3], [1, 1], [2, 1], {2: [0], 3: [0], -2: [1]})
+
+
+def test_the_justifier_reads_only_open_literals(intro):
+    # the solver's values of defined atoms say nothing of their status: a
+    # trail of defined literals, at any level, justifies nothing, and a sync
+    # with nothing new to read changes nothing
+    ids = intro.atoms.id_of
+    p_T, a, b, e, d = (ids(name) for name in ("p_T", "a", "b", "e", "d"))
+    justifier = Justifier(build_justification_maps(intro))
+    trail, trail_lim = [p_T, a, b, -e], [2, 3]
+    justifier.sync(trail, trail_lim)
+    assert justifier.stack == [] and justifier.lim == [0, 0]
+    assert justifier.read == len(trail)
+    trail.append(d)   # the open d, at level 2: a <- d | ~e | f
+    justifier.sync(trail, trail_lim)
+    assert justifier.stack == [d, a] and justifier.lim == [0, 0]
+    justifier.sync(trail, trail_lim)
+    assert justifier.stack == [d, a] and justifier.read == len(trail)
+
+
+def test_loop_statuses_follow_the_open_supports():
+    # T <- p_1 & ... & p_n, p_i <- q_i | o_i, q_i <- p_i: p_i and q_i are
+    # justified true once o_i is true, and false, as an unfounded set, once
+    # o_i is false; T follows.  Checked against the well-founded model after
+    # each level and after each pop
+    rng = random.Random(21)
+    unfounded = 0
+    for _ in range(20):
+        theory = theory_gen.shuffled_loops_theory(rng, 12, 40)
         setup = build_justification_maps(theory)
-        assert len(theory.atoms) == 3
-        ids.append(setup.maps.to_just)
-    assert ids[0] == ids[1] == {1: 4, -1: -4, 3: 5, -3: -5}
+        opens = [rng.choice((atom, -atom)) for atom in sorted(theory.opens)]
+        trail_lim = sorted(rng.sample(range(1, len(opens)), 6))
+        justifier = Justifier(setup)
+        for level in range(len(trail_lim) + 1):
+            trail = opens[:trail_lim[level] if level < len(trail_lim) else None]
+            justifier.sync(trail, trail_lim[:level])
+            want = oracle.well_founded_model(
+                theory.definition, PartialInterpretation.from_literals(trail))
+            assert justifier.justified_literals() == set(want.true_literals())
+        unfounded += sum(1 for lit in justifier.stack
+                         if lit < 0 and -lit in setup.loop_rules)
+        for level in reversed(range(len(trail_lim))):
+            justifier.backtrack(level, trail_lim[level])
+            trail = opens[:trail_lim[level]]
+            justifier.sync(trail, trail_lim[:level])
+            want = oracle.well_founded_model(
+                theory.definition, PartialInterpretation.from_literals(trail))
+            assert justifier.justified_literals() == set(want.true_literals())
+    assert unfounded > 100, unfounded
+
+
+def test_justifier_matches_the_well_founded_model_on_3sat():
+    # past the oracle's search guard: normalized 3-SAT theories at random
+    # open assignments spread over levels, against the alternating fixpoint
+    rng = random.Random(22)
+    justified_clauses = 0
+    for _ in range(30):
+        theory = theory_gen.three_sat_theory(rng, 20, 85)
+        opens = theory_gen.random_open_literals(rng, theory, density=0.6)
+        rng.shuffle(opens)
+        trail_lim = sorted(rng.sample(range(len(opens) + 1), 5))
+        justifier = Justifier(build_justification_maps(theory))
+        justifier.sync(opens, trail_lim)
+        want = oracle.well_founded_model(
+            theory.definition, PartialInterpretation.from_literals(opens))
+        assert justifier.justified_literals() == set(want.true_literals())
+        justified_clauses += sum(1 for lit in justifier.stack
+                                 if abs(lit) in theory.defined)
+    assert justified_clauses > 1500, justified_clauses

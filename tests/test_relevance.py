@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from satid import (PartialInterpretation, RelevanceTracker, Rule,
+from satid import (Justifier, PartialInterpretation, RelevanceTracker, Rule,
                    build_justification_maps)
 from satid import oracle
 from satid.replay import TraceReplayer
@@ -11,14 +11,14 @@ import theory_gen
 
 
 def fresh_tracker(theory, debug=True):
-    setup = build_justification_maps(theory)
-    return RelevanceTracker.for_theory(theory, setup, debug=debug), setup
+    return RelevanceTracker.for_theory(theory, build_justification_maps(theory),
+                                       debug=debug)
 
 
 # -- initialization ------------------------------------------------------------
 
 def test_initial_watches_loop(loop):
-    tracker, _ = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     p_T, a, p, q = 1, 2, 3, 4
     assert tracker.watched_parent(p) == p_T   # q would close a cycle
     assert tracker.watched_parent(q) == p
@@ -34,10 +34,10 @@ def test_initial_relevance_matches_oracle():
     rng = random.Random(21)
     for _ in range(40):
         theory = theory_gen.random_total_theory(rng)
-        tracker, setup = fresh_tracker(theory)
+        tracker = fresh_tracker(theory)
         empty_justified = oracle.justified_literals(theory, PartialInterpretation())
         for lit in sorted(empty_justified):
-            tracker.notify_becomes_true(setup.maps.to_just[lit])
+            tracker.notify_becomes_true(lit)
         assert tracker.relevant_literals() == oracle.relevant_set(
             theory, PartialInterpretation())
 
@@ -45,31 +45,31 @@ def test_initial_relevance_matches_oracle():
 # -- the loop cascade -----------------------------------------------------------
 
 def test_loop_collapses_when_theory_atom_justified(loop):
-    tracker, setup = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     tracker.notify_becomes_true(2)                       # open a true
-    tracker.notify_becomes_true(setup.maps.to_just[1])   # j(p_T) true
+    tracker.notify_becomes_true(1)   # j(p_T) true
     assert tracker.relevant_literals() == set()
     assert not tracker.is_relevant(3) and not tracker.is_relevant(4)
 
 
 def test_loop_restores_on_backtrack(loop):
-    tracker, setup = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     before = tracker.relevant_literals()
     tracker.notify_becomes_true(2)
-    tracker.notify_becomes_true(setup.maps.to_just[1])
-    tracker.notify_becomes_unknown(setup.maps.to_just[1])
+    tracker.notify_becomes_true(1)
+    tracker.notify_becomes_unknown(1)
     tracker.notify_becomes_unknown(2)
     assert tracker.relevant_literals() == before
     assert tracker.justified_literals() == set()
 
 
 def test_intro_prunes_negated_defined_literal(intro):
-    tracker, setup = fresh_tracker(intro)
+    tracker = fresh_tracker(intro)
     d = intro.atoms.id_of("d")
     e = intro.atoms.id_of("e")
     a = intro.atoms.id_of("a")
     tracker.notify_becomes_true(d)
-    tracker.notify_becomes_true(setup.maps.to_just[a])
+    tracker.notify_becomes_true(a)
     assert not tracker.is_relevant(-e)
     assert not tracker.is_relevant(a)
     assert tracker.is_relevant(intro.atoms.id_of("h"))
@@ -77,11 +77,22 @@ def test_intro_prunes_negated_defined_literal(intro):
         intro, PartialInterpretation.from_literals([d]))
 
 
-def test_defined_original_assignments_are_ignored(loop):
-    tracker, _ = fresh_tracker(loop)
+def test_defined_original_assignments_are_ignored(intro):
+    # the solver's assignments of defined atoms reach the tracker only
+    # through the statuses that the justifier derives from open literals
+    tracker = fresh_tracker(intro)
+    justifier = Justifier(build_justification_maps(intro))
+    p_T, a, b, d = (intro.atoms.id_of(name) for name in ("p_T", "a", "b", "d"))
     before = tracker.relevant_literals()
-    tracker.notify_becomes_true(3)   # original defined atom p
+    justifier.sync([p_T, a, b], [])   # original defined atoms, assigned at the root
+    justifier.send(tracker)
+    assert tracker.justified_literals() == set()
     assert tracker.relevant_literals() == before
+    justifier.sync([p_T, a, b, d], [3])   # the open d decided: a <- d | ~e | f
+    justifier.send(tracker)
+    assert tracker.justified_literals() == {d, a}
+    assert tracker.relevant_literals() == oracle.relevant_set(
+        intro, PartialInterpretation.from_literals([d]))
 
 
 # -- watch repair ------------------------------------------------------------------
@@ -107,29 +118,28 @@ def fork_theory():
 
 def test_watch_swaps_to_alternative_parent():
     theory = fork_theory()
-    tracker, setup = fresh_tracker(theory)
+    tracker = fresh_tracker(theory)
     p_T, x, y, z, w, v, u = 1, 2, 3, 4, 5, 6, 7
-    j_v = setup.maps.to_just[v]
     assert tracker.watched_parent(y) == x
     assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
     assert tracker.watched_parent(u) == v and tracker.is_relevant(u)
     # the frontier v and the leaf u are no keys of the watch map
     assert tracker._watch.keys() == {p_T, x, y, z, w, -p_T, -x, -y, -z, -w}
     assert {lit for lit, parent in tracker._watch.items() if parent} == {x, w, z, y}
-    tracker.notify_becomes_true(setup.maps.to_just[x])   # x justified
+    tracker.notify_becomes_true(x)   # x justified
     assert tracker.watched_parent(y) == z
     assert tracker.watched_parent(v) == y
     assert tracker.relevant_literals() == {p_T, w, z, y, v, u}
-    tracker.notify_becomes_true(setup.maps.to_just[y])   # y justified
+    tracker.notify_becomes_true(y)   # y justified
     assert tracker.watched_parent(v) is None and not tracker.is_relevant(v)
     assert tracker.watched_parent(u) is None and not tracker.is_relevant(u)
     assert tracker.relevant_literals() == {p_T, w, z}
-    tracker.notify_becomes_true(j_v)                     # the frontier v justified
-    tracker.notify_becomes_unknown(setup.maps.to_just[y])
+    tracker.notify_becomes_true(v)                     # the frontier v justified
+    tracker.notify_becomes_unknown(y)
     assert tracker.watched_parent(y) == z
     assert tracker.watched_parent(v) is None and not tracker.is_relevant(v)
     assert tracker.watched_parent(u) is None and not tracker.is_relevant(u)
-    tracker.notify_becomes_unknown(j_v)
+    tracker.notify_becomes_unknown(v)
     assert tracker.watched_parent(v) == y and tracker.is_relevant(v)
     assert tracker.watched_parent(u) == v and tracker.is_relevant(u)
     tracker.notify_becomes_true(u)                       # the leaf justified
@@ -141,17 +151,17 @@ def test_lost_watches_regrow_without_cycles():
     # y's parents come in rule order x, p_T
     theory = theory_gen.build_theory(
         "p_T x y", "p_T", [("x", "d", ["y"]), ("p_T", "d", ["x", "y"])])
-    tracker, setup = fresh_tracker(theory)
+    tracker = fresh_tracker(theory)
     p_T, x, y = 1, 2, 3
     tracker.notify_becomes_true(y)
     assert not tracker.is_relevant(y)
     tracker.notify_becomes_unknown(y)
     assert tracker.watched_parent(y) == x   # the chain y -> x -> p_T
-    tracker.notify_becomes_true(setup.maps.to_just[x])
+    tracker.notify_becomes_true(x)
     assert tracker.watched_parent(y) == p_T
     # x's only parent is p_T
-    tracker.notify_becomes_unknown(setup.maps.to_just[x])
-    tracker.notify_becomes_true(setup.maps.to_just[p_T])
+    tracker.notify_becomes_unknown(x)
+    tracker.notify_becomes_true(p_T)
     assert tracker.watched_parent(x) is None
     assert tracker.relevant_literals() == set()
     # p's other parent q is relevant, but q's watch chain leads back to p:
@@ -160,11 +170,11 @@ def test_lost_watches_regrow_without_cycles():
         "p_T a x p q", "p_T",
         [("p_T", "d", ["a", "x"]), ("x", "d", ["p"]),
          ("p", "d", ["q"]), ("q", "d", ["p"])])
-    tracker, setup = fresh_tracker(theory)
+    tracker = fresh_tracker(theory)
     p_T, a, x, p, q = 1, 2, 3, 4, 5
     assert tracker.watched_parent(p) == x
     assert tracker.watched_parent(q) == p
-    tracker.notify_becomes_true(setup.maps.to_just[x])
+    tracker.notify_becomes_true(x)
     assert tracker.watched_parent(p) is None
     assert tracker.watched_parent(q) is None
     assert tracker.relevant_literals() == {p_T, a}
@@ -172,16 +182,15 @@ def test_lost_watches_regrow_without_cycles():
 
 def test_add_criteria_no_ops():
     theory = diamond_theory()
-    tracker, setup = fresh_tracker(theory)
+    tracker = fresh_tracker(theory)
     p_T, x, y = 1, 2, 3
-    j_x = setup.maps.to_just[x]
-    tracker.notify_becomes_true(j_x)
-    tracker.notify_becomes_unknown(j_x)    # x offered to y, already watched
+    tracker.notify_becomes_true(x)
+    tracker.notify_becomes_unknown(x)    # x offered to y, already watched
     assert tracker.watched_parent(y) == p_T
     assert tracker.watched_parent(x) == p_T
     tracker.notify_becomes_true(y)         # open y justified
-    tracker.notify_becomes_true(j_x)
-    tracker.notify_becomes_unknown(j_x)    # x offered to justified y
+    tracker.notify_becomes_true(x)
+    tracker.notify_becomes_unknown(x)    # x offered to justified y
     assert tracker.watched_parent(y) is None
     tracker.notify_becomes_unknown(y)
     assert tracker.watched_parent(y) is not None    # relevant parents re-add
@@ -189,9 +198,9 @@ def test_add_criteria_no_ops():
 
 def test_remove_of_non_watch_is_no_op():
     theory = fork_theory()
-    tracker, setup = fresh_tracker(theory)
+    tracker = fresh_tracker(theory)
     x, y, w, v, u = 2, 3, 5, 6, 7
-    tracker.notify_becomes_true(setup.maps.to_just[w])   # w withdrawn from y
+    tracker.notify_becomes_true(w)   # w withdrawn from y
     # y keeps x; a repair would have picked z, its first relevant parent
     assert tracker.watched_parent(y) == x
     assert tracker.watched_parent(v) == y
@@ -199,34 +208,32 @@ def test_remove_of_non_watch_is_no_op():
 
 
 def test_relevant_offers_to_watched_children_are_ignored(loop):
-    tracker, setup = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     p_T, p, q = 1, 3, 4
-    j_p = setup.maps.to_just[p]
     assert tracker.watched_parent(q) == p   # the first read builds the watches
     before = dict(tracker._watch)
-    tracker.notify_becomes_true(j_p)
+    tracker.notify_becomes_true(p)
     assert tracker.watched_parent(p) is None and tracker.watched_parent(q) is None
     # p relevant again: p takes p_T, its first relevant parent, and q, which
     # already has a watch by then, is not offered to p
-    tracker.notify_becomes_unknown(j_p)
+    tracker.notify_becomes_unknown(p)
     assert tracker.watched_parent(p) == p_T
     assert tracker._watch == before
 
 
 def test_irrelevant_on_childless_literal_is_no_op(loop):
-    tracker, _ = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     before = tracker.relevant_literals()
     tracker.notify_becomes_true(2)  # open leaf; no children to notify
     assert tracker.relevant_literals() == before - {2}
 
 
 def test_unjustify_theory_atom_restores_base_relevance(loop):
-    tracker, setup = fresh_tracker(loop)
-    j_pt = setup.maps.to_just[1]
+    tracker = fresh_tracker(loop)
     tracker.notify_becomes_true(2)
-    tracker.notify_becomes_true(j_pt)
+    tracker.notify_becomes_true(1)
     assert tracker.relevant_literals() == set()
-    tracker.notify_becomes_unknown(j_pt)
+    tracker.notify_becomes_unknown(1)
     assert tracker.is_relevant(1)
     # a is still true, hence still justified and not relevant
     assert tracker.relevant_literals() == {1, 3, 4}
@@ -235,14 +242,14 @@ def test_unjustify_theory_atom_restores_base_relevance(loop):
 
 
 def test_double_justify_rejected(loop):
-    tracker, _ = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     tracker.notify_becomes_true(2)
     with pytest.raises(ValueError, match="already justified"):
         tracker.notify_becomes_true(2)
 
 
 def test_unjustify_requires_justified(loop):
-    tracker, _ = fresh_tracker(loop)
+    tracker = fresh_tracker(loop)
     with pytest.raises(ValueError, match="not justified"):
         tracker.notify_becomes_unknown(2)
 
@@ -259,7 +266,7 @@ def test_quiescent_exactness_on_random_traces():
             continue
         traces += 1
         setup = build_justification_maps(theory)
-        events, _ = theory_gen.random_trace(rng, theory, setup, min_events=30)
+        events, _ = theory_gen.random_trace(rng, theory, min_events=30)
         replayer = TraceReplayer(theory, setup=setup, check_oracle=True, debug=True)
         report = replayer.run(events)
         checks += report.oracle_checks
@@ -272,7 +279,7 @@ def test_reversibility_of_random_traces():
     for _ in range(25):
         theory = theory_gen.random_total_theory(rng, max_atoms=6, max_rules=5)
         setup = build_justification_maps(theory)
-        events, unwind = theory_gen.random_trace(rng, theory, setup, min_events=30)
+        events, unwind = theory_gen.random_trace(rng, theory, min_events=30)
         replayer = TraceReplayer(theory, setup=setup, debug=True)
         replayer.run(events + unwind)
         fresh = RelevanceTracker.for_theory(theory, setup)
@@ -304,8 +311,8 @@ def test_tracker_against_reachability_under_solver_events():
     states = missed_states = 0
     for _ in range(1000):
         theory = theory_gen.random_theory(rng)
-        tracker, setup = fresh_tracker(theory)
-        tracked = sorted({abs(lit) for lit in setup.maps.status_change})
+        tracker = fresh_tracker(theory)
+        tracked = list(theory.atoms.atoms())
         assigned = {}
         for _ in range(50):
             send_random_event(rng, tracker, tracked, assigned)
@@ -328,12 +335,11 @@ def test_tracker_against_reachability_under_batched_events():
     flipped_back = theory_atom_flips = 0
     for _ in range(1000):
         theory = theory_gen.random_theory(rng)
-        tracker, setup = fresh_tracker(theory)
-        status_change = setup.maps.status_change
-        tracked = sorted({abs(lit) for lit in status_change})
+        tracker = fresh_tracker(theory)
+        tracked = list(theory.atoms.atoms())
         assigned = {}
         for _ in range(20):
-            flips = [status_change[send_random_event(rng, tracker, tracked, assigned)]
+            flips = [send_random_event(rng, tracker, tracked, assigned)
                      for _ in range(rng.randint(1, 8))]
             flipped_back += len(set(flips)) < len(flips)
             theory_atom_flips += theory.theory_atom in flips
@@ -363,11 +369,10 @@ def test_first_read_settles_the_events_sent_before_it(monkeypatch):
     flipped_back = theory_atom_flips = theory_atom_justified = 0
     for _ in range(1500):
         theory = theory_gen.random_theory(rng, max_atoms=10, max_rules=8)
-        tracker, setup = fresh_tracker(theory)
-        status_change = setup.maps.status_change
-        tracked = sorted({abs(lit) for lit in status_change})
+        tracker = fresh_tracker(theory)
+        tracked = list(theory.atoms.atoms())
         assigned = {}
-        flips = [status_change[send_random_event(rng, tracker, tracked, assigned)]
+        flips = [send_random_event(rng, tracker, tracked, assigned)
                  for _ in range(rng.randint(1, 12))]
         assert settles == []
         justified = tracker.justified_literals()
@@ -399,10 +404,10 @@ def test_every_literal_is_relevant_exactly_when_reachable():
     states = skipped_first = skipped_first_frontier = all_parents_irrelevant = 0
     for _ in range(600):
         theory = theory_gen.random_theory(rng, max_atoms=10, max_rules=8)
-        tracker, setup = fresh_tracker(theory)
+        tracker = fresh_tracker(theory)
         graph = tracker.graph
         deep = graph.deep_literals()
-        tracked = sorted({abs(lit) for lit in setup.maps.status_change})
+        tracked = list(theory.atoms.atoms())
         literals = [lit for atom in range(1, theory.n_atoms + 1) for lit in (atom, -atom)]
         assigned = {}
         for _ in range(15):
@@ -439,13 +444,12 @@ def test_every_literal_is_relevant_exactly_when_reachable():
 def test_clause_atoms_of_a_3sat_theory_get_no_watch():
     # Every child of a normalized 3-SAT theory's clause atom is open, so
     # only the theory atom is deep: no clause atom or its negation gets a
-    # watch, and flips of their copies note nothing for the settle
+    # watch, and flips of their statuses note nothing for the settle
     rng = random.Random(5)
     flips = 0
     for _ in range(20):
         theory = theory_gen.three_sat_theory(rng, 20, 85)
-        tracker, setup = fresh_tracker(theory)
-        to_just = setup.maps.to_just
+        tracker = fresh_tracker(theory)
         pt = theory.theory_atom
         clause_atoms = sorted(theory.defined - {pt})
         assert tracker.graph.deep_literals() == {pt, -pt}
@@ -455,7 +459,7 @@ def test_clause_atoms_of_a_3sat_theory_get_no_watch():
             assert tracker.watched_parent(atom) == pt
             assert tracker.watched_parent(-atom) is None   # ~pt is unreachable
         for atom in rng.sample(clause_atoms, 40):
-            tracker.notify_becomes_true(to_just[rng.choice((atom, -atom))])
+            tracker.notify_becomes_true(rng.choice((atom, -atom)))
             flips += 1
             assert tracker._changed == []
         want = tracker.graph.reachable(pt, tracker.justified_literals())
@@ -497,12 +501,12 @@ def test_a_shallow_theory_atom_flips_after_the_first_read():
     justifying = unjustifying = empty_bodies = 0
     for _ in range(600):
         theory = shallow_theory_atom_theory(rng)
-        tracker, setup = fresh_tracker(theory)
+        tracker = fresh_tracker(theory)
         graph = tracker.graph
         pt = theory.theory_atom
         assert pt not in graph.deep_literals()
         empty_bodies += not graph.children_of(pt)
-        tracked = sorted({abs(lit) for lit in setup.maps.status_change})
+        tracked = list(theory.atoms.atoms())
         literals = [lit for atom in range(1, theory.n_atoms + 1) for lit in (atom, -atom)]
         assigned = {}
         assert tracker.is_relevant(pt)   # the first read
@@ -536,11 +540,11 @@ def test_chain_notifications_are_local():
         theory_gen.Definition(rules))
     setup = build_justification_maps(theory)
     tracker = RelevanceTracker.for_theory(theory, setup)
-    j_tail = setup.maps.to_just[size - 1]
+    tail = size - 1
     for _ in range(3000):
-        tracker.notify_becomes_true(j_tail)
+        tracker.notify_becomes_true(tail)
         assert not tracker.is_relevant(size)
-        tracker.notify_becomes_unknown(j_tail)
+        tracker.notify_becomes_unknown(tail)
         assert tracker.is_relevant(size)
     assert tracker.is_relevant(2)
     assert tracker.query_count == 6001

@@ -8,7 +8,6 @@ from satid import (AtomTable, DefnfTheory, Definition, PartialInterpretation,
                    Rule, UNKNOWN, atom_of, normalize_to_defnf, parse_pcid)
 from satid.formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
                            QUERY_RELEVANT, TraceEvent)
-from satid.justifier import JustifiedTheory
 from satid import oracle
 
 
@@ -151,57 +150,42 @@ def random_verified_total_theory(rng: random.Random, max_atoms: int = 8,
     return theory
 
 
-def combined_definition(setup: JustifiedTheory) -> Definition:
-    """The base rules followed by their justification copies, as one
-    definition: the reference for the clauses and the loop index that the
-    solver builds by renaming the base ones.  A copy rule renames each
-    defined atom's literal through `to_just` and keeps open literals."""
-    to_just = setup.maps.to_just
-    base = setup.base.definition
-    copies = [Rule(to_just[rule.head], rule.conjunctive,
-                   tuple(to_just.get(lit, lit) for lit in rule.body))
-              for rule in base]
-    return Definition([*base, *copies])
-
-
 def random_open_literals(rng: random.Random, theory: DefnfTheory,
                          density: float = 0.7) -> list[int]:
     return [rng.choice((atom, -atom)) for atom in sorted(theory.opens)
             if rng.random() < density]
 
 
-def random_trace(rng: random.Random, theory: DefnfTheory, setup: JustifiedTheory,
-                 min_events: int = 50,
+def random_trace(rng: random.Random, theory: DefnfTheory, min_events: int = 50,
                  ) -> tuple[list[TraceEvent], list[TraceEvent]]:
     """A valid notification trace plus the events that unwind its final state.
 
-    Events come in solver-shaped batches: an original-theory literal becomes
-    true followed by the justification literals its status changes imply (or
-    the exact reverse on backtracking), so the tracker's justified flags agree
-    with the reference statuses at every batch boundary.
+    Events come in solver-shaped batches: an open literal becomes true,
+    followed by the defined literals it makes justified (or the exact
+    reverse on backtracking), so the tracker's justified set agrees with the
+    reference statuses at every batch boundary.
     """
     interp = PartialInterpretation()
     previous = oracle.justified_literals(theory, interp)
     events: list[TraceEvent] = []
     prelude = sorted(l for l in previous if atom_of(l) in theory.defined)
     for lit in prelude:
-        events.append(TraceEvent(BECOMES_TRUE, setup.maps.to_just[lit]))
+        events.append(TraceEvent(BECOMES_TRUE, lit))
     stack: list[tuple[int, list[int]]] = []
 
     def pop_batch() -> None:
         nonlocal interp, previous
         lit, gained = stack.pop()
         for g in reversed(gained):
-            events.append(TraceEvent(BECOMES_UNKNOWN, setup.maps.to_just[g]))
+            events.append(TraceEvent(BECOMES_UNKNOWN, g))
         events.append(TraceEvent(BECOMES_UNKNOWN, lit))
         interp = interp.without(atom_of(lit))
         previous = oracle.justified_literals(theory, interp)
 
     while len(events) < min_events:
         roll = rng.random()
-        unassigned = [a for a in theory.atoms.atoms()
-                      if interp.value(a) is UNKNOWN]
-        if roll < 0.25 and events:
+        unassigned = [a for a in sorted(theory.opens) if interp.value(a) is UNKNOWN]
+        if roll < 0.25 and events or not (unassigned or stack):
             atom = rng.randint(1, theory.n_atoms)
             lit = atom if rng.random() < 0.5 else -atom
             events.append(TraceEvent(QUERY_RELEVANT, lit))
@@ -215,19 +199,16 @@ def random_trace(rng: random.Random, theory: DefnfTheory, setup: JustifiedTheory
             gained = sorted(l for l in now - previous
                             if atom_of(l) in theory.defined)
             events.append(TraceEvent(BECOMES_TRUE, lit))
-            events.extend(TraceEvent(BECOMES_TRUE, setup.maps.to_just[l])
-                          for l in gained)
+            events.extend(TraceEvent(BECOMES_TRUE, l) for l in gained)
             stack.append((lit, gained))
             interp, previous = extended, now
-        elif stack:
-            pop_batch()
         else:
-            break
+            pop_batch()
 
     start = len(events)
     while stack:
         pop_batch()
     for lit in reversed(prelude):
-        events.append(TraceEvent(BECOMES_UNKNOWN, setup.maps.to_just[lit]))
+        events.append(TraceEvent(BECOMES_UNKNOWN, lit))
     unwind = events[start:]
     return events[:start], unwind
