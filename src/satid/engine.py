@@ -30,14 +30,15 @@ blocker there.  A deletion keeps the other literals in their order, so a
 scan picks the same new watch, and every watch move, implication, reason,
 conflict and learned clause is the same (analysis skips level-0 literals).
 
-The relevance tracker hears the justifier's status flips only right before
-a filtered decision, and nothing is recorded per assignment.
-`Justifier._heard` is the stack length at the last send, and a backtrack
-that pops below it moves the heard literals it pops to `_unheard`.
-`Justifier.send` then sends the net changes since the last send, so at each
-filtered decision the tracker's justified set is the justifier's.  After
+Justified status has one home, the justifier's `values`, which the
+relevance tracker reads in place.  The tracker hears which statuses may
+have changed only right before a filtered decision, in one note, and
+nothing is recorded per assignment.  `Justifier._heard` is the stack length
+at the last send, and a backtrack that pops below it moves the heard
+literals it pops to `_unheard`.  `Justifier.send` then notes those and the
+literals set since, and the tracker keeps the watch keys among them.  After
 its next settle the tracker is exact (see `relevance`), a function of the
-justified set alone, so deferred and eager notification decide the same.
+justified set alone, so deferred and eager notes decide the same.
 
 Decisions come from an activity heap, as in MiniSat: the most active
 unassigned atom, ties broken by the lowest id (`ActivityOrder`).  A
@@ -45,14 +46,14 @@ filtered pick pops atoms and asks the tracker only about the one popped.
 Assigned atoms are dropped until a backtrack undoes them, and an atom
 irrelevant in both polarities goes to a side list, which the next backtrack
 or unfiltered pick puts back into the heap.  That is sound because
-relevance only shrinks between two backtracks: a backtrack empties the side
-list before the sync that sends its `notify_becomes_unknown` events, and
-until the next one the justified set only grows, so the reachable set,
-which is the relevant set, only shrinks.  The picks are therefore the ones a
-scan over all atoms would make.  When a pick finds nothing, the side list
-holds exactly the unassigned atoms.  With `debug=True` each sync compares
-the justifier's set with a fresh justifier's, and each filtered pick checks
-the tracker against reachability, the side list, the heap and the watches.
+relevance only shrinks between two backtracks: a backtrack, the only step
+that takes statuses back, empties the side list, and until the next one the
+justified set only grows, so the reachable set, which is the relevant set,
+only shrinks.  The picks are therefore the ones a scan over all atoms would
+make.  When a pick finds nothing, the side list holds exactly the
+unassigned atoms.  With `debug=True` each sync compares the justifier's set
+with a fresh justifier's, and each filtered pick checks the tracker against
+reachability, the side list, the heap and the watches.
 
 Unfounded-set propagation only ever looks at the loop part of the
 definition (`justifier.LoopPart`), found once by peeling the loop-free atoms
@@ -283,7 +284,9 @@ class Solver:
         # only the early stop and the filter read justified status
         self.justifier = (Justifier(setup)
                           if cfg.relevance_filter or cfg.stop_on_justified else None)
-        self.tracker = (RelevanceTracker.for_theory(theory, setup, debug=cfg.debug)
+        # the tracker reads the justifier's statuses in place
+        self.tracker = (RelevanceTracker.for_theory(theory, setup, debug=cfg.debug,
+                                                    values=self.justifier.values)
                         if cfg.relevance_filter else None)
 
     # -- assignment primitives ----------------------------------------------
@@ -362,8 +365,8 @@ class Solver:
         return justifier
 
     def _sync_tracker(self) -> None:
-        """Tell the tracker the justifier's net flips since the last sync
-        (`Justifier.send`)."""
+        """Note to the tracker the statuses that may have changed since the
+        last sync (`Justifier.send`)."""
         self.justifier.send(self.tracker)
 
     # -- clause database ------------------------------------------------------
@@ -500,43 +503,53 @@ class Solver:
     # -- conflict analysis ------------------------------------------------------
 
     def analyze_conflict(self, conflict: list[int]) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to backjump to."""
-        current = self.level
+        """First-UIP learned clause and the level to backjump to: the
+        highest level among the other literals, taken from the first literal
+        at that level, which goes to position 1."""
+        levels = self.levels
+        trail = self.trail
+        reasons = self.reasons
+        current = len(self.trail_lim)
         learned: list[int] = []
         seen: set[int] = set()
         counter = 0
         p: int | None = None
         reason = conflict
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         bump = self.order.bump
         while True:
             for lit in reason:
                 if p is not None and lit == p:
                     continue
                 atom = abs(lit)
-                if atom not in seen and self.levels[atom] > 0:
+                if atom not in seen and levels[atom] > 0:
                     seen.add(atom)
                     bump(atom)
-                    if self.levels[atom] == current:
+                    if levels[atom] == current:
                         counter += 1
                     else:
                         learned.append(lit)
-            while abs(self.trail[index]) not in seen:
+            while abs(trail[index]) not in seen:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             seen.remove(abs(p))
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reasons[abs(p)]
+            reason = reasons[abs(p)]
             assert reason is not None, "non-UIP literal without a reason"
         learned.insert(0, -p)
         if len(learned) == 1:
             return learned, 0
-        best = max(range(1, len(learned)), key=lambda i: self.levels[abs(learned[i])])
+        best = 1
+        backjump = levels[abs(learned[1])]
+        for i in range(2, len(learned)):
+            level = levels[abs(learned[i])]
+            if level > backjump:
+                best, backjump = i, level
         learned[1], learned[best] = learned[best], learned[1]
-        return learned, self.levels[abs(learned[1])]
+        return learned, backjump
 
     # -- decisions ----------------------------------------------------------------
 

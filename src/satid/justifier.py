@@ -22,12 +22,14 @@ below alone.  A backtrack to level L pops exactly the statuses tagged above
 L and undoes their counts; what stays is the fixpoint of the trail that
 stays, and since a monotone operator's least fixpoint does not depend on the
 order its consequences are drawn in, each sync ends at the well-founded
-model.  `send` gives the relevance tracker the net flips (see `engine`).
+model.  `send` tells the relevance tracker which statuses may have
+changed (see `engine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .core import (DefnfTheory, DependencyGraph, build_dependency_graph,
@@ -349,19 +351,12 @@ class Justifier:
         self._counted = self.loop.head = start
 
     def send(self, tracker: RelevanceTracker) -> None:
-        """Tell the tracker the net flips since the last send: each literal
-        of `_unheard` that is not justified again becomes unknown, and each
-        one on the stack from `_heard` on that was not heard becomes true."""
-        values = self.values
-        again: set[int] = set()
-        for lit in self._unheard:
-            if (values[lit] if lit > 0 else -values[-lit]) == 1:
-                again.add(lit)
-            else:
-                tracker.notify_becomes_unknown(lit)
+        """Tell a tracker that reads `values` in place which statuses may
+        have changed since the last send, in one call: the literals of
+        `_unheard` and those on the stack from `_heard` on.  The tracker
+        keeps the watch keys among them.  A literal popped and set again is
+        sent too, and the tracker's settle leaves it as it was."""
         stack = self.stack
-        for lit in stack[self._heard:]:
-            if lit not in again:
-                tracker.notify_becomes_true(lit)
-        self._heard = len(stack)
+        tracker.note_changed(chain(self._unheard, stack[self._heard:]))
         self._unheard.clear()
+        self._heard = len(stack)

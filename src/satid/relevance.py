@@ -6,9 +6,15 @@ The tracker is a module beside the solver, with a narrow interface:
   `core.DependencyGraph` that `build_justification_maps` builds
   (`JustifiedTheory.graph`, which the solver's loop peel and `satid solve
   --dot` read too); nothing can be added to the graph afterwards;
-- input: `notify_becomes_true` and `notify_becomes_unknown`, each naming
-  the literal whose justified status flipped, which the solver reads off its
-  justifier (`justifier.Justifier.send`);
+- input: a status array in the justifier's layout, which the tracker reads
+  in place (`values[atom]` is 1 when the atom is justified true, -1 when
+  its negation is, and 0 otherwise), and `note_changed`, naming literals
+  whose status may have changed in it since the last settle.  The
+  solver's tracker reads its justifier's `values`, and
+  `justifier.Justifier.send` notes the literals set or popped since the
+  last send.  A standalone tracker owns its array, and
+  `notify_becomes_true` and `notify_becomes_unknown`, each naming a
+  literal whose justified status flipped, write it and note the literal;
 - output: `is_relevant`, which the solver's decisions ask;
 - inspection: `relevant_literals`, `justified_literals`, `watched_parent`
   and `validate` (the debug invariants); these two sets and the `graph`
@@ -35,21 +41,23 @@ when it is unjustified and one of its parents is, and its `watched_parent`
 is the first such parent in `parents_of` order.  The parents of a frontier literal are deep, and those
 of a leaf are deep or frontier, so a query looks at most two levels up.
 
-A notification only updates the justified set and, when the flipped
-literal is a key, notes it; a shallow literal's flip moves no watch.  The
-watches catch up in one settle, which every read of them runs first when
-keys changed since the last one (`is_relevant`, `relevant_literals`,
-`watched_parent` and `validate`), so observers only ever see settled
-states.  Construction only records state: an empty map, so that no flip is
-noted, nothing justified, and the theory atom as the first changed
-literal.  The first read builds the map with every key irrelevant, then
-settles the theory atom like any later batch, with the justified set that
-the events sent before it left; a tracker that is never read never walks
-the graph.  A settle takes the changed keys as one batch:
+A note keeps only the keys among the literals it names; a shallow
+literal's flip moves no watch.  It may name literals whose status did not
+change, such as a key popped and set again between two sends: a settle
+leaves such a key as it was.  The watches catch up in one settle, which
+every read of them runs first when keys were noted since the last one
+(`is_relevant`, `relevant_literals`, `watched_parent` and `validate`), so
+observers only ever see settled states.  A read must therefore come only
+after every status change since the last settle is noted.  Construction
+only records state: an empty map, so that nothing is noted, and the theory
+atom as the first changed literal.  The first read builds the map with
+every key irrelevant, then settles the theory atom like any later batch,
+with the statuses that the array holds then; a tracker that is never read
+never walks the graph.  A settle takes the noted keys as one batch:
 
-- shrink: each changed key that is now justified and relevant becomes
+- shrink: each noted key that is now justified and relevant becomes
   irrelevant, and so does every key whose watch chain runs through it;
-- regrow: each changed or dropped key that is unjustified and irrelevant
+- regrow: each noted or dropped key that is unjustified and irrelevant
   takes a watch: the theory atom takes the root, and any other key its
   first relevant parent, if it has one.  A breadth-first walk then attaches
   the unjustified, irrelevant deep children of each key that got a watch.
@@ -76,7 +84,8 @@ turn, and which reads a key's relevance from the map.
 
 Each settle starts from a map that was exact for the justified set that the
 settle before it saw, and its batch holds every key whose status changed
-since.  For the first settle, take that set to be the present one with the
+since, perhaps among others; nothing below assumes that a key of the batch
+changed.  For the first settle, take that set to be the present one with the
 theory atom added: nothing is reachable then, so the map with every key
 irrelevant is exact for it, and only the theory atom's status can differ
 from it, which is the first batch.  There are no extras: shrink leaves only
@@ -98,6 +107,7 @@ relevant, and `m` got a watch, a contradiction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain
 
 from .core import DefnfTheory, DependencyGraph, build_dependency_graph
@@ -107,33 +117,39 @@ from .justifier import JustifiedTheory
 class RelevanceTracker:
     """Watched-parent relevance tracker for one static theory.
 
-    It is built from the theory atom and the theory's `DependencyGraph`, and
-    has no API for adding rules later.  Construction settles nothing: the
-    first read builds the watches.  Notifications are batched until the next
-    read, which settles them; the result does not depend on how the caller
-    batches its calls.
+    It is built from the theory atom, the theory's `DependencyGraph` and a
+    status array laid out as `justifier.Justifier.values`, and has no API
+    for adding rules later.  Construction settles nothing: the first read
+    builds the watches.  Notes are batched until the next read, which
+    settles them; the result does not depend on how the caller batches its
+    calls.
     """
 
-    def __init__(self, theory_atom: int, graph: DependencyGraph,
+    def __init__(self, theory_atom: int, graph: DependencyGraph, values: list[int],
                  debug: bool = False) -> None:
         self._pt = theory_atom
         self.graph = graph
+        self._values = values
         self._debug = debug
         # each deep literal and the theory atom to its watched parent, the
         # root 0 or None; empty until the first settle builds it, so that
         # nothing is noted before then
         self._watch: dict[int, int | None] = {}
-        self._justified: set[int] = set()
         self.query_count = 0
-        # keys flipped since the last settle; the first settle, at the first
+        # keys noted since the last settle; the first settle, at the first
         # read, builds the map and settles the theory atom
         self._changed = [theory_atom]
 
     @classmethod
     def for_theory(cls, theory: DefnfTheory, setup: JustifiedTheory | None = None,
-                   debug: bool = False) -> "RelevanceTracker":
+                   debug: bool = False,
+                   values: list[int] | None = None) -> "RelevanceTracker":
+        """A tracker over `values`, or over an array of its own, with
+        nothing justified, when none is given."""
         graph = setup.graph if setup else build_dependency_graph(theory.definition)
-        return cls(theory.theory_atom, graph, debug=debug)
+        if values is None:
+            values = [0] * (theory.n_atoms + 1)
+        return cls(theory.theory_atom, graph, values, debug=debug)
 
     # -- queries -----------------------------------------------------------
 
@@ -155,49 +171,74 @@ class RelevanceTracker:
         if self._changed:
             self._settle()
         watch = self._watch
-        justified = self._justified
+        values = self._values
         children_of = self.graph.children_of
         result = {lit for lit, parent in watch.items() if parent is not None}
         stack = list(result)
         while stack:
             for child in children_of(stack.pop()):
-                if child not in watch and child not in justified and child not in result:
+                if (child not in watch and child not in result
+                        and (values[child] if child > 0 else -values[-child]) != 1):
                     result.add(child)
                     stack.append(child)
         return result
 
     def justified_literals(self) -> set[int]:
-        return set(self._justified)
+        return {atom if value > 0 else -atom
+                for atom, value in enumerate(self._values) if value}
 
     def _parent(self, lit: int) -> int | None:
         """A key's value in the map; for any other literal, by the parent
-        rule, its first relevant parent, or None."""
+        rule, its first relevant parent, or None.  A parent outside the map
+        is a frontier literal, whose parents are all keys, so the walk goes
+        at most two levels up."""
         watch = self._watch
         if lit in watch:
             return watch[lit]
-        if lit not in self._justified:
-            for parent in self.graph.parents_of(lit):
-                if self._parent(parent) is not None:
+        values = self._values
+        if (values[lit] if lit > 0 else -values[-lit]) == 1:
+            return None
+        parents_of = self.graph.parents_of
+        for parent in parents_of(lit):
+            if parent in watch:
+                if watch[parent] is not None:
                     return parent
+            elif (values[parent] if parent > 0 else -values[-parent]) != 1:
+                for grandparent in parents_of(parent):
+                    if watch[grandparent] is not None:
+                        return parent
         return None
 
-    # -- solver events ------------------------------------------------------
+    # -- status events --------------------------------------------------------
 
     def notify_becomes_true(self, lit: int) -> None:
-        """The literal became justified."""
-        if lit in self._justified:
-            raise ValueError(f"literal {lit} is already justified")
-        self._justified.add(lit)
-        if lit in self._watch:
-            self._changed.append(lit)
+        """The literal became justified: written to the status array."""
+        values = self._values
+        atom = lit if lit > 0 else -lit
+        if values[atom]:
+            # this literal or its negation
+            justified = lit if values[atom] == (1 if lit > 0 else -1) else -lit
+            raise ValueError(f"literal {justified} is already justified")
+        values[atom] = 1 if lit > 0 else -1
+        self.note_changed((lit,))
 
     def notify_becomes_unknown(self, lit: int) -> None:
-        """The literal is no longer justified."""
-        if lit not in self._justified:
+        """The literal is no longer justified: cleared in the status array."""
+        values = self._values
+        atom = lit if lit > 0 else -lit
+        if values[atom] != (1 if lit > 0 else -1):
             raise ValueError(f"literal {lit} is not justified")
-        self._justified.remove(lit)
-        if lit in self._watch:
-            self._changed.append(lit)
+        values[atom] = 0
+        self.note_changed((lit,))
+
+    def note_changed(self, lits: Iterable[int]) -> None:
+        """The statuses of `lits` may have changed in the status array since
+        the last settle: keep the keys among them for the next one.  A
+        superset is allowed, since the settle leaves a key whose status did
+        not change as it was; before the first settle nothing is kept."""
+        watch = self._watch
+        if watch:
+            self._changed += filter(watch.__contains__, lits)
 
     # -- settling -----------------------------------------------------------
 
@@ -210,12 +251,13 @@ class RelevanceTracker:
             watch = self._watch = dict.fromkeys(self.graph.deep_literals())
             watch[self._pt] = None
         changed = self._changed
-        justified = self._justified
+        values = self._values
         children_of = self.graph.children_of
         dropped: list[int] = []
         stack: list[int] = []
         for lit in changed:
-            if lit in justified and watch[lit] is not None:
+            if (watch[lit] is not None
+                    and (values[lit] if lit > 0 else -values[-lit]) == 1):
                 watch[lit] = None
                 stack.append(lit)
                 while stack:
@@ -229,7 +271,8 @@ class RelevanceTracker:
         queue: list[int] = []
         head = 0
         for lit in chain(changed, dropped):
-            if watch[lit] is None and lit not in justified:
+            if (watch[lit] is None
+                    and (values[lit] if lit > 0 else -values[-lit]) != 1):
                 if lit == self._pt:
                     watch[lit] = 0   # the root
                     queue.append(lit)
@@ -244,7 +287,8 @@ class RelevanceTracker:
                 head += 1
                 for child in children_of(node):
                     # an irrelevant key; a literal outside the map gives 0
-                    if watch.get(child, 0) is None and child not in justified:
+                    if (watch.get(child, 0) is None
+                            and (values[child] if child > 0 else -values[-child]) != 1):
                         watch[child] = node
                         queue.append(child)
         changed.clear()
@@ -258,7 +302,7 @@ class RelevanceTracker:
         if self._changed:
             self._settle()
         watch = self._watch
-        justified = self._justified
+        justified = self.justified_literals()
         pt = self._pt
         if watch.keys() != self.graph.deep_literals() | {pt}:
             raise AssertionError("the watch map's keys are not the deep literals "
@@ -289,6 +333,3 @@ class RelevanceTracker:
                 on_path.add(node)
                 node = watch[node]
             resolved |= on_path
-        for lit in justified:
-            if -lit in justified:
-                raise AssertionError(f"both {lit} and {-lit} justified")

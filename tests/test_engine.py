@@ -850,14 +850,13 @@ class DeferredSolver(DecisionProbe, Solver):
 
 
 class EagerSolver(DecisionProbe, Solver):
-    """Reference: the tracker hears each of the justifier's flips at the
-    sync that makes it, filtered or not, and each popped status as the
+    """Reference: the tracker notes each status the justifier sets at the
+    sync that sets it, filtered or not, and each popped status as the
     backtrack pops it, and nothing is left to a filtered sync."""
 
     def _sync_justifier(self):
         justifier = super()._sync_justifier()
-        for lit in justifier.stack[justifier._heard:]:
-            self.tracker.notify_becomes_true(lit)
+        self.tracker.note_changed(justifier.stack[justifier._heard:])
         justifier._heard = len(justifier.stack)
         return justifier
 
@@ -870,8 +869,7 @@ class EagerSolver(DecisionProbe, Solver):
         assert justifier._unheard == popped
         assert justifier._heard == len(justifier.stack)
         justifier._unheard.clear()
-        for lit in reversed(popped):
-            self.tracker.notify_becomes_unknown(lit)
+        self.tracker.note_changed(reversed(popped))
 
     def _sync_tracker(self):
         # the tracker has heard everything already
@@ -968,15 +966,18 @@ def test_debug_watch_check_finds_a_lost_or_misplaced_watch():
 
 
 class WalkingTracker(RelevanceTracker):
-    """Reference relevance: no watches and no settle.  The notifications
-    keep the justified set, and `is_relevant` walks backward from the
-    literal over `parents_of` through unjustified literals, looking for the
-    theory atom."""
+    """Reference relevance: no watches and no settle.  `is_relevant` reads
+    the status array and walks backward from the literal over `parents_of`
+    through unjustified literals, looking for the theory atom."""
 
     def is_relevant(self, lit):
         self.query_count += 1
-        justified = self._justified
-        if lit in justified:
+        values = self._values
+
+        def justified(lit):
+            return (values[lit] if lit > 0 else -values[-lit]) == 1
+
+        if justified(lit):
             return False
         parents_of = self.graph.parents_of
         seen = {lit}
@@ -986,7 +987,7 @@ class WalkingTracker(RelevanceTracker):
             if node == self._pt:
                 return True
             for parent in parents_of(node):
-                if parent not in seen and parent not in justified:
+                if parent not in seen and not justified(parent):
                     seen.add(parent)
                     stack.append(parent)
         return False
@@ -996,7 +997,8 @@ class WalkingSolver(Solver):
     def __init__(self, theory, config):
         super().__init__(theory, config)
         if self.tracker is not None:
-            self.tracker = WalkingTracker.for_theory(theory, self.setup)
+            self.tracker = WalkingTracker.for_theory(theory, self.setup,
+                                                     values=self.justifier.values)
 
 
 def test_the_tracker_decides_as_the_backward_walk():
@@ -1095,14 +1097,13 @@ def test_unheard_holds_at_most_one_literal_per_atom():
 
 
 def test_no_sync_after_the_last_decision():
-    # the 4000-atom chain is justified by propagation alone, so the tracker
-    # never hears of an assignment
+    # the 4000-atom chain is justified by propagation alone, so nothing is
+    # ever noted to the tracker, and it never walks the graph
     solver = Solver(chain_theory(4000))
-    heard = []
-    solver.tracker.notify_becomes_true = heard.append
-    solver.tracker.notify_becomes_unknown = heard.append
+    noted = []
+    solver.tracker.note_changed = noted.append
     assert solver.solve().stats.stopped_early
-    assert heard == []
+    assert noted == [] and solver.tracker._watch == {}
 
 
 # -- decision order ----------------------------------------------------------------------

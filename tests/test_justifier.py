@@ -1,7 +1,7 @@
 import random
 
 from satid import (AtomTable, DefnfTheory, Definition, Justifier, PartialInterpretation,
-                   Rule, build_justification_maps)
+                   RelevanceTracker, Rule, build_justification_maps)
 from satid import oracle
 
 import theory_gen
@@ -36,40 +36,49 @@ def test_empty_bodies_set_their_heads_at_the_root():
     assert justifier.stack == [2, -3, 1]
 
 
-def test_send_dispatches_the_net_flips(justdef):
-    # `send` tells the tracker the net flips since the last send: a status
-    # popped and set again is not sent, and one popped for good becomes
-    # unknown
-    class Recorder:
-        def __init__(self):
-            self.events = []
-
-        def notify_becomes_true(self, lit):
-            self.events.append(("+", lit))
-
-        def notify_becomes_unknown(self, lit):
-            self.events.append(("-", lit))
-
+def test_send_notes_the_keys_set_or_popped(justdef):
+    # `send` notes, in one call, the literals set since the last send and
+    # the heard ones popped since; the tracker keeps the watch keys among
+    # them, including a key popped and set again, whose status is the same
     ids = justdef.atoms.id_of
-    b, d, f, c1 = ids("b"), ids("d"), ids("f"), ids("c1")
-    justifier = Justifier(build_justification_maps(justdef))
-    tracker = Recorder()
+    b, d, f, c1, c4, p_T = (ids(name) for name in ("b", "d", "f", "c1", "c4", "p_T"))
+    setup = build_justification_maps(justdef)
+    justifier = Justifier(setup)
+    tracker = RelevanceTracker.for_theory(justdef, setup, values=justifier.values)
+    noted = []
+    original = tracker.note_changed
+
+    def note_changed(lits):
+        noted.append(list(lits))
+        original(noted[-1])
+
+    tracker.note_changed = note_changed
+    assert tracker.is_relevant(p_T)   # the first read builds the watch map
+    assert set(tracker._watch) == {p_T, -p_T, ids("c3"), -ids("c3"), c4, -c4}
     # level 1 decides b, level 2 decides d
     trail, trail_lim = [b, d], [0, 1]
     justifier.sync(trail, trail_lim)
     justifier.send(tracker)
     # b justifies c2 and f, and f c4; b and d leave c1 <- ~b | ~d false
-    level_1 = [b, ids("c2"), f, ids("c4")]
-    level_2 = [d, -c1, -ids("p_T")]
-    assert tracker.events == [("+", lit) for lit in level_1 + level_2]
+    level_1 = [b, ids("c2"), f, c4]
+    level_2 = [d, -c1, -p_T]
+    assert noted == [level_1 + level_2]
+    assert tracker._changed == [c4, -p_T]
+    assert tracker.relevant_literals() == tracker.graph.reachable(
+        p_T, set(level_1 + level_2))
     assert justifier.lim == [0, len(level_1)]
-    tracker.events.clear()
     justifier.backtrack(0, 0)   # both levels undone
     assert justifier.stack == [] and justifier._unheard == level_1 + level_2
     justifier.sync([b], [0])    # b again, at level 1
     justifier.send(tracker)
-    assert tracker.events == [("-", lit) for lit in level_2]
-    assert justifier.justified_literals() == set(level_1)
+    assert noted[1:] == [level_1 + level_2 + level_1]
+    assert tracker._changed == [c4, -p_T, c4]
+    assert not justifier._unheard and justifier._heard == len(level_1)
+    justified = tracker.justified_literals()
+    assert justified == justifier.justified_literals() == set(level_1)
+    assert tracker.relevant_literals() == tracker.graph.reachable(p_T, justified)
+    assert tracker.is_relevant(p_T) and not tracker.is_relevant(c4)
+    assert tracker.is_relevant(c1)   # its negation no longer justified
 
 
 def test_backtrack_pops_exactly_the_levels_above():

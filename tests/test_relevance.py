@@ -79,9 +79,12 @@ def test_intro_prunes_negated_defined_literal(intro):
 
 def test_defined_original_assignments_are_ignored(intro):
     # the solver's assignments of defined atoms reach the tracker only
-    # through the statuses that the justifier derives from open literals
-    tracker = fresh_tracker(intro)
-    justifier = Justifier(build_justification_maps(intro))
+    # through the statuses that the justifier derives from open literals,
+    # which the tracker reads in place
+    setup = build_justification_maps(intro)
+    justifier = Justifier(setup)
+    tracker = RelevanceTracker.for_theory(intro, setup, debug=True,
+                                          values=justifier.values)
     p_T, a, b, d = (intro.atoms.id_of(name) for name in ("p_T", "a", "b", "d"))
     before = tracker.relevant_literals()
     justifier.sync([p_T, a, b], [])   # original defined atoms, assigned at the root
@@ -244,8 +247,12 @@ def test_unjustify_theory_atom_restores_base_relevance(loop):
 def test_double_justify_rejected(loop):
     tracker = fresh_tracker(loop)
     tracker.notify_becomes_true(2)
-    with pytest.raises(ValueError, match="already justified"):
+    with pytest.raises(ValueError, match="literal 2 is already justified"):
         tracker.notify_becomes_true(2)
+    # one status per atom: its negation cannot be justified beside it
+    with pytest.raises(ValueError, match="literal 2 is already justified"):
+        tracker.notify_becomes_true(-2)
+    assert tracker.justified_literals() == {2}
 
 
 def test_unjustify_requires_justified(loop):
@@ -353,6 +360,35 @@ def test_tracker_against_reachability_under_batched_events():
     assert flipped_back > 10_000 and theory_atom_flips > 5_000, (
         flipped_back, theory_atom_flips)
     assert (missed_states, extra_states) == (0, 0)
+
+
+def test_noting_unchanged_keys_keeps_the_relevant_set_exact():
+    # `note_changed` may name literals whose status did not change, as
+    # `Justifier.send` names a key popped and set again; the settle leaves
+    # such keys as they were.  Batches of 0-3 events each come with a random
+    # sample of literals noted on top, and after each read the relevant set
+    # is exactly the reachable one.  Counted are the unchanged keys noted.
+    rng = random.Random(2)
+    states = unchanged_keys = 0
+    for _ in range(500):
+        theory = theory_gen.random_theory(rng)
+        tracker = fresh_tracker(theory)
+        tracked = list(theory.atoms.atoms())
+        literals = [lit for atom in range(1, theory.n_atoms + 1) for lit in (atom, -atom)]
+        assigned = {}
+        assert tracker.is_relevant(theory.theory_atom)   # the first read
+        for _ in range(20):
+            flips = {send_random_event(rng, tracker, tracked, assigned)
+                     for _ in range(rng.randint(0, 3))}
+            noted = rng.sample(literals, rng.randint(1, len(literals)))
+            unchanged_keys += sum(lit in tracker._watch and lit not in flips
+                                  for lit in noted)
+            tracker.note_changed(noted)
+            want = tracker.graph.reachable(theory.theory_atom,
+                                           tracker.justified_literals())
+            assert tracker.relevant_literals() == want, theory.definition.rules
+            states += 1
+    assert states == 10_000 and unchanged_keys > 20_000, (states, unchanged_keys)
 
 
 def test_first_read_settles_the_events_sent_before_it(monkeypatch):
