@@ -3,9 +3,10 @@
 A literal is justified when the open literals assigned so far settle it
 whatever the other open atoms are: its status in the well-founded model of
 the definition in the context of those literals.  The justifier keeps that
-set incrementally.  Each rule counts the body literals still missing before
-its body is justified true or false, and source pointers find the atoms that
-only a positive loop could support.  It reads the open literals of the
+set incrementally.  Each head atom counts the body literals of its rule
+still missing before its body is justified true or false, reading the
+dependency graph's occurrence lists, and source pointers find the atoms
+that only a positive loop could support.  It reads the open literals of the
 solver's trail level by level, and a backtrack pops exactly the statuses
 the undone levels gave.
 """
@@ -40,12 +41,16 @@ def names(lits):
     return sorted(map(name, lits), key=lambda n: n.lstrip("~"))
 
 
-print("count thresholds (body literals needed for true / false):")
-for rule, need_true, need_false in zip(theory.definition, setup.need_true,
-                                       setup.need_false):
+print("count thresholds per head (body literals needed for true / false):")
+for rule in theory.definition:
     connective = " & " if rule.conjunctive else " | "
     body = connective.join(map(name, rule.body))
-    print(f"  {name(rule.head)} <- {body}: {need_true} / {need_false}")
+    head = rule.head
+    print(f"  {name(head)} <- {body}: "
+          f"{setup.need_true[head]} / {setup.need_false[head]}")
+print("heads each literal of b and d occurs in:")
+for lit in (8, -8, 10, -10):
+    print(f"  {name(lit)}: {names(setup.graph.occurs[lit])}")
 
 # a trail with b at level 1, e at level 2 and ~d at level 3
 b, d, e = 8, 10, 11

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from operator import neg
-from typing import AbstractSet, Iterable, Iterator, KeysView, Mapping, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Union
 
 
 class TruthValue(IntEnum):
@@ -374,54 +375,57 @@ class DefnfTheory:
 # ---------------------------------------------------------------------------
 # Dependency relation.
 
-_NO_LITERALS: dict[Literal, None] = {}
-
-
 class DependencyGraph:
     """Direct dependencies between literals: for each rule `p <- l1 .. ln`
     there is an edge (p, li) and an edge (~p, ~li), and no others.
 
-    Children and parents are kept in insertion order: rules in definition
-    order, the head before its negation, body literals in order with first
-    occurrences kept.  Walks over the graph, such as the relevance tracker's,
-    therefore visit edges in a fixed order.
+    A view over the one rule index, which the justifier counts over too:
+    `bodies` maps each head to its non-empty body and `occurs` each body
+    literal to the heads whose bodies hold it, in rule order, once per
+    occurrence.  The children of `p` are its body, those of `~p` the negated
+    body, and the parents of `l` the heads in `occurs[l]`, then those in
+    `occurs[~l]` negated; a repeated body literal repeats them, but `edges`
+    lists each edge once.
     """
 
-    def __init__(self, children: dict[Literal, dict[Literal, None]],
-                 parents: dict[Literal, dict[Literal, None]]) -> None:
-        self._children = children
-        self._parents = parents
+    def __init__(self, bodies: dict[Atom, tuple[Literal, ...]],
+                 occurs: dict[Literal, list[Atom]]) -> None:
+        self.bodies = bodies
+        self.occurs = occurs
 
-    def children_of(self, lit: Literal) -> KeysView[Literal]:
-        return self._children.get(lit, _NO_LITERALS).keys()
+    def children_of(self, lit: Literal) -> tuple[Literal, ...]:
+        if lit > 0:
+            return self.bodies.get(lit, ())
+        return tuple(map(neg, self.bodies.get(-lit, ())))
 
-    def parents_of(self, lit: Literal) -> KeysView[Literal]:
-        return self._parents.get(lit, _NO_LITERALS).keys()
+    def parents_of(self, lit: Literal) -> Iterator[Literal]:
+        occurs = self.occurs
+        return chain(occurs.get(lit, ()), map(neg, occurs.get(-lit, ())))
 
     def deep_literals(self) -> set[Literal]:
         """The literals with a child that has children of its own.  The
         children of `~p` are the negations of those of `p`, and a literal
-        has children exactly when its negation does, so `p` and `~p` are
-        both deep or neither: one test per rule head decides both."""
-        children = self._children
+        has children exactly when its atom heads a body, so `p` and `~p`
+        are both deep or neither: one test per body decides both."""
+        bodies = self.bodies
         deep: set[Literal] = set()
-        for head, kids in children.items():
-            if head > 0:
-                for kid in kids:
-                    if kid in children:
-                        deep.add(head)
-                        deep.add(-head)
-                        break
+        for head, body in bodies.items():
+            for lit in body:
+                if (lit if lit > 0 else -lit) in bodies:
+                    deep.add(head)
+                    deep.add(-head)
+                    break
         return deep
 
     def edges(self) -> list[tuple[Literal, Literal]]:
-        result = [(src, dst) for src, kids in self._children.items() for dst in kids]
-        result.sort(key=lambda e: (atom_of(e[0]), e[0] < 0, atom_of(e[1]), e[1] < 0))
-        return result
+        pairs = {(head, lit) for head, body in self.bodies.items() for lit in body}
+        pairs.update([(-src, -dst) for src, dst in pairs])
+        return sorted(pairs, key=lambda e: (atom_of(e[0]), e[0] < 0, atom_of(e[1]), e[1] < 0))
 
     def literals(self) -> set[Literal]:
-        lits = set(self._children)
-        lits.update(self._parents)
+        lits = set(self.bodies)
+        lits.update(self.occurs)
+        lits.update([-lit for lit in lits])
         return lits
 
     def reachable(self, root: Literal, blocked: AbstractSet[Literal]) -> set[Literal]:
@@ -429,11 +433,11 @@ class DependencyGraph:
         literals not in `blocked`; empty when `root` is blocked."""
         if root in blocked:
             return set()
-        children = self._children
+        children_of = self.children_of
         reached = {root}
         stack = [root]
         while stack:
-            for child in children.get(stack.pop(), _NO_LITERALS):
+            for child in children_of(stack.pop()):
                 if child not in reached and child not in blocked:
                     reached.add(child)
                     stack.append(child)
@@ -443,44 +447,42 @@ class DependencyGraph:
         """Defined atoms on a positive loop or depending positively on one.
 
         A Kahn-style peel over the positive edges between heads: a head is
-        peeled once all its positive children with children of their own
-        are, and the heads never peeled are returned.  Open atoms and the
-        heads of empty bodies have no children and need no peeling.
+        peeled once each positive body literal of it that heads a body is,
+        counted per occurrence, and the heads never peeled are returned.
+        Open atoms and the heads of empty bodies have no children and need
+        no peeling.
         """
-        children = self._children
-        missing: dict[Atom, int] = {}  # unpeeled head -> its unpeeled edges
+        bodies = self.bodies
+        heads_a_body = bodies.__contains__  # false for every negative literal
+        missing: dict[Atom, int] = {}  # unpeeled head -> its unpeeled occurrences
         ready: list[Atom] = []
-        for head, kids in children.items():
-            if head > 0:
-                n_deps = len([lit for lit in kids if lit > 0 and lit in children])
-                if n_deps:
-                    missing[head] = n_deps
-                else:
-                    ready.append(head)
-        parents = self._parents
+        for head, body in bodies.items():
+            n_deps = sum(map(heads_a_body, body))
+            if n_deps:
+                missing[head] = n_deps
+            else:
+                ready.append(head)
+        occurs = self.occurs.get
         while ready:
-            for head in parents.get(ready.pop(), _NO_LITERALS):
-                if head > 0:
-                    missing[head] -= 1
-                    if not missing[head]:
-                        del missing[head]
-                        ready.append(head)
+            for head in occurs(ready.pop(), ()):
+                missing[head] -= 1
+                if not missing[head]:
+                    del missing[head]
+                    ready.append(head)
         return set(missing)
 
 
 def build_dependency_graph(definition: Definition) -> DependencyGraph:
-    children: dict[Literal, dict[Literal, None]] = {}
-    parents: dict[Literal, dict[Literal, None]] = {}
+    bodies: dict[Atom, tuple[Literal, ...]] = {}
+    occurs: dict[Literal, list[Atom]] = {}
     for rule in definition:
-        if not rule.body:
-            continue
-        for head, sign in ((rule.head, 1), (-rule.head, -1)):
-            kids = children[head] = {}
-            for lit in rule.body:
-                child = sign * lit
-                kids[child] = None
-                parents.setdefault(child, {})[head] = None
-    return DependencyGraph(children, parents)
+        body = rule.body
+        if body:
+            head = rule.head
+            bodies[head] = body
+            for lit in body:
+                occurs.setdefault(lit, []).append(head)
+    return DependencyGraph(bodies, occurs)
 
 
 # ---------------------------------------------------------------------------

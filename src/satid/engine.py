@@ -58,11 +58,12 @@ reachability, the side list, the heap and the watches.
 Unfounded-set propagation only ever looks at the loop part of the
 definition (`justifier.LoopPart`), found once by peeling the loop-free atoms
 off the positive edges of the theory's one dependency graph,
-`JustifiedTheory.graph`, which the relevance tracker watches too.  That is
-exact at a unit-propagation fixpoint: in an unfounded set, the atom peeled
-first has no positive body atom in the set, so its body is false, and its
-completion clause (for the justifier, its rule's false count) has made it
-false already.
+`JustifiedTheory.graph`, a view over the one rule index (bodies and
+occurrence lists) that the justifier counts over and the relevance tracker
+watches too.  That is exact at a unit-propagation fixpoint: in an unfounded
+set, the atom peeled first has no positive body atom in the set, so its
+body is false, and its completion clause (for the justifier, its false
+count) has made it false already.
 
 Sources are not restored on backtrack.  A false atom keeps its source, and
 an unfounded atom keeps the source it lost.  Search decides only after a

@@ -326,9 +326,9 @@ def relevance_dot(tracker, name_of=None) -> str:
     cyclic = cyclic_literals({lit: [d for d in children_of(lit) if d in floating]
                               for lit in floating})
 
-    def edges_within(lits):
+    def edges_within(lits):  # one edge however often a body repeats a literal
         return [(src, dst) for src in sorted(lits, key=_literal_order)
-                for dst in sorted(children_of(src), key=_literal_order) if dst in lits]
+                for dst in sorted(set(children_of(src)), key=_literal_order) if dst in lits]
 
     solid = edges_within(relevant)
     dashed = edges_within(cyclic)

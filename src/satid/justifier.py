@@ -4,11 +4,12 @@ They are the literals of the well-founded model of the definition in the
 context of those open literals (Van Gelder, Ross and Schlipf, JACM 1991),
 the least fixpoint of the W_P operator: a head becomes true when its body
 is true, and every atom of the greatest unfounded set becomes false.  The
-justifier computes that fixpoint incrementally.  Each rule counts the body
+justifier computes that fixpoint incrementally.  Each head counts the body
 literals, per occurrence, still missing before its body is justified true
 (all of a conjunction's, one of a disjunction's) and before it is justified
-false (one of a conjunction's, all of a disjunction's), and sets its head
-when a count reaches 0; an empty body sets its head at once.  Once the
+false (one of a conjunction's, all of a disjunction's), found through the
+occurrence lists of the one rule index (`DependencyGraph.occurs`), and is
+set when a count reaches 0; an empty body sets its head at once.  Once the
 counts are at their fixpoint, `LoopPart` finds the unfounded atoms that only
 a positive loop could support, with the source pointers that the solver
 runs over its own values (SAT(ID), Mariën et al., SAT 2008); every other
@@ -41,22 +42,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class JustifiedTheory:
-    """A theory and the static index that the justifier, the loop part and
-    the relevance tracker read.  `graph` is the base definition's dependency
-    graph, which `satid solve --dot` renders too.  Rule r has head
-    `heads[r]` and needs `need_true[r]` (`need_false[r]`) of its body
-    literals justified true (false) for its head to be; `occurs[lit]` lists
-    the rules whose bodies hold `lit`, once per occurrence.  `loop_rules`
-    maps each loop head to (position, conjunctive, body), in rule order, and
-    `loop_watches` each of their body literals to their heads, once per
-    occurrence."""
+    """A theory and the one static rule index that the justifier, the loop
+    part and the relevance tracker read.  `graph` is the base definition's
+    dependency graph, which `satid solve --dot` renders too; its `occurs`
+    lists, for each body literal, the heads whose bodies hold it, once per
+    occurrence.  Head atom p needs `need_true[p]` (`need_false[p]`) of its
+    body literals justified true (false) to be; the counts of atoms that
+    head no rule are 0 and never read.  `loop_rules` maps each loop head to
+    (position, conjunctive, body), in rule order, and `loop_watches` each of
+    their body literals to their heads, once per occurrence."""
 
     base: DefnfTheory
     graph: DependencyGraph
-    heads: list[int]
     need_true: list[int]
     need_false: list[int]
-    occurs: dict[int, list[int]]
     loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]]
     loop_watches: dict[int, list[int]]
 
@@ -64,17 +63,12 @@ class JustifiedTheory:
 def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
     """Index a theory for the justifier, the loop part and the tracker."""
     graph = build_dependency_graph(theory.definition)
-    heads: list[int] = []
-    need_true: list[int] = []
-    need_false: list[int] = []
-    occurs: dict[int, list[int]] = {}
-    for r, rule in enumerate(theory.definition):
-        heads.append(rule.head)
+    need_true = [0] * (theory.n_atoms + 1)
+    need_false = need_true.copy()
+    for rule in theory.definition:
         size = len(rule.body)
-        need_true.append(size if rule.conjunctive else 1)
-        need_false.append(1 if rule.conjunctive else size)
-        for lit in rule.body:
-            occurs.setdefault(lit, []).append(r)
+        need_true[rule.head], need_false[rule.head] = (
+            (size, 1) if rule.conjunctive else (1, size))
     loop = graph.loop_atoms()
     loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]] = {}
     loop_watches: dict[int, list[int]] = {}
@@ -83,7 +77,7 @@ def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
             loop_rules[rule.head] = (len(loop_rules), rule.conjunctive, rule.body)
             for lit in rule.body:
                 loop_watches.setdefault(lit, []).append(rule.head)
-    return JustifiedTheory(theory, graph, heads, need_true, need_false, occurs,
+    return JustifiedTheory(theory, graph, need_true, need_false,
                            loop_rules, loop_watches)
 
 
@@ -250,10 +244,10 @@ class Justifier:
         self.stack: list[int] = []
         self.lim: list[int] = []
         self.read = 0
-        # per rule, the body literals still missing for each status, counted
-        # up to stack position `_counted`
-        self._to_true = list(setup.need_true)
-        self._to_false = list(setup.need_false)
+        # per head atom, the body literals still missing for each status,
+        # counted up to stack position `_counted`
+        self._to_true = setup.need_true.copy()
+        self._to_false = setup.need_false.copy()
         self._counted = 0
         self.loop = LoopPart(setup, self.values, self.stack)
         # the stack length at the last `send`: `stack[:_heard]` has not
@@ -261,10 +255,10 @@ class Justifier:
         # as justified that a backtrack has popped since
         self._heard = 0
         self._unheard: list[int] = []
-        for r, head in enumerate(setup.heads):  # the empty bodies
-            if not self._to_true[r] or not self._to_false[r]:
-                self.values[head] = 1 if not self._to_true[r] else -1
-                self.stack.append(head * self.values[head])
+        for rule in setup.base.definition:  # the empty bodies
+            if not rule.body:
+                self.values[rule.head] = 1 if rule.conjunctive else -1
+                self.stack.append(rule.head if rule.conjunctive else -rule.head)
 
     def justified_literals(self) -> set[int]:
         return set(self.stack)
@@ -294,8 +288,7 @@ class Justifier:
         neither sets a status."""
         stack = self.stack
         values = self.values
-        occurs = self.setup.occurs.get
-        heads = self.setup.heads
+        occurs = self.setup.graph.occurs.get
         to_true = self._to_true
         to_false = self._to_false
         loop = self.loop
@@ -304,16 +297,16 @@ class Justifier:
             reading = iter(stack)
             reading.__setstate__(self._counted)
             for lit in reading:
-                for r in occurs(lit, ()):
-                    to_true[r] -= 1
-                    if not to_true[r] and not values[heads[r]]:
-                        values[heads[r]] = 1
-                        stack.append(heads[r])
-                for r in occurs(-lit, ()):
-                    to_false[r] -= 1
-                    if not to_false[r] and not values[heads[r]]:
-                        values[heads[r]] = -1
-                        stack.append(-heads[r])
+                for head in occurs(lit, ()):
+                    to_true[head] -= 1
+                    if not to_true[head] and not values[head]:
+                        values[head] = 1
+                        stack.append(head)
+                for head in occurs(-lit, ()):
+                    to_false[head] -= 1
+                    if not to_false[head] and not values[head]:
+                        values[head] = -1
+                        stack.append(-head)
             self._counted = len(stack)
             if not loop.rules:
                 return
@@ -338,15 +331,15 @@ class Justifier:
             self._unheard += stack[start:self._heard]
             self._heard = start
         values = self.values
-        occurs = self.setup.occurs.get
+        occurs = self.setup.graph.occurs.get
         to_true = self._to_true
         to_false = self._to_false
         for lit in stack[start:]:
             values[lit if lit > 0 else -lit] = 0
-            for r in occurs(lit, ()):
-                to_true[r] += 1
-            for r in occurs(-lit, ()):
-                to_false[r] += 1
+            for head in occurs(lit, ()):
+                to_true[head] += 1
+            for head in occurs(-lit, ()):
+                to_false[head] += 1
         del stack[start:]
         self._counted = self.loop.head = start
 

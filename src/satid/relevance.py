@@ -4,8 +4,9 @@ The tracker is a module beside the solver, with a narrow interface:
 
 - built once per theory, by `RelevanceTracker.for_theory`, from the static
   `core.DependencyGraph` that `build_justification_maps` builds
-  (`JustifiedTheory.graph`, which the solver's loop peel and `satid solve
-  --dot` read too); nothing can be added to the graph afterwards;
+  (`JustifiedTheory.graph`, the one rule index: a view of bodies and
+  occurrence lists, which the justifier's counts, the solver's loop peel
+  and `satid solve --dot` read too); nothing can be added to it afterwards;
 - input: a status array in the justifier's layout, which the tracker reads
   in place (`values[atom]` is 1 when the atom is justified true, -1 when
   its negation is, and 0 otherwise), and `note_changed`, naming literals
@@ -38,8 +39,9 @@ the parent of no deep literal, so nothing but its own queries would read a
 watch of it, and unless it is the theory atom it has no key.  The parent
 rule gives its relevance instead: a literal outside the map is relevant
 when it is unjustified and one of its parents is, and its `watched_parent`
-is the first such parent in `parents_of` order.  The parents of a frontier literal are deep, and those
-of a leaf are deep or frontier, so a query looks at most two levels up.
+is the first such parent in `parents_of` order.  The parents of a frontier
+literal are deep, and those of a leaf are deep or frontier, so a query
+looks at most two levels up.
 
 A note keeps only the keys among the literals it names; a shallow
 literal's flip moves no watch.  It may name literals whose status did not
@@ -198,15 +200,17 @@ class RelevanceTracker:
         values = self._values
         if (values[lit] if lit > 0 else -values[-lit]) == 1:
             return None
-        parents_of = self.graph.parents_of
-        for parent in parents_of(lit):
-            if parent in watch:
-                if watch[parent] is not None:
-                    return parent
-            elif (values[parent] if parent > 0 else -values[-parent]) != 1:
-                for grandparent in parents_of(parent):
-                    if watch[grandparent] is not None:
+        occurs = self.graph.occurs
+        for sign in (1, -1):  # `parents_of` order, without its iterators
+            for parent in occurs.get(sign * lit, ()):
+                parent *= sign
+                if parent in watch:
+                    if watch[parent] is not None:
                         return parent
+                elif (values[parent] if parent > 0 else -values[-parent]) != 1:
+                    for grandparent in self.graph.parents_of(parent):
+                        if watch[grandparent] is not None:
+                            return parent
         return None
 
     # -- status events --------------------------------------------------------

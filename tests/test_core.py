@@ -1,4 +1,5 @@
 import random
+from operator import neg
 
 import pytest
 
@@ -168,29 +169,39 @@ def test_theory_builds_its_open_atoms_once():
 def test_dependency_edges_both_polarities():
     d = Definition([Rule(1, False, (4, -5, 6))])
     g = build_dependency_graph(d)
-    assert g.children_of(1) == {4, -5, 6}
-    assert g.children_of(-1) == {-4, 5, -6}
-    assert g.parents_of(-5) == {1}
+    assert g.children_of(1) == (4, -5, 6)
+    assert g.children_of(-1) == (-4, 5, -6)
+    assert list(g.parents_of(-5)) == [1]
+    assert list(g.parents_of(5)) == [-1]
 
 
 def test_dependency_parents_in_loop_theory(loop):
     g = build_dependency_graph(loop.definition)
     p_T, a, p, q = 1, 2, 3, 4
-    assert g.children_of(p) == {q}
-    assert g.parents_of(p) == {p_T, q}
+    assert g.children_of(p) == (q,)
+    assert list(g.parents_of(p)) == [p_T, q]
+    assert list(g.parents_of(-p)) == [-p_T, -q]
 
 
 def test_dependency_graph_keeps_insertion_order():
-    # rules in definition order, the head before its negation, body order
-    # with first occurrences kept
-    d = Definition([Rule(1, False, (6, -5, 6, 4)), Rule(2, True, (4, 1, -5))])
+    # the children of a head are its body as written, repeats kept, and of
+    # its negation the negated body; the parents of a literal are the heads
+    # whose bodies hold it, in rule order and once per occurrence, then the
+    # negations of those whose bodies hold its negation
+    d = Definition([Rule(1, False, (6, -5, 6, 4)), Rule(2, True, (4, 1, -5)),
+                    Rule(3, False, (-4,))])
     g = build_dependency_graph(d)
-    assert list(g.children_of(1)) == [6, -5, 4]
-    assert list(g.children_of(-2)) == [-4, -1, 5]
-    assert list(g.parents_of(4)) == [1, 2]
+    assert g.bodies == {1: (6, -5, 6, 4), 2: (4, 1, -5), 3: (-4,)}
+    assert g.children_of(1) == (6, -5, 6, 4)
+    assert g.children_of(-2) == (-4, -1, 5)
+    assert list(g.parents_of(4)) == [1, 2, -3]
+    assert list(g.parents_of(-4)) == [3, -1, -2]
+    assert list(g.parents_of(6)) == [1, 1]
     assert list(g.parents_of(-5)) == [1, 2]
     assert list(g.parents_of(5)) == [-1, -2]
+    # one edge per (source, target), however often a body repeats it
     assert g.edges()[:3] == [(1, 4), (1, -5), (1, 6)]
+    assert len(g.edges()) == 14
 
 
 def test_reachable_through_unblocked_literals(loop):
@@ -274,6 +285,86 @@ def test_parents_children_are_inverse():
         assert {-lit for lit in deep} == deep
 
 
+def reference_edges(definition):
+    """The dependency edges written out rule by rule: (p, l) and (~p, ~l)
+    for each occurrence of a body literal l of each rule p <- body."""
+    edges = []
+    for rule in definition:
+        for lit in rule.body:
+            edges.append((rule.head, lit))
+            edges.append((-rule.head, -lit))
+    return edges
+
+
+def with_repeats(rng, definition):
+    """The definition with each body repeating a literal, adding a
+    complement or emptied, at random."""
+    rules = []
+    for rule in definition:
+        body = list(rule.body)
+        roll = rng.random()
+        if roll < 0.3:
+            body.insert(rng.randrange(len(body) + 1), rng.choice(body))
+        elif roll < 0.5:
+            body.append(-rng.choice(body))
+        elif roll < 0.6:
+            body = []
+        rules.append(Rule(rule.head, rule.conjunctive, tuple(body)))
+    return Definition(rules)
+
+
+def test_the_graph_view_matches_the_rule_by_rule_reference():
+    # the view over bodies and occurrence lists against edges listed one by
+    # one from the rules: children in body order, parents and edges as
+    # multisets and sets, the literals, the deep literals and the loop atoms
+    # (by a naive peel to a fixpoint)
+    rng = random.Random(28)
+    definitions = [Definition([Rule(1, False, (2, 2))]),
+                   Definition([Rule(1, True, (2, -2))]),
+                   Definition([Rule(1, False, (2, 2)), Rule(2, True, (1, 3, 1))]),
+                   Definition([Rule(1, True, ()), Rule(2, False, ())]),
+                   Definition([Rule(1, False, (2, 3)), Rule(2, True, ()),
+                               Rule(3, False, (-1, -1))]),
+                   Definition([])]
+    for _ in range(300):
+        definitions.append(theory_gen.random_theory(rng).definition)
+        definitions.append(theory_gen.random_total_theory(rng).definition)
+        definitions.append(with_repeats(rng, definitions[-2]))
+    repeats = loops = 0
+    for definition in definitions:
+        g = build_dependency_graph(definition)
+        edges = reference_edges(definition)
+        repeats += len(set(edges)) < len(edges)
+        children = {}
+        parents = {}
+        for src, dst in edges:
+            children.setdefault(src, []).append(dst)
+            parents.setdefault(dst, []).append(src)
+        lits = set(children) | set(parents)
+        assert g.literals() == lits
+        assert g.edges() == sorted(set(edges), key=lambda e: (
+            abs(e[0]), e[0] < 0, abs(e[1]), e[1] < 0))
+        atoms = {abs(lit) for lit in lits} | {rule.head for rule in definition}
+        for lit in [*atoms, *map(neg, atoms), max(atoms, default=0) + 1]:
+            assert list(g.children_of(lit)) == children.get(lit, []), lit
+            assert sorted(g.parents_of(lit)) == sorted(parents.get(lit, [])), lit
+        assert g.deep_literals() == {
+            lit for lit, kids in children.items() if any(k in children for k in kids)}
+        peeled = set()
+        grown = True
+        while grown:
+            grown = False
+            for head, kids in children.items():
+                if head > 0 and head not in peeled and all(
+                        kid < 0 or kid not in children or kid in peeled for kid in kids):
+                    peeled.add(head)
+                    grown = True
+        want = {head for head in children if head > 0} - peeled
+        assert g.loop_atoms() == want, definition
+        loops += bool(want)
+    assert repeats > 150 and loops > 150, (repeats, loops)
+
+
 # -- direct justifications ---------------------------------------------------------
 
 def test_direct_justifications_four_cases():
@@ -299,8 +390,8 @@ def test_direct_justifications_are_children():
         g = build_dependency_graph(theory.definition)
         for atom in theory.defined:
             for lit in (atom, -atom):
-                for just in direct_justifications(lit, theory.definition):
-                    assert just <= g.children_of(lit)
+                justs = direct_justifications(lit, theory.definition)
+                assert set().union(*justs) == set(g.children_of(lit))
 
 
 # -- completion ---------------------------------------------------------------------

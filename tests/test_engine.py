@@ -681,9 +681,9 @@ def test_loop_index_and_clauses_follow_the_definition():
     # the problem clauses are the completion of the definition, and the loop
     # index holds the loop rules in rule order, the order unfounded atoms are
     # falsified in.  On the shuffled shapes (100 loops over 1200 atoms, 20
-    # over 300) that order is not the ascending one.  The justifier's index
-    # gives each rule its head and count thresholds, and each body literal
-    # its rules, once per occurrence
+    # over 300) that order is not the ascending one.  The one rule index
+    # gives each head its non-empty body and count thresholds, and each body
+    # literal the heads it occurs in, in rule order, once per occurrence
     rng = random.Random(15)
     theories = ([theory_gen.shuffled_loops_theory(rng, count, n_atoms)
                  for count, n_atoms in [(100, 1200), (20, 300)] * 4]
@@ -707,15 +707,21 @@ def test_loop_index_and_clauses_follow_the_definition():
         assert solver.loop.watches == watches
         unsorted += order != sorted(order)
         setup = solver.setup
+        need_true = [0] * (theory.n_atoms + 1)
+        need_false = [0] * (theory.n_atoms + 1)
+        bodies = {}
         occurs = {}
-        for r, rule in enumerate(definition):
+        for rule in definition:
             size = len(rule.body)
-            assert setup.heads[r] == rule.head
-            assert (setup.need_true[r], setup.need_false[r]) == (
+            need_true[rule.head], need_false[rule.head] = (
                 (size, 1) if rule.conjunctive else (1, size))
+            if rule.body:
+                bodies[rule.head] = rule.body
             for lit in rule.body:
-                occurs.setdefault(lit, []).append(r)
-        assert setup.occurs == occurs
+                occurs.setdefault(lit, []).append(rule.head)
+        assert (setup.need_true, setup.need_false) == (need_true, need_false)
+        assert list(setup.graph.bodies.items()) == list(bodies.items())
+        assert setup.graph.occurs == occurs
     assert unsorted >= 8, unsorted
 
 

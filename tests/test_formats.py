@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from satid import (AtomTable, RelevanceTracker, build_dependency_graph,
-                   build_justification_maps, normalize_to_defnf, parse_cid,
+from satid import (AtomTable, Definition, DefnfTheory, RelevanceTracker, Rule,
+                   build_dependency_graph, build_justification_maps,
+                   normalize_to_defnf, parse_cid,
                    parse_pcid, parse_trace, relevance_dot, solve, to_dot,
                    write_cid, write_trace)
 from satid.formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
@@ -255,6 +256,29 @@ def test_dependency_dot_empty():
     from satid import Definition
     dot = to_dot(build_dependency_graph(Definition([])))
     assert dot == "digraph dependencies {\n}\n"
+
+
+def test_dot_keeps_one_edge_when_a_body_repeats_a_literal():
+    # 1 <- 2 | 2 has two occurrences of 2 but one edge 1 -> 2 (and ~1 -> ~2)
+    theory = DefnfTheory(AtomTable([None] * 2), 1,
+                         Definition([Rule(1, False, (2, 2))]))
+    graph = build_dependency_graph(theory.definition)
+    assert to_dot(graph) == (
+        'digraph dependencies {\n  "x1" -> "x2";\n  "~x1" -> "~x2";\n}\n')
+    assert relevance_dot(RelevanceTracker.for_theory(theory)) == (
+        'digraph relevance {\n  "x1";\n  "x2";\n  "x1" -> "x2";\n}\n')
+    # and one dashed edge each way on the loop 2 <- 3 | 3, 3 <- 2 & 2 once
+    # the theory atom 1 <- 4 | 2 is justified by the open 4
+    theory = DefnfTheory(AtomTable([None] * 4), 1, Definition([
+        Rule(1, False, (4, 2)), Rule(2, False, (3, 3)), Rule(3, True, (2, 2))]))
+    tracker = RelevanceTracker.for_theory(theory)
+    tracker.notify_becomes_true(4)
+    tracker.notify_becomes_true(1)
+    assert relevance_dot(tracker) == (
+        'digraph relevance {\n'
+        '  "x2" -> "x3" [style=dashed];\n  "~x2" -> "~x3" [style=dashed];\n'
+        '  "x3" -> "x2" [style=dashed];\n  "~x3" -> "~x2" [style=dashed];\n'
+        '}\n')
 
 
 def test_relevance_dot_initial(loop):

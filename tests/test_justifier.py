@@ -8,20 +8,24 @@ import theory_gen
 
 
 def test_justification_definition_structure(justdef):
-    # each rule's head and count thresholds, and the rules each body literal
-    # occurs in; the definition has no positive loop, so no loop rules
+    # each head's body and count thresholds, indexed by atom, and the heads
+    # each body literal occurs in; the definition has no positive loop, so
+    # no loop rules
     setup = build_justification_maps(justdef)
     ids = justdef.atoms.id_of
-    assert setup.heads == [ids(name) for name in ("p_T", "c1", "c2", "c3", "c4", "f")]
+    p_T, c1, c2, c3, c4, f = (ids(name) for name in ("p_T", "c1", "c2", "c3", "c4", "f"))
+    assert list(setup.graph.bodies) == [p_T, c1, c2, c3, c4, f]
     # p_T <- c1 & c2 & c3 & c4 needs all four for true and one for false;
-    # each disjunction needs one for true and all for false
-    assert setup.need_true == [4, 1, 1, 1, 1, 1]
-    assert setup.need_false == [1, 2, 3, 3, 3, 2]
-    b, d, f = ids("b"), ids("d"), ids("f")
-    assert setup.occurs[-b] == [1, 3]     # c1 <- ~b | ~d, c3 <- ~b | e | ~f
-    assert setup.occurs[b] == [2, 5]      # c2 <- a | b | ~c, f <- b | d
-    assert setup.occurs[f] == [4] and setup.occurs[-f] == [3]
-    assert setup.occurs[d] == [4, 5] and setup.occurs[-d] == [1]
+    # each disjunction needs one for true and all for false; the open
+    # atoms a..e head no rule and count 0
+    assert setup.need_true == [0, 4, 1, 1, 1, 1, 1] + [0] * 5
+    assert setup.need_false == [0, 1, 2, 3, 3, 3, 2] + [0] * 5
+    occurs = setup.graph.occurs
+    b, d = ids("b"), ids("d")
+    assert occurs[-b] == [c1, c3]     # c1 <- ~b | ~d, c3 <- ~b | e | ~f
+    assert occurs[b] == [c2, f]       # c2 <- a | b | ~c, f <- b | d
+    assert occurs[f] == [c4] and occurs[-f] == [c3]
+    assert occurs[d] == [c4, f] and occurs[-d] == [c1]
     assert setup.loop_rules == {} and setup.loop_watches == {}
 
 
@@ -121,8 +125,10 @@ def test_the_index_needs_no_atom_names():
     for table in (named, unnamed):
         setup = build_justification_maps(DefnfTheory(table, 1, Definition(rules)))
         assert len(table) == 3
-        indexes.append((setup.heads, setup.need_true, setup.need_false, setup.occurs))
-    assert indexes[0] == indexes[1] == ([1, 3], [1, 1], [2, 1], {2: [0], 3: [0], -2: [1]})
+        indexes.append((setup.graph.bodies, setup.need_true, setup.need_false,
+                        setup.graph.occurs))
+    assert indexes[0] == indexes[1] == ({1: (2, 3), 3: (-2,)}, [0, 1, 0, 1],
+                                        [0, 2, 0, 1], {2: [1], 3: [1], -2: [3]})
 
 
 def test_the_justifier_reads_only_open_literals(intro):
