@@ -17,21 +17,19 @@ intro = parse_cid(Path(__file__).with_name("data").joinpath("intro.cid").read_te
 
 result = Solver(intro).solve()
 print("status:", result.status)
-print("witness (original atoms):",
-      result.witness_restricted(intro).true_literals())
+print("witness:", result.witness.true_literals())
 print("stopped early:", result.stats.stopped_early)
 print("models represented:", result.stats.models_represented)
 
 # the oracle confirms the count by enumerating the open extensions
-witness = result.witness_restricted(intro)
-print("oracle count:", oracle.count_models_extending(intro, witness))
+print("oracle count:", oracle.count_models_extending(intro, result.witness))
 
 # the same run without the relevance filter and without early stopping walks
 # all the way to a total model
 blind = SolverConfig(relevance_filter=False, stop_on_justified=False)
 full = Solver(intro, blind).solve()
 print("\nblind run status:", full.status)
-print("blind witness:", full.witness_restricted(intro).true_literals())
+print("blind witness:", full.witness.true_literals())
 for label, r in (("filtered", result), ("blind", full)):
     print(f"{label:>9}: decisions={r.stats.decisions} "
           f"conflicts={r.stats.conflicts} propagations={r.stats.propagations}")

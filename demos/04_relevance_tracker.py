@@ -14,13 +14,11 @@ atom has none, so it stays unwatched.
 
 from pathlib import Path
 
-from satid import (RelevanceTracker, build_justification_maps, parse_cid,
-                   parse_trace, relevance_dot)
+from satid import RelevanceTracker, parse_cid, parse_trace, relevance_dot
 from satid.replay import TraceReplayer
 
 theory = parse_cid(Path(__file__).with_name("data").joinpath("loop.cid").read_text())
-setup = build_justification_maps(theory)
-tracker = RelevanceTracker.for_theory(theory, setup)
+tracker = RelevanceTracker.for_theory(theory)
 
 p_T, a, p, q = 1, 2, 3, 4
 print("dependency parents of p:", sorted(tracker.graph.parents_of(p)))
@@ -44,7 +42,7 @@ print("\nafter backtracking:", sorted(tracker.relevant_literals(), key=abs))
 
 # the same interaction as a replayable trace file with expectations
 trace = parse_trace(Path(__file__).with_name("data").joinpath("loop.trc").read_text())
-replayer = TraceReplayer(theory, setup=setup, check_oracle=True)
+replayer = TraceReplayer(theory, check_oracle=True)
 report = replayer.run(trace)
 print(f"\ntrace replay: {report.events} events, "
       f"{report.oracle_checks} oracle checks, ok={report.ok}")

@@ -118,8 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _write_stats(args, result.status, result.stats)
     if result.status == "sat":
         print("SATISFIABLE")
-        witness = result.witness_restricted(theory)
-        lits = " ".join(str(l) for l in witness.true_literals())
+        lits = " ".join(str(l) for l in result.witness.true_literals())
         print(f"v{' ' + lits if lits else ''} 0")
         if result.stats.stopped_early:
             print(f"models_represented: 2^{result.stats.models_represented_log2}")

@@ -30,13 +30,13 @@ blocker there.  A deletion keeps the other literals in their order, so a
 scan picks the same new watch, and every watch move, implication, reason,
 conflict and learned clause is the same (analysis skips level-0 literals).
 
-Justified status has one home, the justifier's `values`, which the
-relevance tracker reads in place.  The tracker hears which statuses may
-have changed only right before a filtered decision, in one note, and
-nothing is recorded per assignment.  `Justifier._heard` is the stack length
-at the last send, and a backtrack that pops below it moves the heard
-literals it pops to `_unheard`.  `Justifier.send` then notes those and the
-literals set since, and the tracker keeps the watch keys among them.  After
+Justified status has one home, the justifier's `values`.  The solver alone
+wires the justifier to the relevance tracker, which reads that array and
+the justifier's graph in place, and right before a filtered decision it
+notes to the tracker, in one call, what `Justifier.take_changed` returns,
+so nothing is recorded per assignment: the heard literals that backtracks
+have popped since the last take (`_unheard`), and those set since.  The
+tracker keeps the watch keys among them.  After
 its next settle the tracker is exact (see `relevance`), a function of the
 justified set alone, so deferred and eager notes decide the same.
 
@@ -138,11 +138,6 @@ class SolveResult:
     status: str  # "sat" | "unsat"
     witness: PartialInterpretation | None
     stats: SolveStats
-
-    def witness_restricted(self, theory: DefnfTheory) -> PartialInterpretation | None:
-        if self.witness is None:
-            return None
-        return self.witness.restrict(theory.atoms.atoms())
 
 
 class BudgetExhausted(RuntimeError):
@@ -285,8 +280,8 @@ class Solver:
         # only the early stop and the filter read justified status
         self.justifier = (Justifier(setup)
                           if cfg.relevance_filter or cfg.stop_on_justified else None)
-        # the tracker reads the justifier's statuses in place
-        self.tracker = (RelevanceTracker.for_theory(theory, setup, debug=cfg.debug,
+        # the tracker reads the justifier's graph and statuses in place
+        self.tracker = (RelevanceTracker.for_theory(theory, setup.graph, debug=cfg.debug,
                                                     values=self.justifier.values)
                         if cfg.relevance_filter else None)
 
@@ -367,8 +362,8 @@ class Solver:
 
     def _sync_tracker(self) -> None:
         """Note to the tracker the statuses that may have changed since the
-        last sync (`Justifier.send`)."""
-        self.justifier.send(self.tracker)
+        last sync (`Justifier.take_changed`)."""
+        self.tracker.note_changed(self.justifier.take_changed())
 
     # -- clause database ------------------------------------------------------
 

@@ -2,20 +2,19 @@
 
 The tracker is a module beside the solver, with a narrow interface:
 
-- built once per theory, by `RelevanceTracker.for_theory`, from the static
-  `core.DependencyGraph` that `build_justification_maps` builds
-  (`JustifiedTheory.graph`, the one rule index: a view of bodies and
-  occurrence lists, which the justifier's counts, the solver's loop peel
-  and `satid solve --dot` read too); nothing can be added to it afterwards;
-- input: a status array in the justifier's layout, which the tracker reads
-  in place (`values[atom]` is 1 when the atom is justified true, -1 when
-  its negation is, and 0 otherwise), and `note_changed`, naming literals
-  whose status may have changed in it since the last settle.  The
-  solver's tracker reads its justifier's `values`, and
-  `justifier.Justifier.send` notes the literals set or popped since the
-  last send.  A standalone tracker owns its array, and
-  `notify_becomes_true` and `notify_becomes_unknown`, each naming a
-  literal whose justified status flipped, write it and note the literal;
+- built once per theory, by `RelevanceTracker.for_theory`, from a static
+  `core.DependencyGraph`, and needing nothing but `core`: the solver hands
+  it the graph its justifier counts over, and a standalone tracker builds
+  its own; nothing can be added to it afterwards;
+- input: a status array, which the tracker reads in place
+  (`values[atom]` is 1 when the atom is justified true, -1 when its
+  negation is, and 0 otherwise), and `note_changed`, naming literals whose
+  status may have changed in it since the last settle.  The solver's
+  tracker reads its justifier's `values`, and the solver notes what
+  `justifier.Justifier.take_changed` returns.  A standalone tracker owns
+  its array, and `notify_becomes_true` and `notify_becomes_unknown`, each
+  naming a literal whose justified status flipped, refuse a flip that
+  cannot happen, then write it and note the literal;
 - output: `is_relevant`, which the solver's decisions ask;
 - inspection: `relevant_literals`, `justified_literals`, `watched_parent`
   and `validate` (the debug invariants); these two sets and the `graph`
@@ -113,14 +112,13 @@ from collections.abc import Iterable
 from itertools import chain
 
 from .core import DefnfTheory, DependencyGraph, build_dependency_graph
-from .justifier import JustifiedTheory
 
 
 class RelevanceTracker:
     """Watched-parent relevance tracker for one static theory.
 
     It is built from the theory atom, the theory's `DependencyGraph` and a
-    status array laid out as `justifier.Justifier.values`, and has no API
+    status array (the layout of `justifier.Justifier.values`), and has no API
     for adding rules later.  Construction settles nothing: the first read
     builds the watches.  Notes are batched until the next read, which
     settles them; the result does not depend on how the caller batches its
@@ -143,12 +141,14 @@ class RelevanceTracker:
         self._changed = [theory_atom]
 
     @classmethod
-    def for_theory(cls, theory: DefnfTheory, setup: JustifiedTheory | None = None,
+    def for_theory(cls, theory: DefnfTheory, graph: DependencyGraph | None = None,
                    debug: bool = False,
                    values: list[int] | None = None) -> "RelevanceTracker":
-        """A tracker over `values`, or over an array of its own, with
-        nothing justified, when none is given."""
-        graph = setup.graph if setup else build_dependency_graph(theory.definition)
+        """A tracker over `graph` and `values`; when none is given, over the
+        definition's own graph, or over an array of its own with nothing
+        justified."""
+        if graph is None:
+            graph = build_dependency_graph(theory.definition)
         if values is None:
             values = [0] * (theory.n_atoms + 1)
         return cls(theory.theory_atom, graph, values, debug=debug)

@@ -2,27 +2,28 @@
 
 A trace scripts the solver-side events (literals whose justified status
 becomes true or unknown, over the theory's atoms), relevance queries, and
-expectations.  The replayer validates event ordering, forwards notifications
-to the tracker, and optionally cross-checks every quiescent state against the
-reference relevance fixpoint whenever the tracker's justified set agrees with
-the reference statuses of the trace's open literals (mid-batch states, where
-scripted defined-literal events lag the open ones, are skipped).
+expectations.  The replayer forwards notifications to a standalone tracker,
+whose own checks are the one test of event order, and optionally
+cross-checks every quiescent state against the reference relevance fixpoint
+whenever the tracker's justified set agrees with the reference statuses of
+its open literals (mid-batch states, where scripted defined-literal events
+lag the open ones, are skipped).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import TRUE, UNKNOWN, DefnfTheory, PartialInterpretation, atom_of
+from .core import DefnfTheory, PartialInterpretation, atom_of
 from .formats import (BECOMES_TRUE, BECOMES_UNKNOWN, EXPECT_RELEVANT,
                       QUERY_RELEVANT, TraceEvent)
-from .justifier import JustifiedTheory
 from .relevance import RelevanceTracker
 from . import oracle
 
 
 class ReplayOrderError(ValueError):
-    """Event applied in an impossible order (e.g. retracting an unset atom)."""
+    """Event applied in an impossible order (e.g. retracting an unset atom):
+    the tracker's refusal, prefixed with the event's index."""
 
 
 @dataclass
@@ -45,11 +46,10 @@ class ReplayReport:
 
 
 class TraceReplayer:
-    def __init__(self, theory: DefnfTheory, *, setup: JustifiedTheory | None = None,
-                 check_oracle: bool = False, debug: bool = False) -> None:
+    def __init__(self, theory: DefnfTheory, *, check_oracle: bool = False,
+                 debug: bool = False) -> None:
         self.theory = theory
-        self.tracker = RelevanceTracker.for_theory(theory, setup, debug=debug)
-        self.assignment = PartialInterpretation()
+        self.tracker = RelevanceTracker.for_theory(theory, debug=debug)
         self.check_oracle = check_oracle
         self.report = ReplayReport()
 
@@ -62,21 +62,14 @@ class TraceReplayer:
         index = self.report.events
         self.report.events += 1
         output = None
-        if event.kind == BECOMES_TRUE:
+        if event.kind in (BECOMES_TRUE, BECOMES_UNKNOWN):
             self._check_literal(event.literal)
-            if self.assignment.value(atom_of(event.literal)) is not UNKNOWN:
-                raise ReplayOrderError(
-                    f"event {index}: atom {atom_of(event.literal)} is already assigned")
-            self.assignment.set_literal(event.literal)
-            self.tracker.notify_becomes_true(event.literal)
-            self._maybe_check_oracle(index)
-        elif event.kind == BECOMES_UNKNOWN:
-            self._check_literal(event.literal)
-            if self.assignment.literal_value(event.literal) is not TRUE:
-                raise ReplayOrderError(
-                    f"event {index}: literal {event.literal} is not currently true")
-            self.assignment.unset(atom_of(event.literal))
-            self.tracker.notify_becomes_unknown(event.literal)
+            notify = (self.tracker.notify_becomes_true if event.kind == BECOMES_TRUE
+                      else self.tracker.notify_becomes_unknown)
+            try:
+                notify(event.literal)
+            except ValueError as exc:
+                raise ReplayOrderError(f"event {index}: {exc}") from exc
             self._maybe_check_oracle(index)
         elif event.kind == QUERY_RELEVANT:
             self._check_literal(event.literal)
@@ -103,9 +96,11 @@ class TraceReplayer:
     def _maybe_check_oracle(self, index: int) -> None:
         if not self.check_oracle:
             return
-        opens = self.assignment.restrict(self.theory.opens)
+        justified = self.tracker.justified_literals()
+        opens = PartialInterpretation.from_literals(
+            lit for lit in justified if atom_of(lit) in self.theory.opens)
         reference_justified = oracle.justified_literals(self.theory, opens)
-        if reference_justified != self.tracker.justified_literals():
+        if reference_justified != justified:
             return  # mid-batch: scripted defined-literal events lag the opens
         self.report.oracle_checks += 1
         reference = oracle.relevant_set(self.theory, opens)

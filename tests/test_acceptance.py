@@ -45,9 +45,8 @@ def trace_corpus() -> tuple:
         theory = theory_gen.random_total_theory(rng, max_atoms=6, max_rules=5)
         if not oracle.is_total(theory.definition, theory.atoms.atoms()):
             continue
-        setup = build_justification_maps(theory)
         events, unwind = theory_gen.random_trace(rng, theory, min_events=80)
-        corpus.append((theory, setup, tuple(events), tuple(unwind)))
+        corpus.append((theory, tuple(events), tuple(unwind)))
     return tuple(corpus)
 
 
@@ -137,11 +136,10 @@ def test_criterion_3_relevance_quiescent_exactness():
     mismatches = 0
     quiescent_checks = 0
     backtracks = 0
-    for theory, setup, events, _ in trace_corpus():
+    for theory, events, _ in trace_corpus():
         assert len(events) >= 50
         backtracks += sum(1 for e in events if e.kind == BECOMES_UNKNOWN)
-        replayer = TraceReplayer(theory, setup=setup, check_oracle=True,
-                                 debug=True)
+        replayer = TraceReplayer(theory, check_oracle=True, debug=True)
         report = replayer.run(list(events))
         quiescent_checks += report.oracle_checks
         mismatches += len(report.mismatches)
@@ -178,7 +176,7 @@ def test_criterion_4_golden_examples():
         [names.id_of(x) for x in ("p_T", "a", "b", "c", "d")])
     assert oracle.justified(intro, prefix, names.id_of("p_T"))
     intro_setup = build_justification_maps(intro)
-    tracker = RelevanceTracker.for_theory(intro, intro_setup, debug=True)
+    tracker = RelevanceTracker.for_theory(intro, intro_setup.graph, debug=True)
     tracker.notify_becomes_true(names.id_of("d"))
     tracker.notify_becomes_true(names.id_of("a"))
     assert not tracker.is_relevant(-names.id_of("e"))
@@ -186,7 +184,7 @@ def test_criterion_4_golden_examples():
     # (c) loop theory: initial candidate parents, then collapse after support
     loop = theory_gen.loop_theory()
     loop_setup = build_justification_maps(loop)
-    loop_tracker = RelevanceTracker.for_theory(loop, loop_setup, debug=True)
+    loop_tracker = RelevanceTracker.for_theory(loop, loop_setup.graph, debug=True)
     p_T, a, p, q = 1, 2, 3, 4
     assert list(loop_tracker.graph.parents_of(p)) == [p_T, q]
     assert list(loop_tracker.graph.parents_of(q)) == [p]
@@ -234,7 +232,7 @@ def test_criterion_5_early_stop_counts_match_oracle():
             if result.status == "sat" and result.stats.stopped_early:
                 early_stops += 1
                 unstratified += has_cycle_through_negation(theory)
-                witness = result.witness_restricted(theory)
+                witness = result.witness
                 assert oracle.justified(theory, witness, theory.theory_atom)
                 count = oracle.count_models_extending(theory, witness)
                 assert count == result.stats.models_represented
@@ -258,7 +256,7 @@ def test_criterion_6_irrelevant_flips_preserve_justification():
     checked_states = 0
     flips = 0
     violations = 0
-    for theory, _, events, _ in trace_corpus()[:80]:
+    for theory, events, _ in trace_corpus()[:80]:
         for state in _batch_states(theory, events)[:4]:
             extension = _justifying_extension(theory, state)
             if extension is None:
@@ -319,13 +317,13 @@ def _justifying_extension(theory, state):
 def test_criterion_7_structural_invariants():
     # watch acyclicity and watch validity: full-scan validation after every
     # notification, on the whole trace corpus
-    for theory, setup, events, unwind in trace_corpus()[:100]:
-        replayer = TraceReplayer(theory, setup=setup, debug=True)
+    for theory, events, unwind in trace_corpus()[:100]:
+        replayer = TraceReplayer(theory, debug=True)
         for event in [*events, *unwind]:
             replayer.apply(event)
             replayer.tracker.validate()
         # trace reversibility: the unwound state equals a fresh tracker
-        fresh = RelevanceTracker.for_theory(theory, setup)
+        fresh = RelevanceTracker.for_theory(theory)
         assert replayer.tracker.relevant_literals() == fresh.relevant_literals()
         assert replayer.tracker.justified_literals() == set()
 
@@ -354,7 +352,6 @@ def test_criterion_8_incremental_tracker_performance():
     rules = [Rule(1, False, (2,))]
     rules += [Rule(atom, False, (atom + 1,)) for atom in range(2, size)]
     theory = DefnfTheory(AtomTable([None] * size), 1, Definition(rules))
-    setup = build_justification_maps(theory)
 
     events = [TraceEvent(BECOMES_TRUE, size)]
     events += [TraceEvent(BECOMES_TRUE, a) for a in range(size - 1, 0, -1)]
@@ -371,7 +368,7 @@ def test_criterion_8_incremental_tracker_performance():
     events = events[:100_000]
 
     start = time.monotonic()
-    replayer = TraceReplayer(theory, setup=setup)
+    replayer = TraceReplayer(theory)
     replayer.run(events)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

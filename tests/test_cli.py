@@ -172,7 +172,7 @@ def test_replay_ordering_error(loop_path, tmp_path, capsys):
     trace = tmp_path / "order.trc"
     trace.write_text("- 2\n")
     assert main(["replay", loop_path, str(trace)]) == 2
-    assert "not currently true" in capsys.readouterr().err
+    assert "event 0: literal 2 is not justified" in capsys.readouterr().err
 
 
 def test_replay_check_oracle(loop_path, tmp_path, capsys):

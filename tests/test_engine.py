@@ -13,7 +13,7 @@ from satid import (FALSE, TRUE, UNKNOWN, AtomTable, DefnfTheory, Definition,
                    parse_cid, solve)
 from satid.core import cyclic_literals
 from satid.engine import BudgetExhausted, _luby
-from satid import oracle
+from satid import oracle, relevance
 
 import theory_gen
 
@@ -667,7 +667,7 @@ def test_debug_source_checks_hold_while_solving():
             if result.status == "unsat":
                 assert not oracle.enumerate_models(theory), theory.definition.rules
                 continue
-            witness = result.witness_restricted(theory)
+            witness = result.witness
             if result.stats.stopped_early:
                 assert oracle.justified(theory, witness, theory.theory_atom)
                 assert oracle.count_models_extending(theory, witness) == \
@@ -1003,7 +1003,7 @@ class WalkingSolver(Solver):
     def __init__(self, theory, config):
         super().__init__(theory, config)
         if self.tracker is not None:
-            self.tracker = WalkingTracker.for_theory(theory, self.setup,
+            self.tracker = WalkingTracker.for_theory(theory, self.setup.graph,
                                                      values=self.justifier.values)
 
 
@@ -1257,6 +1257,24 @@ def test_solver_keeps_to_the_shared_key_limit(loop):
         assert len(vars(Solver(loop, config))) <= 20
 
 
+def test_the_solver_hands_the_tracker_its_own_graph(loop, intro, monkeypatch):
+    # the tracker reads the graph that the solver's justifier counts over,
+    # so a solver given its setup builds no dependency graph of its own
+    built = []
+    monkeypatch.setattr(relevance, "build_dependency_graph",
+                        lambda definition: built.append(definition))
+    for theory in (loop, intro, theory_gen.justdef_theory()):
+        setup = build_justification_maps(theory)
+        for config in FILTERED_CONFIGS:
+            for debug in (False, True):
+                config = dataclasses.replace(config, debug=debug)
+                for solver in (Solver(theory, config), Solver(theory, config, setup)):
+                    assert solver.tracker.graph is solver.setup.graph
+                    solver.solve()
+                    assert solver.tracker.graph is solver.setup.graph
+    assert built == []
+
+
 def reference_clause(lits):
     """The literals' first occurrences in order; None for a tautology."""
     clause = []
@@ -1339,7 +1357,7 @@ def test_solve_loop_theory(loop):
     solver = Solver(loop)
     result = solver.solve()
     assert result.status == "sat"
-    witness = result.witness_restricted(loop)
+    witness = result.witness
     assert witness.value(2) is TRUE
     assert result.witness == witness  # the theory's atoms, and no others
     assert solver.justifier.justified_literals() == {1, 2, -3, -4}
@@ -1356,7 +1374,7 @@ def test_solve_intro_stops_early(intro):
     result = solve(intro)
     assert result.status == "sat"
     assert result.stats.stopped_early
-    witness = result.witness_restricted(intro)
+    witness = result.witness
     assert oracle.count_models_extending(intro, witness) == \
         result.stats.models_represented
 
@@ -1366,7 +1384,7 @@ def test_solve_intro_justifying_prefix(intro):
     # decides c and d (lowest relevant atoms, relevant polarity), justifying
     # the theory atom with the four remaining opens unassigned
     result = solve(intro)
-    assert result.witness_restricted(intro).true_literals() == [1, 2, 3, 4, 5]
+    assert result.witness.true_literals() == [1, 2, 3, 4, 5]
     assert result.stats.models_represented == 16
     assert result.stats.decisions == 2
 
@@ -1562,7 +1580,7 @@ def test_early_stop_witness_is_sound():
         result = solve(theory)
         if result.status == "sat" and result.stats.stopped_early:
             stops += 1
-            witness = result.witness_restricted(theory)
+            witness = result.witness
             assert oracle.justified(theory, witness, theory.theory_atom)
             assert oracle.count_models_extending(theory, witness) == \
                 result.stats.models_represented
@@ -1622,7 +1640,7 @@ def test_a_negative_cycle_stops_only_once_justified():
         assert result.status == "sat" and result.stats.decisions == 1
         assert result.stats.stopped_early == config.stop_on_justified
         if result.stats.stopped_early:
-            witness = result.witness_restricted(theory)
+            witness = result.witness
             assert witness.value(3) is not UNKNOWN
             assert oracle.justified(theory, witness, theory.theory_atom)
             assert oracle.count_models_extending(theory, witness) == \

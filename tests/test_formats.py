@@ -296,7 +296,7 @@ def test_relevance_dot_initial(loop):
 
 def test_relevance_dot_after_support_shows_dashed_loop(loop):
     setup = build_justification_maps(loop)
-    tracker = RelevanceTracker.for_theory(loop, setup)
+    tracker = RelevanceTracker.for_theory(loop, setup.graph)
     tracker.notify_becomes_true(2)                          # open a
     tracker.notify_becomes_true(1)                          # theory atom justified
     tracker.notify_becomes_true(-3)                         # p status false

@@ -40,15 +40,16 @@ def test_empty_bodies_set_their_heads_at_the_root():
     assert justifier.stack == [2, -3, 1]
 
 
-def test_send_notes_the_keys_set_or_popped(justdef):
-    # `send` notes, in one call, the literals set since the last send and
-    # the heard ones popped since; the tracker keeps the watch keys among
-    # them, including a key popped and set again, whose status is the same
+def test_take_changed_returns_the_literals_set_or_popped(justdef):
+    # `take_changed` returns, for one note, the literals set since the last
+    # take and the heard ones popped since; the tracker keeps the watch keys
+    # among them, including a key popped and set again, whose status is the
+    # same
     ids = justdef.atoms.id_of
     b, d, f, c1, c4, p_T = (ids(name) for name in ("b", "d", "f", "c1", "c4", "p_T"))
     setup = build_justification_maps(justdef)
     justifier = Justifier(setup)
-    tracker = RelevanceTracker.for_theory(justdef, setup, values=justifier.values)
+    tracker = RelevanceTracker.for_theory(justdef, setup.graph, values=justifier.values)
     noted = []
     original = tracker.note_changed
 
@@ -62,7 +63,7 @@ def test_send_notes_the_keys_set_or_popped(justdef):
     # level 1 decides b, level 2 decides d
     trail, trail_lim = [b, d], [0, 1]
     justifier.sync(trail, trail_lim)
-    justifier.send(tracker)
+    tracker.note_changed(justifier.take_changed())
     # b justifies c2 and f, and f c4; b and d leave c1 <- ~b | ~d false
     level_1 = [b, ids("c2"), f, c4]
     level_2 = [d, -c1, -p_T]
@@ -74,7 +75,7 @@ def test_send_notes_the_keys_set_or_popped(justdef):
     justifier.backtrack(0, 0)   # both levels undone
     assert justifier.stack == [] and justifier._unheard == level_1 + level_2
     justifier.sync([b], [0])    # b again, at level 1
-    justifier.send(tracker)
+    tracker.note_changed(justifier.take_changed())
     assert noted[1:] == [level_1 + level_2 + level_1]
     assert tracker._changed == [c4, -p_T, c4]
     assert not justifier._unheard and justifier._heard == len(level_1)

@@ -1,17 +1,19 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from satid import (Justifier, PartialInterpretation, RelevanceTracker, Rule,
                    build_justification_maps)
-from satid import oracle
+from satid import justifier, oracle, relevance
 from satid.replay import TraceReplayer
 
 import theory_gen
 
 
 def fresh_tracker(theory, debug=True):
-    return RelevanceTracker.for_theory(theory, build_justification_maps(theory),
+    return RelevanceTracker.for_theory(theory, build_justification_maps(theory).graph,
                                        debug=debug)
 
 
@@ -83,16 +85,16 @@ def test_defined_original_assignments_are_ignored(intro):
     # which the tracker reads in place
     setup = build_justification_maps(intro)
     justifier = Justifier(setup)
-    tracker = RelevanceTracker.for_theory(intro, setup, debug=True,
+    tracker = RelevanceTracker.for_theory(intro, setup.graph, debug=True,
                                           values=justifier.values)
     p_T, a, b, d = (intro.atoms.id_of(name) for name in ("p_T", "a", "b", "d"))
     before = tracker.relevant_literals()
     justifier.sync([p_T, a, b], [])   # original defined atoms, assigned at the root
-    justifier.send(tracker)
+    tracker.note_changed(justifier.take_changed())
     assert tracker.justified_literals() == set()
     assert tracker.relevant_literals() == before
     justifier.sync([p_T, a, b, d], [3])   # the open d decided: a <- d | ~e | f
-    justifier.send(tracker)
+    tracker.note_changed(justifier.take_changed())
     assert tracker.justified_literals() == {d, a}
     assert tracker.relevant_literals() == oracle.relevant_set(
         intro, PartialInterpretation.from_literals([d]))
@@ -272,9 +274,8 @@ def test_quiescent_exactness_on_random_traces():
         if not oracle.is_total(theory.definition, theory.atoms.atoms()):
             continue
         traces += 1
-        setup = build_justification_maps(theory)
         events, _ = theory_gen.random_trace(rng, theory, min_events=30)
-        replayer = TraceReplayer(theory, setup=setup, check_oracle=True, debug=True)
+        replayer = TraceReplayer(theory, check_oracle=True, debug=True)
         report = replayer.run(events)
         checks += report.oracle_checks
         assert report.ok, [m.message for m in report.mismatches]
@@ -285,11 +286,10 @@ def test_reversibility_of_random_traces():
     rng = random.Random(23)
     for _ in range(25):
         theory = theory_gen.random_total_theory(rng, max_atoms=6, max_rules=5)
-        setup = build_justification_maps(theory)
         events, unwind = theory_gen.random_trace(rng, theory, min_events=30)
-        replayer = TraceReplayer(theory, setup=setup, debug=True)
+        replayer = TraceReplayer(theory, debug=True)
         replayer.run(events + unwind)
-        fresh = RelevanceTracker.for_theory(theory, setup)
+        fresh = RelevanceTracker.for_theory(theory)
         assert replayer.tracker.relevant_literals() == fresh.relevant_literals()
         assert replayer.tracker.justified_literals() == set()
 
@@ -364,7 +364,7 @@ def test_tracker_against_reachability_under_batched_events():
 
 def test_noting_unchanged_keys_keeps_the_relevant_set_exact():
     # `note_changed` may name literals whose status did not change, as
-    # `Justifier.send` names a key popped and set again; the settle leaves
+    # `Justifier.take_changed` names a key popped and set again; the settle leaves
     # such keys as they were.  Batches of 0-3 events each come with a random
     # sample of literals noted on top, and after each read the relevant set
     # is exactly the reachable one.  Counted are the unchanged keys noted.
@@ -575,7 +575,7 @@ def test_chain_notifications_are_local():
         theory_gen.AtomTable([None] * size), 1,
         theory_gen.Definition(rules))
     setup = build_justification_maps(theory)
-    tracker = RelevanceTracker.for_theory(theory, setup)
+    tracker = RelevanceTracker.for_theory(theory, setup.graph)
     tail = size - 1
     for _ in range(3000):
         tracker.notify_becomes_true(tail)
@@ -584,3 +584,31 @@ def test_chain_notifications_are_local():
         assert tracker.is_relevant(size)
     assert tracker.is_relevant(2)
     assert tracker.query_count == 6001
+
+
+# -- module boundary ----------------------------------------------------------------
+
+
+def package_imports(module):
+    """The `satid` modules that a module's source imports, wherever the
+    import stands, `if TYPE_CHECKING:` blocks included."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if name in ("", "satid"):   # `from . import x`, `from satid import x`
+                if node.level or name:
+                    found.update(alias.name for alias in node.names)
+            elif node.level or name.startswith("satid."):
+                found.add(name.removeprefix("satid.").split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("satid."))
+    return found
+
+
+def test_the_tracker_and_the_justifier_do_not_import_each_other():
+    # the solver wires the two together; the tracker stands on `core` alone
+    assert package_imports(relevance) == {"core"}
+    assert "relevance" not in package_imports(justifier)

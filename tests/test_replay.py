@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from satid import build_justification_maps, parse_trace
+from satid import parse_trace
 from satid.replay import ReplayOrderError, TraceReplayer
 
 import theory_gen
 
 
 def test_loop_trace_expectations(loop):
-    setup = build_justification_maps(loop)
     trace = parse_trace("+ 2\n+ 1\n# expect 3 0\n# expect 4 0\n# expect 1 0\n")
-    report = TraceReplayer(loop, setup=setup).run(trace)
+    report = TraceReplayer(loop).run(trace)
     assert report.ok
     assert report.events == 5
 
@@ -30,31 +29,30 @@ def test_query_output_format(loop):
 
 
 def test_intro_trace_prunes_negated_literal(intro):
-    setup = build_justification_maps(intro)
     d = intro.atoms.id_of("d")
     e = intro.atoms.id_of("e")
     a = intro.atoms.id_of("a")
     trace = parse_trace(f"+ {d}\n+ {a}\n# expect -{e} 0\n? -{e}\n")
-    report = TraceReplayer(intro, setup=setup).run(trace)
+    report = TraceReplayer(intro).run(trace)
     assert report.ok
     assert report.outputs == [f"-{e} 0"]
 
 
 def test_retracting_unassigned_literal_is_an_ordering_error(loop):
     replayer = TraceReplayer(loop)
-    with pytest.raises(ReplayOrderError, match="not currently true"):
+    with pytest.raises(ReplayOrderError, match="event 0: literal 2 is not justified"):
         replayer.run(parse_trace("- 2\n"))
 
 
 def test_retracting_wrong_polarity_is_an_ordering_error(loop):
     replayer = TraceReplayer(loop)
-    with pytest.raises(ReplayOrderError, match="not currently true"):
+    with pytest.raises(ReplayOrderError, match="event 1: literal -2 is not justified"):
         replayer.run(parse_trace("+ 2\n- -2\n"))
 
 
 def test_double_assignment_is_an_ordering_error(loop):
     replayer = TraceReplayer(loop)
-    with pytest.raises(ReplayOrderError, match="already assigned"):
+    with pytest.raises(ReplayOrderError, match="event 1: literal 2 is already justified"):
         replayer.run(parse_trace("+ 2\n+ -2\n"))
 
 
@@ -73,9 +71,28 @@ def test_literal_outside_table_rejected(loop):
 def test_oracle_checking_counts_quiescent_states():
     rng = random.Random(40)
     theory = theory_gen.random_total_theory(rng, max_atoms=5)
-    setup = build_justification_maps(theory)
     events, _ = theory_gen.random_trace(rng, theory, min_events=40)
-    replayer = TraceReplayer(theory, setup=setup, check_oracle=True)
+    replayer = TraceReplayer(theory, check_oracle=True)
     report = replayer.run(events)
     assert report.ok
     assert report.oracle_checks > 0
+
+
+@pytest.mark.parametrize("text, index, message", [
+    ("- 2\n", 0, "literal 2 is not justified"),
+    ("+ 2\n- -2\n", 1, "literal -2 is not justified"),
+    ("+ 2\n+ -2\n", 1, "literal 2 is already justified"),
+])
+def test_the_tracker_refuses_each_order_fault_at_its_event(loop, text, index, message):
+    # the standalone tracker's own check is the replay's one order check: it
+    # refuses before writing, and the replayer adds the event's index
+    replayer = TraceReplayer(loop)
+    events = parse_trace(text)
+    for event in events[:-1]:
+        replayer.apply(event)
+    before = replayer.tracker.justified_literals()
+    with pytest.raises(ReplayOrderError, match=f"^event {index}: {message}$") as raised:
+        replayer.apply(events[-1])
+    assert type(raised.value.__cause__) is ValueError
+    assert replayer.tracker.justified_literals() == before
+    assert not hasattr(replayer, "assignment")
