@@ -6,9 +6,11 @@ A theory in normal form consists of a single theory atom and one inductive
 definition whose rules have flat conjunctive or disjunctive bodies, with every
 atom defined by at most one rule.
 
-Everything here is immutable after construction except PartialInterpretation
-(and the append-only AtomTable); values may move between threads, but one
-PartialInterpretation must not be mutated concurrently.
+Nothing here changes after construction except PartialInterpretation (and
+the append-only AtomTable); formulas and rules are values that no code
+assigns to, though their classes are not frozen (see the formulas below).
+Values may move between threads, but one PartialInterpretation must not be
+mutated concurrently.
 """
 
 from __future__ import annotations
@@ -189,18 +191,24 @@ class PartialInterpretation:
 
 # ---------------------------------------------------------------------------
 # Formulas (Kleene evaluation); literals double as leaf formulas.
+#
+# Formulas and rules are values: equal fields make equal, equally hashed
+# objects.  Their classes are slotted and not frozen because a frozen
+# dataclass sets each field through `object.__setattr__`, which makes one
+# `Rule` cost about 2.5 times as much to build, and setup builds one per
+# rule and per connective; no code assigns their fields.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class And:
     children: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or:
     children: tuple["Formula", ...]
 
@@ -209,19 +217,26 @@ Formula = Union[int, Not, And, Or]
 
 
 def to_nnf(formula: Formula, positive: bool = True) -> Formula:
-    """Negation normal form: negations pushed onto the literals."""
+    """Negation normal form: negations pushed onto the literals.  A formula
+    already in NNF is returned as it is, and a connective is built anew
+    only when its polarity flips or a child of it changes."""
     cls = formula.__class__
     if cls is int:
         return formula if positive else -formula
     if cls is Not:
         return to_nnf(formula.child, not positive)
     if cls is And or cls is Or:
+        children = formula.children
         if positive:
-            return cls(tuple([c if c.__class__ is int else to_nnf(c)
-                              for c in formula.children]))
-        children = tuple([-c if c.__class__ is int else to_nnf(c, False)
-                          for c in formula.children])
-        return Or(children) if cls is And else And(children)
+            for c in children:
+                if c.__class__ is not int:
+                    break
+            else:
+                return formula
+            nnf = tuple([c if c.__class__ is int else to_nnf(c) for c in children])
+            return formula if nnf == children else cls(nnf)
+        nnf = tuple([-c if c.__class__ is int else to_nnf(c, False) for c in children])
+        return Or(nnf) if cls is And else And(nnf)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -256,7 +271,7 @@ def eval_formula(formula: Formula, interp: PartialInterpretation,
 # ---------------------------------------------------------------------------
 # Rules, definitions, theories.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rule:
     """A flat rule `head <- l1 (x) ... (x) ln` with (x) either `and` or `or`."""
 

@@ -16,15 +16,15 @@ runs over its own values (SAT(ID), Mariën et al., SAT 2008); every other
 unfounded atom has a false body, which the counts have already seen.
 
 The justifier reads the open literals of the solver's trail level by level,
-when it is synced, and closes each level before it reads the next.  Each
-status goes on its stack, tagged with the level it was read at (`lim`), so
-every status tagged L or lower follows from open literals of levels L and
-below alone.  A backtrack to level L pops exactly the statuses tagged above
-L and undoes their counts; what stays is the fixpoint of the trail that
-stays, and since a monotone operator's least fixpoint does not depend on the
-order its consequences are drawn in, each sync ends at the well-founded
-model.  `take_changed` gives the solver the statuses that may have changed
-since, for the relevance tracker (see `engine`).
+when it is synced, and closes each level that read one before it reads the
+next.  Each status goes on its stack, tagged with the level it was read at
+(`lim`), so every status tagged L or lower follows from open literals of
+levels L and below alone.  A backtrack to level L pops exactly the statuses
+tagged above L and undoes their counts; what stays is the fixpoint of the
+trail that stays, and since a monotone operator's least fixpoint does not
+depend on the order its consequences are drawn in, each sync ends at the
+well-founded model.  `take_changed` gives the solver the statuses that may
+have changed since, for the relevance tracker (see `engine`).
 """
 
 from __future__ import annotations
@@ -248,6 +248,7 @@ class Justifier:
         self._to_true = setup.need_true.copy()
         self._to_false = setup.need_false.copy()
         self._counted = 0
+        self._synced = False
         self.loop = LoopPart(setup, self.values, self.stack)
         # the stack length at the last `take_changed`: `stack[:_heard]` has
         # not changed since, and `_unheard` holds the literals taken as
@@ -264,7 +265,10 @@ class Justifier:
 
     def sync(self, trail: list[int], trail_lim: list[int]) -> None:
         """Read the open literals of the trail from `read` on, closing each
-        level (`trail_lim` as in the solver) before the next."""
+        level (`trail_lim` as in the solver) before the next.  The stack is
+        at its fixpoint after a close, and a backtrack pops it back to one,
+        so only the first sync and a level that read an open literal need a
+        close."""
         lim = self.lim
         opens = self.opens
         values = self.values
@@ -277,7 +281,9 @@ class Justifier:
                     values[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
                     stack.append(lit)
             self.read = end
-            self._close()
+            if self._counted < len(stack) or not self._synced:
+                self._synced = True
+                self._close()
             if level == len(trail_lim):
                 return
             lim.append(len(stack))

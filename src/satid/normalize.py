@@ -46,15 +46,27 @@ def normalize_to_defnf(ast: PcidAst) -> tuple[DefnfTheory, dict[str, int]]:
         nonlocal fresh_count
         while True:
             fresh_count += 1
-            name = f"_t{fresh_count}"
-            if name not in atoms:
-                return atoms.fresh(name)
+            try:
+                return atoms.fresh(f"_t{fresh_count}")
+            except ValueError:  # an input atom has the name
+                pass
 
-    def add_rule(head: int, conjunctive: bool, body: list[int]) -> None:
+    def add_rule(head: int, conjunctive: bool, body: tuple[int, ...]) -> None:
         if head in heads:
             raise ValueError(f"atom {atoms.name_of(head)!r} defined twice")
         heads.add(head)
-        rules.append(Rule(head, conjunctive, tuple(dict.fromkeys(body))))
+        distinct = dict.fromkeys(body)
+        rules.append(Rule(head, conjunctive,
+                          body if len(distinct) == len(body) else tuple(distinct)))
+
+    def body_of(children: tuple[Formula, ...]) -> tuple[int, ...]:
+        """The literals of flattened NNF children, each connective read
+        through its atom; the children tuple itself when all are literals."""
+        for c in children:
+            if c.__class__ is not int:
+                return tuple([c if c.__class__ is int else as_literal(c)
+                              for c in children])
+        return children
 
     def as_literal(formula: Formula) -> int:
         """A literal equivalent to an NNF formula, minting a fresh defined
@@ -69,20 +81,18 @@ def normalize_to_defnf(ast: PcidAst) -> tuple[DefnfTheory, dict[str, int]]:
         if cached is None:
             cached = fresh_atom()
             memo[key] = cached
-            add_rule(cached, formula.__class__ is And,
-                     [c if c.__class__ is int else as_literal(c) for c in children])
+            add_rule(cached, formula.__class__ is And, body_of(children))
         return cached
 
     def define_as(head: int, formula: Formula) -> None:
         if formula.__class__ is int:
-            add_rule(head, False, [formula])
+            add_rule(head, False, (formula,))
             return
         children = _flatten(formula)
         if len(children) == 1:
             define_as(head, children[0])
             return
-        add_rule(head, formula.__class__ is And,
-                 [c if c.__class__ is int else as_literal(c) for c in children])
+        add_rule(head, formula.__class__ is And, body_of(children))
 
     block_of: dict[int, int] = {}
     for index, definition in enumerate(ast.definitions):
@@ -126,7 +136,7 @@ def normalize_to_defnf(ast: PcidAst) -> tuple[DefnfTheory, dict[str, int]]:
         theory_atom = constraint_lits[0]
     else:
         theory_atom = atoms.fresh(_fresh_name(atoms, "_pT"))
-        add_rule(theory_atom, True, constraint_lits)
+        add_rule(theory_atom, True, tuple(constraint_lits))
 
     theory = DefnfTheory(atoms, theory_atom, Definition(rules))
     return theory, atoms.names()

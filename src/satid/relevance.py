@@ -44,14 +44,14 @@ looks at most two levels up.
 
 A note keeps only the keys among the literals it names; a shallow
 literal's flip moves no watch.  It may name literals whose status did not
-change, such as a key popped and set again between two sends: a settle
-leaves such a key as it was.  The watches catch up in one settle, which
-every read of them runs first when keys were noted since the last one
-(`is_relevant`, `relevant_literals`, `watched_parent` and `validate`), so
-observers only ever see settled states.  A read must therefore come only
-after every status change since the last settle is noted.  Construction
-only records state: an empty map, so that nothing is noted, and the theory
-atom as the first changed literal.  The first read builds the map with
+change, such as a key popped and set again between two calls of
+`Justifier.take_changed`: a settle leaves such a key as it was.  The
+watches catch up in one settle, which every read of them runs first when
+keys were noted since the last one (`is_relevant`, `relevant_literals`,
+`watched_parent` and `validate`), so observers only ever see settled
+states.  A read must therefore come only after every status change since
+the last settle is noted.  Construction only records state: an empty map,
+so that nothing is noted, and the theory atom as the first changed literal.  The first read builds the map with
 every key irrelevant, then settles the theory atom like any later batch,
 with the statuses that the array holds then; a tracker that is never read
 never walks the graph.  A settle takes the noted keys as one batch:

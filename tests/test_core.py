@@ -124,6 +124,32 @@ def test_definition_rejects_second_rule_for_head():
 def test_rule_rejects_zero_literal():
     with pytest.raises(ValueError, match="0 is not a literal"):
         Rule(1, True, (2, 0))
+    for head in (0, -1):
+        with pytest.raises(ValueError, match="positive atom"):
+            Rule(head, False, (2,))
+
+
+def test_rules_and_formulas_are_values():
+    # equal fields make equal objects with equal hashes, whichever object
+    # holds them, so that sets and dict keys (normalize's memo) merge them
+    pairs = [(Rule(1, True, (2, -3)), Rule(1, True, (2, -3))),
+             (Not(1), Not(1)),
+             (And((1, Not(2))), And((1, Not(2)))),
+             (Or((And(()), -4)), Or((And(()), -4)))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+    assert Rule(1, True, (2,)) != Rule(1, False, (2,))
+    assert And((1, 2)) != Or((1, 2)) and Not(1) != -1
+    assert len({Rule(1, True, (2,)), Rule(1, False, (2,)), Rule(1, True, (2, 3))}) == 3
+
+
+def test_rule_and_formula_reprs_are_pinned():
+    assert repr(Rule(1, True, (2, -3))) == "Rule(head=1, conjunctive=True, body=(2, -3))"
+    assert repr(Rule(4, False, ())) == "Rule(head=4, conjunctive=False, body=())"
+    assert repr(Not(1)) == "Not(child=1)"
+    assert repr(And((1, Not(-2)))) == "And(children=(1, Not(child=-2)))"
+    assert repr(Or((And(()), 3))) == "Or(children=(And(children=()), 3))"
 
 
 def test_atom_table_built_in_one_step():

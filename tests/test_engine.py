@@ -1077,8 +1077,8 @@ def test_unheard_holds_at_most_one_literal_per_atom():
     # between two syncs each backtrack records only the heard part of the
     # stack it pops, so `_unheard` holds literals of distinct atoms.  With
     # stop_on_justified off, syncs pause once the theory atom is justified
-    # while backtracks go on; an unfiltered solver never sends and records
-    # nothing
+    # while backtracks go on; an unfiltered solver never calls take_changed
+    # and records nothing
     class BoundedSolver(Solver):
         most = 0
 

@@ -150,6 +150,50 @@ def test_the_justifier_reads_only_open_literals(intro):
     assert justifier.stack == [d, a] and justifier.read == len(trail)
 
 
+def test_a_sync_closes_only_the_levels_it_reads_into():
+    # the stack is at its fixpoint after each close, and a backtrack pops it
+    # back to one: the first sync closes, even over an empty trail, for the
+    # loop part's first pass, and after it a level closes only when it has
+    # read an open literal, so a second sync over an unchanged trail runs no
+    # close and no loop pass
+    rng = random.Random(23)
+    theory = theory_gen.shuffled_loops_theory(rng, 4, 16)
+    setup = build_justification_maps(theory)
+    assert setup.loop_rules
+    justifier = Justifier(setup)
+    calls = []
+
+    def counted(name, method):
+        def call():
+            calls.append(name)
+            return method()
+        return call
+
+    justifier._close = counted("close", justifier._close)
+    justifier.loop.unfounded = counted("loop", justifier.loop.unfounded)
+
+    def sync(trail, trail_lim):
+        calls.clear()
+        justifier.sync(trail, trail_lim)
+        fresh = Justifier(setup)
+        fresh.sync(trail, [])
+        assert justifier.justified_literals() == fresh.justified_literals()
+        return list(calls)
+
+    assert sync([], []) == ["close", "loop"]
+    assert sync([], []) == []
+    opens = [rng.choice((atom, -atom)) for atom in sorted(theory.opens)]
+    # level 0 reads one open literal, level 1 a defined one only, level 2
+    # two open ones
+    trail, trail_lim = [opens[0], theory.theory_atom, *opens[1:3]], [1, 2]
+    # (a loop pass that falsifies atoms is followed by another)
+    assert sync(trail, trail_lim).count("close") == 2
+    assert sync(trail, trail_lim) == []
+    justifier.backtrack(1, 2)
+    assert sync(trail[:2], [1]) == []
+    assert sync(trail[:2] + [opens[3]], [1])[:2] == ["close", "loop"]
+
+
 def test_loop_statuses_follow_the_open_supports():
     # T <- p_1 & ... & p_n, p_i <- q_i | o_i, q_i <- p_i: p_i and q_i are
     # justified true once o_i is true, and false, as an unfounded set, once

@@ -7,7 +7,7 @@ import pytest
 from satid import (And, Not, Or, normalize_to_defnf, parse_pcid, solve, write_cid,
                    parse_cid)
 from satid.formats import FormatError, PcidAst
-from satid.core import AtomTable
+from satid.core import AtomTable, to_nnf
 from satid import oracle
 
 
@@ -110,6 +110,46 @@ def test_round_trip_after_normalization():
     theory, _ = normalize_to_defnf(
         parse_pcid("(theory (constraint (or a (and b (not c)))))"))
     assert parse_cid(write_cid(theory)) == theory
+
+
+def _rebuilt_nnf(formula, positive=True):
+    """Negation normal form with every connective built anew."""
+    if isinstance(formula, int):
+        return formula if positive else -formula
+    if isinstance(formula, Not):
+        return _rebuilt_nnf(formula.child, not positive)
+    children = tuple(_rebuilt_nnf(c, positive) for c in formula.children)
+    return type(formula)(children) if positive else (
+        Or(children) if isinstance(formula, And) else And(children))
+
+
+def _has_not(formula):
+    if isinstance(formula, int):
+        return False
+    if isinstance(formula, Not):
+        return True
+    return any(map(_has_not, formula.children))
+
+
+def test_nnf_keeps_what_is_already_in_nnf():
+    # to_nnf gives the formula a full rebuild gives; it returns an NNF
+    # input itself, and a new object, sharing each NNF child, otherwise
+    rng = random.Random(8)
+    kept = rebuilt = 0
+    for _ in range(800):
+        formula = _random_formula(rng, 5, rng.randint(1, 3))
+        nnf = to_nnf(formula)
+        assert nnf == _rebuilt_nnf(formula) and not _has_not(nnf)
+        if not _has_not(formula):
+            assert nnf is formula
+            kept += not isinstance(formula, int)
+            continue
+        assert nnf is not formula
+        rebuilt += 1
+        if isinstance(formula, (And, Or)):
+            for old, new in zip(formula.children, nnf.children):
+                assert new is old or _has_not(old)
+    assert kept > 60 and rebuilt > 300, (kept, rebuilt)
 
 
 def test_output_is_in_normal_form():
