@@ -65,6 +65,8 @@ class AtomTable:
     def __init__(self, names: Iterable[str | None] = ()) -> None:
         self._names: list[str | None] = list(names)
         self._ids: dict[str, Atom] = {}
+        if self._names.count(None) == len(self._names):  # no name to index
+            return
         for atom, name in enumerate(self._names, 1):
             if name is not None:
                 if name in self._ids:
@@ -287,16 +289,28 @@ class Rule:
 
 
 class Definition:
-    """A finite set of rules with every atom defined by at most one rule."""
+    """A finite set of rules with every atom defined by at most one rule.
+    `largest_atom` is the largest atom a rule mentions, 0 when there is no
+    rule."""
 
     def __init__(self, rules: Iterable[Rule]) -> None:
         self._rules = tuple(rules)
         self._by_head: dict[Atom, Rule] = {}
+        top = 0
         for rule in self._rules:
-            if rule.head in self._by_head:
-                raise ValueError(f"atom {rule.head} defined twice")
-            self._by_head[rule.head] = rule
+            head = rule.head
+            if head in self._by_head:
+                raise ValueError(f"atom {head} defined twice")
+            self._by_head[head] = rule
+            if head > top:
+                top = head
+            for lit in rule.body:
+                if lit > top:
+                    top = lit
+                elif -lit > top:
+                    top = -lit
         self._defined = frozenset(self._by_head)
+        self.largest_atom: Atom = top
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -345,10 +359,8 @@ class DefnfTheory:
             raise ValueError(f"theory atom {theory_atom} outside atom table (1..{n})")
         if theory_atom not in definition.defined_atoms:
             raise ValueError(f"theory atom {theory_atom} is not defined")
-        for rule in definition:
-            if rule.head > n or rule.body and (max(rule.body) > n or min(rule.body) < -n):
-                atom = next(a for a in (rule.head, *map(abs, rule.body)) if a > n)
-                raise ValueError(f"atom {atom} outside atom table (1..{n})")
+        if definition.largest_atom > n:
+            raise ValueError(f"atom {definition.largest_atom} outside atom table (1..{n})")
         self.atoms = atoms
         self.theory_atom = theory_atom
         self.definition = definition
@@ -459,32 +471,39 @@ class DependencyGraph:
         return reached
 
     def loop_atoms(self) -> set[Atom]:
-        """Defined atoms on a positive loop or depending positively on one.
-
-        A Kahn-style peel over the positive edges between heads: a head is
-        peeled once each positive body literal of it that heads a body is,
-        counted per occurrence, and the heads never peeled are returned.
-        Open atoms and the heads of empty bodies have no children and need
-        no peeling.
-        """
-        bodies = self.bodies
-        heads_a_body = bodies.__contains__  # false for every negative literal
-        missing: dict[Atom, int] = {}  # unpeeled head -> its unpeeled occurrences
+        """Defined atoms on a positive loop or depending positively on one:
+        what `peel` leaves of the heads, each counting its positive body
+        literals that head a body.  Open atoms and the heads of empty bodies
+        have no children and need no peeling."""
+        heads_a_body = self.bodies.__contains__  # false for every negative literal
+        missing: dict[Atom, int] = {}
         ready: list[Atom] = []
-        for head, body in bodies.items():
+        for head, body in self.bodies.items():
             n_deps = sum(map(heads_a_body, body))
             if n_deps:
                 missing[head] = n_deps
             else:
                 ready.append(head)
-        occurs = self.occurs.get
-        while ready:
-            for head in occurs(ready.pop(), ()):
-                missing[head] -= 1
-                if not missing[head]:
-                    del missing[head]
-                    ready.append(head)
-        return set(missing)
+        return peel(missing, ready, self.occurs)
+
+
+def peel(missing: dict[Atom, int], ready: list[Atom],
+         occurs: Mapping[Literal, list[Atom]]) -> set[Atom]:
+    """A Kahn-style peel over the positive edges between heads.  `missing`
+    maps each unpeeled head to its positive body literals still unpeeled,
+    counted per occurrence, and `ready` holds the heads peeled but not yet
+    read; `occurs` gives the parents of each.  Reading a head lowers the
+    count of each parent it occurs in positively, and a parent whose count
+    reaches 0 is peeled.  Returns the heads never peeled, and leaves
+    `ready` empty and `missing` holding them."""
+    occurs_of = occurs.get
+    while ready:
+        for head in occurs_of(ready.pop(), ()):
+            missing[head] -= 1
+            if not missing[head]:
+                del missing[head]
+                ready.append(head)
+    return set(missing)
 
 
 def build_dependency_graph(definition: Definition) -> DependencyGraph:
@@ -529,26 +548,40 @@ def completion_clauses(definition: Definition) -> list[list[Literal]]:
     Conjunctive rule: (~p | li) for each i plus (p | ~l1 | ... | ~ln).
     Disjunctive rule: (~p | l1 | ... | ln) plus (p | ~li) for each i.
 
-    Only a body literal over the head or a repeated body atom changes these.
-    li = p makes its two-literal clause a tautology, left out; li = ~p shrinks
-    it to the head literal it repeats.  The long clause is left out when the
-    body holds p or a complementary pair; otherwise it drops ~p and keeps the
-    first occurrence of each body literal.  A repeated body literal still gives
-    one two-literal clause per occurrence.
+    An empty body gives the unit clause (p) or (~p), a one-literal body l
+    not over the head the pair (~p | l), (p | ~l) for either connective, and
+    a body of distinct atoms without p the clauses above as written: each
+    in one direct step.  Only a body literal over the head or a repeated
+    body atom changes the clauses.  li = p makes its two-literal clause a
+    tautology, left out; li = ~p shrinks it to the head literal it repeats.
+    The long clause is left out when the body holds p or a complementary
+    pair; otherwise it drops ~p and keeps the first occurrence of each body
+    literal.  A repeated body literal still gives one two-literal clause per
+    occurrence.
     """
     clauses: list[list[Literal]] = []
     for rule in definition:
         p = rule.head
         body = rule.body
-        atoms = set(map(abs, body))
-        if p not in atoms and len(atoms) == len(body):
-            if rule.conjunctive:
-                clauses.extend([-p, lit] for lit in body)
-                clauses.append([p, *map(neg, body)])
-            else:
-                clauses.append([-p, *body])
-                clauses.extend([p, -lit] for lit in body)
+        size = len(body)
+        if size == 1:
+            lit = body[0]
+            if lit != p and lit != -p:
+                clauses += ([-p, lit], [p, -lit])
+                continue
+        elif not size:
+            clauses.append([p] if rule.conjunctive else [-p])
             continue
+        else:
+            atoms = set(map(abs, body))
+            if p not in atoms and len(atoms) == size:
+                if rule.conjunctive:
+                    clauses += [[-p, lit] for lit in body]
+                    clauses.append([p, *map(neg, body)])
+                else:
+                    clauses.append([-p, *body])
+                    clauses += [[p, -lit] for lit in body]
+                continue
         lits = dict.fromkeys(body)
         long = p not in lits and not any(-lit in lits for lit in lits)
         lits.pop(-p, None)

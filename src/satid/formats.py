@@ -6,6 +6,8 @@ tracker's state (`relevance_dot`).
     p cid <natoms>
     t <atom>
     r <head> <c|d> <lit>... 0
+Its integers, and those of a `.trc`, are ASCII digits with an optional
+leading '-'.
 
 `.pcid` (`;` comments): s-expressions `(theory (constraint F)* (define (rule
 <name> F)...)*)` with F ::= <name> | (not F) | (and F...) | (or F...).  Each
@@ -37,21 +39,64 @@ class FormatError(ValueError):
 # .cid theories
 
 def parse_cid(text: str) -> DefnfTheory:
-    n_atoms: int | None = None
+    """Parse a `.cid` theory.  Each fault raises a `FormatError` with its
+    line; on a line with several, the first in this order wins: a rule
+    line's shape, its head, its connective, a second rule for the head, and
+    its body literals from left to right."""
+    n_atoms = 0  # until the header is read
     theory_atom: int | None = None
     rules: list[Rule] = []
-    heads: dict[int, int] = {}
+    heads: dict[int, int] = {}  # head -> the line of its rule
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith("%"):
+        if not fields:
             continue
-        if n_atoms is None:
-            if fields[:2] != ["p", "cid"] or len(fields) != 3:
+        tag = fields[0]
+        if tag == "r" and n_atoms:
+            size = len(fields)
+            if size < 4 or fields[-1] != "0":
+                raise FormatError("expected 'r <head> <c|d> <lit>... 0'", lineno)
+            # on a line with no '+', '_' or non-ASCII character, `int` takes
+            # exactly the fields that `_cid_int` takes
+            to_int = int if raw.isascii() and "_" not in raw and "+" not in raw else _cid_int
+            try:
+                head = to_int(fields[1])
+            except ValueError:
+                raise FormatError(f"bad atom {fields[1]!r}", lineno) from None
+            if not 0 < head <= n_atoms:
+                raise FormatError(f"atom {head} out of range 1..{n_atoms}", lineno)
+            connective = fields[2]
+            if connective != "c" and connective != "d":
+                raise FormatError(f"connective must be 'c' or 'd', got {connective!r}", lineno)
+            if head in heads:
+                raise FormatError(
+                    f"atom {head} defined twice (first rule on line {heads[head]})", lineno)
+            heads[head] = lineno
+            try:
+                if size == 5:
+                    lit = to_int(fields[3])
+                    if not lit or not -n_atoms <= lit <= n_atoms:
+                        raise ValueError
+                    body = (lit,)
+                elif size > 5:
+                    lits = dict.fromkeys(map(to_int, fields[3:-1]))
+                    if 0 in lits or max(lits) > n_atoms or min(lits) < -n_atoms:
+                        raise ValueError
+                    body = tuple(lits)
+                else:
+                    body = ()
+            except ValueError:
+                raise _literal_error(fields, to_int, n_atoms, lineno) from None
+            rules.append(Rule(head, connective == "c", body))
+        elif tag[0] == "%":
+            continue
+        elif not n_atoms:
+            if len(fields) != 3 or tag != "p" or fields[1] != "cid":
                 raise FormatError(
                     f"expected header 'p cid <natoms>', got {raw.strip()!r}", lineno)
             try:
-                n_atoms = int(fields[2])
+                n_atoms = _cid_int(fields[2])
             except ValueError:
                 raise FormatError(f"bad atom count {fields[2]!r}", lineno) from None
             if n_atoms < 1:
@@ -60,30 +105,21 @@ def parse_cid(text: str) -> DefnfTheory:
                 names = [None] * n_atoms
             except (OverflowError, MemoryError):
                 raise FormatError(f"atom count {n_atoms} is too large", lineno) from None
-            continue
-        if fields[0] == "t":
+        elif tag == "t":
             if theory_atom is not None:
                 raise FormatError("duplicate theory-atom line", lineno)
             if len(fields) != 2:
                 raise FormatError("expected 't <atom>'", lineno)
-            theory_atom = _parse_atom(fields[1], n_atoms, lineno)
-            continue
-        if fields[0] == "r":
-            if len(fields) < 4 or fields[-1] != "0":
-                raise FormatError("expected 'r <head> <c|d> <lit>... 0'", lineno)
-            head = _parse_atom(fields[1], n_atoms, lineno)
-            if fields[2] not in ("c", "d"):
-                raise FormatError(f"connective must be 'c' or 'd', got {fields[2]!r}", lineno)
-            if head in heads:
-                raise FormatError(
-                    f"atom {head} defined twice (first rule on line {heads[head]})", lineno)
-            heads[head] = lineno
-            body = [_parse_literal(field, n_atoms, lineno) for field in fields[3:-1]]
-            rules.append(Rule(head, fields[2] == "c", tuple(dict.fromkeys(body))))
-            continue
-        raise FormatError(f"unrecognized line {raw.strip()!r}", lineno)
+            try:
+                theory_atom = _cid_int(fields[1])
+            except ValueError:
+                raise FormatError(f"bad atom {fields[1]!r}", lineno) from None
+            if not 0 < theory_atom <= n_atoms:
+                raise FormatError(f"atom {theory_atom} out of range 1..{n_atoms}", lineno)
+        else:
+            raise FormatError(f"unrecognized line {raw.strip()!r}", lineno)
 
-    if n_atoms is None:
+    if not n_atoms:
         raise FormatError("missing 'p cid' header")
     if theory_atom is None:
         raise FormatError("missing theory-atom line 't <atom>'")
@@ -92,24 +128,25 @@ def parse_cid(text: str) -> DefnfTheory:
     return DefnfTheory(AtomTable(names), theory_atom, Definition(rules))
 
 
-def _parse_atom(field: str, n_atoms: int, lineno: int) -> int:
-    try:
-        atom = int(field)
-    except ValueError:
-        raise FormatError(f"bad atom {field!r}", lineno) from None
-    if not 1 <= atom <= n_atoms:
-        raise FormatError(f"atom {atom} out of range 1..{n_atoms}", lineno)
-    return atom
+def _cid_int(field: str) -> int:
+    """The integer a field of ASCII digits, with an optional leading '-',
+    spells; ValueError for the other fields that `int` takes (a '+', a '_'
+    or a non-ASCII digit)."""
+    if field.isascii() and "_" not in field and field[:1] != "+":
+        return int(field)
+    raise ValueError(f"not a .cid integer: {field!r}")
 
 
-def _parse_literal(field: str, n_atoms: int, lineno: int) -> int:
-    try:
-        lit = int(field)
-    except ValueError:
-        raise FormatError(f"bad literal {field!r}", lineno) from None
-    if lit == 0 or abs(lit) > n_atoms:
-        raise FormatError(f"literal {lit} out of range", lineno)
-    return lit
+def _literal_error(fields: list[str], to_int, n_atoms: int, lineno: int) -> FormatError:
+    """The error for the first bad body literal of a rule line."""
+    for field in fields[3:-1]:
+        try:
+            lit = to_int(field)
+        except ValueError:
+            return FormatError(f"bad literal {field!r}", lineno)
+        if lit == 0 or abs(lit) > n_atoms:
+            return FormatError(f"literal {lit} out of range", lineno)
+    raise AssertionError(f"no bad literal on line {lineno}")
 
 
 def write_cid(theory: DefnfTheory) -> str:
@@ -264,7 +301,7 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
 def _parse_trace_literal(field: str, lineno: int) -> int:
     try:
-        lit = int(field)
+        lit = _cid_int(field)
     except ValueError:
         raise FormatError(f"bad literal {field!r}", lineno) from None
     if lit == 0:

@@ -31,25 +31,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (DefnfTheory, DependencyGraph, build_dependency_graph,
-                   cyclic_literals)
+from .core import DefnfTheory, DependencyGraph, cyclic_literals, peel
 
 
 @dataclass
 class JustifiedTheory:
     """A theory and the one static rule index that the justifier, the loop
-    part and the relevance tracker read.  `graph` is the base definition's
+    part and the relevance tracker read, built in one walk over the rules
+    (`build_justification_maps`).  `graph` is the base definition's
     dependency graph, which `satid solve --dot` renders too; its `occurs`
     lists, for each body literal, the heads whose bodies hold it, once per
     occurrence.  Head atom p needs `need_true[p]` (`need_false[p]`) of its
     body literals justified true (false) to be; the counts of atoms that
     head no rule are 0 and never read.  `loop_rules` maps each loop head to
     (position, conjunctive, body), in rule order, and `loop_watches` each of
-    their body literals to their heads, once per occurrence.  That is
-    `graph.occurs` cut down to the loop heads, kept apart so that the loop
-    part's passes never walk the other heads: reading `graph.occurs` keeps
-    every counter but makes search on the `random` benchmark about 3%
-    slower."""
+    their body literals to their heads, once per occurrence; both are empty
+    when the definition has no loop.  That is `graph.occurs` cut down to
+    the loop heads, kept apart so that the loop part's passes never walk
+    the other heads: reading `graph.occurs` keeps every counter but makes
+    search on the `random` benchmark about 3% slower.  `facts` holds the
+    literal each empty body justifies at once, in rule order: p for a
+    conjunctive rule, ~p for a disjunctive one; a justifier's stack starts
+    with them."""
 
     base: DefnfTheory
     graph: DependencyGraph
@@ -57,27 +60,64 @@ class JustifiedTheory:
     need_false: list[int]
     loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]]
     loop_watches: dict[int, list[int]]
+    facts: list[int]
 
 
 def build_justification_maps(theory: DefnfTheory) -> JustifiedTheory:
-    """Index a theory for the justifier, the loop part and the tracker."""
-    graph = build_dependency_graph(theory.definition)
+    """Index a theory for the justifier, the loop part and the tracker.
+
+    One walk over the rules fills the graph's `bodies` and `occurs`, the
+    need counts and the loop peel's count per head: its positive body
+    literals that some rule defines (`DependencyGraph.loop_atoms` counts
+    only those that head a body, and the heads of empty bodies, which seed
+    the peel here, make up the difference).  A second walk, over the rules
+    of the loop heads alone, runs only when the peel leaves some."""
+    definition = theory.definition
+    defined = definition.defined_atoms  # no negative literal is in it
+    bodies: dict[int, tuple[int, ...]] = {}
+    occurs: dict[int, list[int]] = {}
     need_true = [0] * (theory.n_atoms + 1)
     need_false = need_true.copy()
-    for rule in theory.definition:
-        size = len(rule.body)
-        need_true[rule.head], need_false[rule.head] = (
-            (size, 1) if rule.conjunctive else (1, size))
-    loop = graph.loop_atoms()
+    missing: dict[int, int] = {}  # the peel's unpeeled heads
+    ready: list[int] = []
+    facts: list[int] = []
+    for rule in definition:
+        head = rule.head
+        body = rule.body
+        if rule.conjunctive:
+            need_true[head] = len(body)
+            need_false[head] = 1
+        else:
+            need_true[head] = 1
+            need_false[head] = len(body)
+        if body:
+            bodies[head] = body
+            n_deps = 0
+            for lit in body:
+                if lit in occurs:
+                    occurs[lit].append(head)
+                else:
+                    occurs[lit] = [head]
+                if lit in defined:
+                    n_deps += 1
+            if n_deps:
+                missing[head] = n_deps
+                continue
+        else:
+            facts.append(head if rule.conjunctive else -head)
+        ready.append(head)
+    graph = DependencyGraph(bodies, occurs)
     loop_rules: dict[int, tuple[int, bool, tuple[int, ...]]] = {}
     loop_watches: dict[int, list[int]] = {}
-    for rule in theory.definition:
-        if rule.head in loop:
-            loop_rules[rule.head] = (len(loop_rules), rule.conjunctive, rule.body)
-            for lit in rule.body:
-                loop_watches.setdefault(lit, []).append(rule.head)
+    loop = peel(missing, ready, occurs) if missing else ()
+    if loop:
+        for rule in definition:
+            if rule.head in loop:
+                loop_rules[rule.head] = (len(loop_rules), rule.conjunctive, rule.body)
+                for lit in rule.body:
+                    loop_watches.setdefault(lit, []).append(rule.head)
     return JustifiedTheory(theory, graph, need_true, need_false,
-                           loop_rules, loop_watches)
+                           loop_rules, loop_watches, facts)
 
 
 class LoopPart:
@@ -239,8 +279,11 @@ class Justifier:
     def __init__(self, setup: JustifiedTheory) -> None:
         self.setup = setup
         self.opens = setup.base.opens
-        self.values = [0] * (setup.base.n_atoms + 1)
-        self.stack: list[int] = []
+        self.values = values = [0] * (setup.base.n_atoms + 1)
+        # the empty bodies justify their heads' literals at once
+        self.stack: list[int] = setup.facts.copy()
+        for lit in self.stack:
+            values[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
         self.lim: list[int] = []
         self.read = 0
         # per head atom, the body literals still missing for each status,
@@ -255,10 +298,6 @@ class Justifier:
         # justified that a backtrack has popped since
         self._heard = 0
         self._unheard: list[int] = []
-        for rule in setup.base.definition:  # the empty bodies
-            if not rule.body:
-                self.values[rule.head] = 1 if rule.conjunctive else -1
-                self.stack.append(rule.head if rule.conjunctive else -rule.head)
 
     def justified_literals(self) -> set[int]:
         return set(self.stack)

@@ -172,6 +172,25 @@ def test_theory_rejects_atoms_outside_the_table():
     DefnfTheory(table, 1, Definition([Rule(1, True, (3, -3, -2))]))
 
 
+def test_definition_knows_its_largest_atom():
+    # the largest atom a head or a body literal of either sign mentions,
+    # found in the walk that checks the heads; DefnfTheory's range check
+    # reads it
+    assert Definition([]).largest_atom == 0
+    assert Definition([Rule(2, True, ())]).largest_atom == 2
+    assert Definition([Rule(1, True, (2, -7)), Rule(3, False, (5,))]).largest_atom == 7
+    assert Definition([Rule(9, True, (2, -7))]).largest_atom == 9
+
+
+def test_an_unnamed_atom_table_names_its_atoms_by_id():
+    table = AtomTable([None] * 3)
+    assert len(table) == 3 and table.names() == {}
+    assert [table.name_of(atom) for atom in table.atoms()] == ["x1", "x2", "x3"]
+    assert table.fresh("a") == 4 and table.id_of("a") == 4
+    with pytest.raises(ValueError, match="already in use"):
+        AtomTable([None, "a", None, "a"])
+
+
 def test_definition_defined_and_open_atoms():
     d = Definition([Rule(1, True, (2, -3))])
     assert d.defined_atoms == {1}
@@ -431,6 +450,15 @@ def test_completion_of_conjunctive_rule():
     clauses = completion_clauses(Definition([Rule(1, True, (2, 3))]))
     assert set(map(frozenset, clauses)) == {frozenset({-1, 2}), frozenset({-1, 3}),
                                             frozenset({1, -2, -3})}
+
+
+def test_completion_of_one_literal_bodies():
+    # a literal not over the head gives (~p | l) then (p | ~l) under either
+    # connective; p <- p gives only tautologies and p <- ~p both units
+    for conjunctive in (True, False):
+        assert completion_clauses(Definition([Rule(1, conjunctive, (-2,))])) == [[-1, -2], [1, 2]]
+        assert completion_clauses(Definition([Rule(1, conjunctive, (1,))])) == []
+        assert completion_clauses(Definition([Rule(1, conjunctive, (-1,))])) == [[-1], [1]]
 
 
 def test_completion_of_empty_conjunction():

@@ -60,13 +60,67 @@ def test_parse_literal_out_of_range():
 
 
 def test_parse_reports_the_first_bad_literal():
+    # an integer field is ASCII digits with an optional leading '-': no
+    # '+', no '_' and no other script's digits, all of which int() takes
     for body, message in (("2 x 9", "bad literal 'x'"),
                           ("2 9 x", "literal 9 out of range"),
                           ("-9 2", "literal -9 out of range"),
-                          ("2 0", "literal 0 out of range")):
-        with pytest.raises(FormatError, match=rf"line 3: {message}"):
+                          ("2 0", "literal 0 out of range"),
+                          ("+2", "bad literal '+2'"),
+                          ("2 1_0", "bad literal '1_0'"),
+                          ("\uff12", "bad literal '\uff12'"),  # a full-width 2
+                          ("9 +2", "literal 9 out of range")):
+        with pytest.raises(FormatError, match=re.escape(f"line 3: {message}")):
             parse_cid(f"p cid 3\nt 1\nr 1 d {body} 0\n")
+    for text, message in (("p cid \uff13\nt 1\nr 1 d 2 0\n", "line 1: bad atom count '\uff13'"),
+                          ("p cid +3\nt 1\nr 1 d 2 0\n", "line 1: bad atom count '+3'"),
+                          ("p cid 3\nt +1\nr 1 d 2 0\n", "line 2: bad atom '+1'"),
+                          ("p cid 3\nt 1\nr 0_1 d 2 0\n", "line 3: bad atom '0_1'")):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_cid(text)
     assert parse_cid("p cid 3\nt 1\nr 1 d 2 -3 2 0\n").definition.rules[0].body == (2, -3)
+    # leading zeros are ASCII digits, and a non-ASCII space still separates
+    assert parse_cid("p cid 03\nt 01\nr 1 d -02\u00a03 0\n").definition.rules[0].body == (-2, 3)
+
+
+# Each .cid fault with its line, exactly as raised.  On a line with two
+# faults the first in this order wins: the rule line's shape, its head, its
+# connective, a second rule for the head, its literals from left to right.
+CID_DIAGNOSTICS = [
+    ("p cid 3\nt 1\nr x q 2 0\n", "line 3: bad atom 'x'"),  # bad head and connective
+    ("p cid 3\nt 1\nr 4 q 2 0\n", "line 3: atom 4 out of range 1..3"),
+    ("p cid 3\nt 1\nr 1 q x 0\n", "line 3: connective must be 'c' or 'd', got 'q'"),
+    ("p cid 3\nt 1\nr 1 d 2 0\nr 1 c x 0\n",  # duplicate head and bad literal
+     "line 4: atom 1 defined twice (first rule on line 3)"),
+    ("p cid 3\nt 1\nr x d 2\n",  # no trailing 0 and a bad head
+     "line 3: expected 'r <head> <c|d> <lit>... 0'"),
+    ("p cid 3\nt 1\nr 1 d\n", "line 3: expected 'r <head> <c|d> <lit>... 0'"),
+    ("r 1 d 2 0\np cid 3\nt 1\n",  # a rule line before the header
+     "line 1: expected header 'p cid <natoms>', got 'r 1 d 2 0'"),
+    ("% note\np cid 3\nt 1\nr 1 d 2 0\nr 1 d 3 0\n",  # a comment before the header
+     "line 5: atom 1 defined twice (first rule on line 4)"),
+    ("t 1\np cid 3\n", "line 1: expected header 'p cid <natoms>', got 't 1'"),
+    ("p cid\n", "line 1: expected header 'p cid <natoms>', got 'p cid'"),
+    ("p cid x\n", "line 1: bad atom count 'x'"),
+    ("p cid 0\n", "line 1: atom count must be at least 1"),
+    ("p cid 3\nt 1\nt 2\n", "line 3: duplicate theory-atom line"),
+    ("p cid 3\nt 1 2\n", "line 2: expected 't <atom>'"),
+    ("p cid 3\nt x\n", "line 2: bad atom 'x'"),
+    ("p cid 3\nt 5\n", "line 2: atom 5 out of range 1..3"),
+    ("p cid 3\nt 1\np cid 3\n", "line 3: unrecognized line 'p cid 3'"),
+    ("p cid 3\nt 1\nr 1 d 2 0 0\n", "line 3: literal 0 out of range"),
+    ("", "missing 'p cid' header"),
+    ("% only a comment\n", "missing 'p cid' header"),
+    ("p cid 3\nr 1 d 2 0\n", "missing theory-atom line 't <atom>'"),
+    ("p cid 3\nt 2\nr 1 d 2 0\n", "theory atom 2 is not defined by any rule"),
+]
+
+
+@pytest.mark.parametrize("text, message", CID_DIAGNOSTICS)
+def test_parse_cid_diagnostics_and_their_lines(text, message):
+    with pytest.raises(FormatError) as raised:
+        parse_cid(text)
+    assert str(raised.value) == message
 
 
 def test_parse_sizes_the_atom_table_in_one_step(monkeypatch):
@@ -234,6 +288,13 @@ def test_parse_trace_malformed():
         parse_trace("+ 2\n+ x\n")
     with pytest.raises(FormatError, match="line 1"):
         parse_trace("? 0\n")
+    # literals are ASCII digits with an optional leading '-', as in .cid
+    for text, message in (("+ \uff12\n", "line 1: bad literal '\uff12'"),
+                          ("- +2\n", "line 1: bad literal '+2'"),
+                          ("+ 2\n? 1_0\n", "line 2: bad literal '1_0'"),
+                          ("# expect +2 1\n", "line 1: bad literal '+2'")):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_trace(text)
 
 
 def test_write_trace_round_trip():

@@ -132,6 +132,37 @@ def test_the_index_needs_no_atom_names():
                                         [0, 2, 0, 1], {2: [1], 3: [1], -2: [3]})
 
 
+def test_the_index_peels_through_empty_bodies():
+    # the index's one walk counts each positive body literal that some rule
+    # defines, and seeds its peel with the heads of empty bodies, which may
+    # come after the rules that read them; `DependencyGraph.loop_atoms`
+    # counts only the literals that head a body.  Both find the same loop
+    # heads, and the loop index holds their rules in rule order
+    cases = [
+        ([Rule(1, True, (3,)), Rule(3, True, ())], []),
+        ([Rule(1, True, (2, 3)), Rule(3, False, (2, -1)), Rule(2, True, ())], []),
+        ([Rule(1, False, (2, 4)), Rule(2, False, (1,)), Rule(4, False, ())], [1, 2]),
+        ([Rule(1, False, (2, 3)), Rule(2, True, (2, 5)), Rule(3, False, (4,)),
+          Rule(4, True, ())], [1, 2]),
+        ([Rule(3, False, (1, 1)), Rule(1, True, (2, 2, -5)), Rule(4, True, (2, 2)),
+          Rule(2, False, (4, 5))], [3, 1, 4, 2]),
+    ]
+    for rules, want in cases:
+        definition = Definition(rules)
+        setup = build_justification_maps(DefnfTheory(AtomTable([None] * 5),
+                                                     rules[0].head, definition))
+        assert setup.graph.loop_atoms() == set(want), rules
+        assert setup.loop_rules == {
+            head: (position, definition.rule_for(head).conjunctive,
+                   definition.rule_for(head).body)
+            for position, head in enumerate(want)}, rules
+        watches = {}
+        for head in want:
+            for lit in definition.rule_for(head).body:
+                watches.setdefault(lit, []).append(head)
+        assert setup.loop_watches == watches, rules
+
+
 def test_the_justifier_reads_only_open_literals(intro):
     # the solver's values of defined atoms say nothing of their status: a
     # trail of defined literals, at any level, justifies nothing, and a sync
